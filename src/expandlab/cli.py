@@ -6,8 +6,8 @@ JSON output; with --no-timestamp the same config and seed produce
 byte-identical documents.  Exact rationals are emitted as {"num", "den"}
 objects, never floats.
 
-Exit codes: 0 ok; 2 usage or parse error; 3 inconclusive classification or
-degenerate precondition; 4 numerical failure.
+Exit codes: 0 ok; 2 usage or parse error; 3 inconclusive classification,
+degenerate precondition or undecidable zero test; 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .degeneracy import (
     THEOREMS,
 )
 from .dimlab import expansion_experiment
-from .errors import ExpandlabError, NumericalError, PreconditionError, BudgetError
-from .expr import DomainError, FunctionSpec, ParseError, parse
-from .foldgeom import DEGENERATE, fold_verify
+from .errors import NumericalError, PreconditionError, BudgetError
+from .expr import DomainError, FunctionSpec, ParseError, UndeterminableOnBox, parse
+from .foldgeom import fold_verify
 from .fractal import CantorSpec, cantor_points, digit_points, load_points, save_points
 from .jsonutil import jsonable
 from .specialform import (
@@ -521,6 +521,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except PreconditionError as err:
         print(f"precondition: {err}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except UndeterminableOnBox as err:
+        print(f"inconclusive: {err}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (NumericalError, DomainError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

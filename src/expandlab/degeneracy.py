@@ -27,15 +27,13 @@ arithmetic.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
-    NewtonDivergenceError,
     PreconditionError,
     RankDeficientError,
     ZSamplingError,

@@ -21,7 +21,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -137,26 +137,18 @@ def _cell_indices(values: np.ndarray, lo: float, delta_min: float, ncells: int) 
 
 
 def _tuple_blocks(sets: Sequence[PointSet1D], shard: np.ndarray, block: int):
-    """Yield tuples of same-length coordinate arrays covering shard x rest."""
+    """Yield coordinate arrays covering shard x rest as broadcast views, one
+    axis per set, so the product is formed by the evaluator, not copied."""
     if len(sets) == 2:
         b = sets[1].values
         rows = max(1, block // max(len(b), 1))
         for i in range(0, len(shard), rows):
-            chunk = shard[i : i + rows]
-            yield (np.repeat(chunk, len(b)), np.tile(b, len(chunk)))
+            yield (shard[i : i + rows, None], b[None, :])
     else:
         b, c = sets[1].values, sets[2].values
-        b_rep = np.repeat(b, len(c))
-        c_tile = np.tile(c, len(b))
-        inner = len(b_rep)
-        rows = max(1, block // max(inner, 1))
+        rows = max(1, block // max(len(b) * len(c), 1))
         for i in range(0, len(shard), rows):
-            chunk = shard[i : i + rows]
-            yield (
-                np.repeat(chunk, inner),
-                np.tile(b_rep, len(chunk)),
-                np.tile(c_tile, len(chunk)),
-            )
+            yield (shard[i : i + rows, None, None], b[None, :, None], c[None, None, :])
 
 
 def image_quantize(

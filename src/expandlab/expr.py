@@ -6,15 +6,20 @@ numerator/denominator over "atoms": variables and irreducible function
 applications) with Fraction coefficients; the rewrite system is bounded, so a
 sampling fallback (`is_identically_zero`) remains the authority for
 vanishing decisions on a box.
+
+One evaluator serves every entry point: an expression is compiled once into
+a straight-line program over its DAG, run with a scalar op table (`evaluate`,
+`compile_scalar`: DomainError off the domain) or a numpy one (`compile_batch`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,8 +47,6 @@ __all__ = [
     "is_identically_zero",
 ]
 
-UNARY_FUNCS = ("neg", "sin", "cos", "exp", "log", "sqrt")
-BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 CALLABLE_FUNCS = ("sin", "cos", "exp", "log", "sqrt")
 
 # Bounds on the canonicalizer; beyond these a subtree is kept structural and
@@ -128,13 +131,13 @@ class Expr:
     def __repr__(self):
         return f"Expr({to_string(self)!r})"
 
+    def __post_init__(self):
+        # computed once from the children's cached hashes, so hashing never
+        # recurses, however deep the tree; the memo tables hash heavily
+        object.__setattr__(self, "_hash", hash((self.op, self.args, self.value, self.name)))
+
     def __hash__(self):
-        # cached: trees are immutable and hashed heavily by the memo tables
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.op, self.args, self.value, self.name))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
 
 def const(c) -> Expr:
@@ -385,224 +388,161 @@ def _frac_str(v: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation.
+# Evaluation.  An expression is compiled once into a straight-line program
+# over its DAG: structurally equal subtrees share one register, variables and
+# constants are preloaded, and each instruction writes one register.  One
+# interpreter runs every program, with a scalar or a numpy op table.
 # ---------------------------------------------------------------------------
+
+# Opcodes index the op tables.  "powi" is a power with an integer constant
+# exponent; its second operand register holds the exact int.
+_OPCODES = ("add", "sub", "mul", "div", "pow", "powi", "neg", "sin", "cos", "exp", "log", "sqrt")
+_LEAVES = ("var", "const", "int")
+
+# Python floats raise where an operation leaves its domain (an OverflowError
+# reads "overflow" whatever the op) ...
+_SCALAR = (
+    operator.add, operator.sub, operator.mul, operator.truediv, math.pow, operator.pow,
+    operator.neg, math.sin, math.cos, math.exp, math.log, math.sqrt,
+)
+_FAULT_MESSAGE = {
+    "div": "division by zero",
+    "pow": "invalid power",
+    "powi": "zero raised to negative power",
+    "log": "log of non-positive value",
+    "sqrt": "sqrt of negative value",
+    "sin": "sin of non-finite value",
+    "cos": "cos of non-finite value",
+}
+
+# ... numpy gives non-finite entries instead.
+_BATCH = (
+    operator.add, operator.sub, operator.mul, np.true_divide,
+    lambda a, b: np.power(np.asarray(a, dtype=np.float64), b),
+    lambda a, k: np.power(a, k, dtype=np.float64),
+    np.negative, np.sin, np.cos, np.exp, np.log, np.sqrt,
+)
+
+
+@dataclass(frozen=True)
+class _Program:
+    vars: tuple[str, ...]  # input registers 0 .. len(vars) - 1
+    consts: tuple  # preloaded into the registers after the inputs
+    ntemps: int  # registers for intermediate values, reused once dead
+    code: tuple  # (opcode, dst, a, b, node); b < 0 for a unary op
+    out: int
+
+
+@lru_cache(maxsize=4096)
+def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
+    """Compile e for inputs in var_order (KeyError for a variable outside
+    it).  The walk is iterative, so the depth of e does not matter."""
+    number: dict = {}  # structural key -> (value number, node), topologically
+    seen: dict[int, int] = {}  # id(node) -> value number
+    # post-order, left operand first: instructions run in the order a tree
+    # walk evaluates them, so the first one to fail is the same
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        op, args = node.op, node.args
+        if op == "pow" and args[1].op == "const" and args[1].value.denominator == 1:
+            op, args = "powi", args[:1]
+        pending = [a for a in reversed(args) if id(a) not in seen]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if op in ("const", "var"):
+            key = (op, node.value if op == "const" else node.name)
+        elif op == "powi":
+            k = ("int", node.args[1].value.numerator)
+            key = (op, seen[id(args[0])], number.setdefault(k, (len(number), None))[0])
+        else:
+            key = (op, *(seen[id(a)] for a in args))
+        seen[id(node)] = number.setdefault(key, (len(number), node))[0]
+
+    # registers: inputs, constants, then temporaries; a temporary is freed
+    # after its last use and taken again by the next instruction
+    index = {name: i for i, name in enumerate(var_order)}
+    reg = [0] * len(number)
+    consts: list = []
+    last_use = {}
+    for n, (kind, *operands) in enumerate(number):
+        if kind == "var":
+            reg[n] = index[operands[0]]
+        elif kind in _LEAVES:
+            reg[n] = len(var_order) + len(consts)
+            consts.append(float(operands[0]) if kind == "const" else operands[0])
+        else:
+            last_use.update((m, n) for m in operands)
+    base = len(var_order) + len(consts)
+    free: list[int] = []
+    ntemps = 0
+    code = []
+    for n, ((kind, *operands), (_, node)) in enumerate(number.items()):
+        if kind in _LEAVES:
+            continue
+        free += {reg[m] for m in operands if last_use[m] == n and reg[m] >= base}
+        if not free:
+            free.append(base + ntemps)
+            ntemps += 1
+        reg[n] = free.pop()
+        b = reg[operands[1]] if len(operands) > 1 else -1
+        code.append((_OPCODES.index(kind), reg[n], reg[operands[0]], b, node))
+    return _Program(var_order, tuple(consts), ntemps, tuple(code), reg[seen[id(e)]])
+
+
+def _execute(prog: _Program, table: tuple, regs: list, point=None):
+    """Run prog with an op table on the input registers regs and return the
+    output register.  With the scalar table, an instruction that leaves its
+    domain raises DomainError at point (default: the inputs)."""
+    if len(regs) != len(prog.vars):
+        raise TypeError(f"expected {len(prog.vars)} inputs, got {len(regs)}")
+    regs += prog.consts
+    regs += [None] * prog.ntemps
+    try:
+        for ins in prog.code:
+            op, dst, a, b, _ = ins
+            fn = table[op]
+            regs[dst] = fn(regs[a]) if b < 0 else fn(regs[a], regs[b])
+    except (ArithmeticError, ValueError) as exc:
+        if table is not _SCALAR:
+            raise
+        message = "overflow" if isinstance(exc, OverflowError) else _FAULT_MESSAGE[_OPCODES[ins[0]]]
+        point = dict(zip(prog.vars, regs)) if point is None else point
+        raise DomainError(message, to_string(ins[4]), point) from None
+    return regs[prog.out]
 
 
 def evaluate(e: Expr, point: Mapping[str, float]) -> float:
     """Evaluate at a point of reals.  Domain violations raise DomainError."""
-    return _eval(e, point)
-
-
-def _eval(e: Expr, point: Mapping[str, float]) -> float:
-    op = e.op
-    if op == "const":
-        return float(e.value)
-    if op == "var":
-        try:
-            return float(point[e.name])
-        except KeyError:
-            raise DomainError("unassigned variable", e.name, point) from None
-    if op == "neg":
-        return -_eval(e.args[0], point)
-    if op == "add":
-        return _eval(e.args[0], point) + _eval(e.args[1], point)
-    if op == "sub":
-        return _eval(e.args[0], point) - _eval(e.args[1], point)
-    if op == "mul":
-        return _eval(e.args[0], point) * _eval(e.args[1], point)
-    if op == "div":
-        num = _eval(e.args[0], point)
-        den = _eval(e.args[1], point)
-        if den == 0.0:
-            raise DomainError("division by zero", to_string(e), point)
-        return num / den
-    if op == "pow":
-        return _eval_pow(e, point)
-    if op == "sin":
-        return math.sin(_eval(e.args[0], point))
-    if op == "cos":
-        return math.cos(_eval(e.args[0], point))
-    if op == "exp":
-        try:
-            return math.exp(_eval(e.args[0], point))
-        except OverflowError:
-            raise DomainError("overflow", to_string(e), point) from None
-    if op == "log":
-        v = _eval(e.args[0], point)
-        if v <= 0.0:
-            raise DomainError("log of non-positive value", to_string(e), point)
-        return math.log(v)
-    if op == "sqrt":
-        v = _eval(e.args[0], point)
-        if v < 0.0:
-            raise DomainError("sqrt of negative value", to_string(e), point)
-        return math.sqrt(v)
-    raise ExprError(f"unknown op {op!r}")
-
-
-def _eval_pow(e: Expr, point: Mapping[str, float]) -> float:
-    base = _eval(e.args[0], point)
-    exp_node = e.args[1]
-    if exp_node.op == "const" and exp_node.value.denominator == 1:
-        k = exp_node.value.numerator
-        if base == 0.0 and k < 0:
-            raise DomainError("zero raised to negative power", to_string(e), point)
-        try:
-            return float(base**k)
-        except OverflowError:
-            raise DomainError("overflow", to_string(e), point) from None
-    expv = _eval(exp_node, point)
     try:
-        return math.pow(base, expv)
-    except (ValueError, OverflowError):
-        raise DomainError("invalid power", to_string(e), point) from None
+        prog = _program(e, tuple(point))
+    except KeyError as err:
+        raise DomainError("unassigned variable", err.args[0], point) from None
+    return _execute(prog, _SCALAR, [float(v) for v in point.values()], point)
 
 
-@lru_cache(maxsize=4096)
 def compile_scalar(e: Expr, var_order: tuple[str, ...]) -> Callable[..., float]:
     """Compile to a fast positional-argument evaluator.
 
     The returned callable takes len(var_order) floats and raises DomainError
     on domain violations, matching evaluate()."""
-    index = {n: i for i, n in enumerate(var_order)}
-
-    def build(node: Expr):
-        op = node.op
-        if op == "const":
-            c = float(node.value)
-            return lambda a: c
-        if op == "var":
-            i = index[node.name]
-            return lambda a: a[i]
-        if op in ("add", "sub", "mul", "div", "pow"):
-            f = build(node.args[0])
-            g = build(node.args[1])
-            if op == "add":
-                return lambda a: f(a) + g(a)
-            if op == "sub":
-                return lambda a: f(a) - g(a)
-            if op == "mul":
-                return lambda a: f(a) * g(a)
-            if op == "div":
-                s = to_string(node)
-
-                def dv(a, f=f, g=g, s=s):
-                    den = g(a)
-                    if den == 0.0:
-                        raise DomainError("division by zero", s, dict(zip(var_order, a)))
-                    return f(a) / den
-
-                return dv
-            exp_node = node.args[1]
-            if exp_node.op == "const" and exp_node.value.denominator == 1:
-                k = exp_node.value.numerator
-                s = to_string(node)
-
-                def pw(a, f=f, k=k, s=s):
-                    b = f(a)
-                    if b == 0.0 and k < 0:
-                        raise DomainError("zero raised to negative power", s, dict(zip(var_order, a)))
-                    return float(b**k)
-
-                return pw
-            s = to_string(node)
-
-            def pwg(a, f=f, g=g, s=s):
-                try:
-                    return math.pow(f(a), g(a))
-                except (ValueError, OverflowError):
-                    raise DomainError("invalid power", s, dict(zip(var_order, a))) from None
-
-            return pwg
-        if op == "neg":
-            f = build(node.args[0])
-            return lambda a: -f(a)
-        f = build(node.args[0])
-        if op == "sin":
-            return lambda a: math.sin(f(a))
-        if op == "cos":
-            return lambda a: math.cos(f(a))
-        if op == "exp":
-            s = to_string(node)
-
-            def ex(a, f=f, s=s):
-                try:
-                    return math.exp(f(a))
-                except OverflowError:
-                    raise DomainError("overflow", s, dict(zip(var_order, a))) from None
-
-            return ex
-        if op == "log":
-            s = to_string(node)
-
-            def lg(a, f=f, s=s):
-                v = f(a)
-                if v <= 0.0:
-                    raise DomainError("log of non-positive value", s, dict(zip(var_order, a)))
-                return math.log(v)
-
-            return lg
-        if op == "sqrt":
-            s = to_string(node)
-
-            def sq(a, f=f, s=s):
-                v = f(a)
-                if v < 0.0:
-                    raise DomainError("sqrt of negative value", s, dict(zip(var_order, a)))
-                return math.sqrt(v)
-
-            return sq
-        raise ExprError(f"unknown op {op!r}")
-
-    fn = build(e)
-    return lambda *args: fn(args)
+    prog = _program(e, var_order)
+    return lambda *args: _execute(prog, _SCALAR, [float(x) for x in args])
 
 
-@lru_cache(maxsize=1024)
 def compile_batch(e: Expr, var_order: tuple[str, ...]) -> Callable[..., np.ndarray]:
-    """Compile to a vectorized numpy evaluator over same-shape arrays.
+    """Compile to a vectorized numpy evaluator over arrays that broadcast
+    together; the result has their broadcast shape.
 
     Domain violations surface as non-finite entries; the caller decides
     whether those are errors (see FunctionSpec.evaluate_batch)."""
-    index = {n: i for i, n in enumerate(var_order)}
-
-    def build(node: Expr):
-        op = node.op
-        if op == "const":
-            c = float(node.value)
-            return lambda a: c
-        if op == "var":
-            i = index[node.name]
-            return lambda a: a[i]
-        if op in ("add", "sub", "mul", "div", "pow"):
-            f = build(node.args[0])
-            g = build(node.args[1])
-            if op == "add":
-                return lambda a: f(a) + g(a)
-            if op == "sub":
-                return lambda a: f(a) - g(a)
-            if op == "mul":
-                return lambda a: f(a) * g(a)
-            if op == "div":
-                return lambda a: np.true_divide(f(a), g(a))
-            exp_node = node.args[1]
-            if exp_node.op == "const" and exp_node.value.denominator == 1:
-                k = exp_node.value.numerator
-                return lambda a: np.power(f(a), k, dtype=np.float64)
-            return lambda a: np.power(np.asarray(f(a), dtype=np.float64), g(a))
-        f = build(node.args[0])
-        if op == "neg":
-            return lambda a: np.negative(f(a))
-        np_fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt}[op]
-        return lambda a: np_fn(f(a))
-
-    fn = build(e)
+    prog = _program(e, var_order)
 
     def run(*arrays: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
-            out = fn(arrays)
-        out = np.asarray(out, dtype=np.float64)
+            out = np.asarray(_execute(prog, _BATCH, list(arrays)), dtype=np.float64)
         if arrays:
             shape = np.broadcast(*(np.asarray(a) for a in arrays)).shape
             if out.shape != shape:
@@ -667,10 +607,8 @@ def _diff(e: Expr, v: str) -> Expr:
         return _ONE if e.name == v else _ZERO
     if op == "neg":
         return Expr("neg", (_diff(e.args[0], v),))
-    if op == "add":
-        return Expr("add", (_diff(e.args[0], v), _diff(e.args[1], v)))
-    if op == "sub":
-        return Expr("sub", (_diff(e.args[0], v), _diff(e.args[1], v)))
+    if op in ("add", "sub"):
+        return Expr(op, (_diff(e.args[0], v), _diff(e.args[1], v)))
     if op == "mul":
         u, w = e.args
         return _diff(u, v) * w + u * _diff(w, v)
@@ -720,13 +658,7 @@ def domain_notes(e: Expr) -> list[str]:
             walk(a)
 
     walk(e)
-    seen = set()
-    out = []
-    for n in notes:
-        if n not in seen:
-            seen.add(n)
-            out.append(n)
-    return out
+    return list(dict.fromkeys(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -917,15 +849,16 @@ def _fold_func(op: str, arg: Expr) -> Expr | None:
     return None
 
 
+def _mono_sort_key(m):
+    return (sum(k for _, k in m), tuple((_expr_key(a), k) for a, k in m))
+
+
 def _poly_to_expr(p) -> Expr:
     if not p:
         return _ZERO
     if len(p) == 1 and () in p:
         return const(p[()])
-    def mono_sort_key(m):
-        return (sum(k for _, k in m), tuple((_expr_key(a), k) for a, k in m))
-
-    terms = sorted(p.items(), key=lambda mc: mono_sort_key(mc[0]))
+    terms = sorted(p.items(), key=lambda mc: _mono_sort_key(mc[0]))
     signed: list[Expr] = []
     for m, c in terms:
         factors: list[Expr] = []
@@ -955,10 +888,7 @@ def _rebuild(n, d) -> Expr:
             raise _NonCanonical
         return _poly_to_expr(_poly_scale(n, Fraction(1) / dc))
     # normalize so the denominator's leading coefficient is 1
-    def mono_sort_key(m):
-        return (sum(k for _, k in m), tuple((_expr_key(a), k) for a, k in m))
-
-    lead = min(d.items(), key=lambda mc: mono_sort_key(mc[0]))[1]
+    lead = min(d.items(), key=lambda mc: _mono_sort_key(mc[0]))[1]
     n = _poly_scale(n, Fraction(1) / lead)
     d = _poly_scale(d, Fraction(1) / lead)
     if not n:
@@ -1083,12 +1013,8 @@ class FunctionSpec:
     def evaluate_batch(self, arrays: Sequence[np.ndarray], check: bool = True) -> np.ndarray:
         out = compile_batch(self.expr, self.vars)(*[np.asarray(a, dtype=np.float64) for a in arrays])
         if check and not np.all(np.isfinite(out)):
-            flat = np.atleast_1d(out).ravel()
-            bad = int(np.argmax(~np.isfinite(flat)))
-            pt = {}
-            for v, a in zip(self.vars, arrays):
-                col = np.broadcast_to(np.asarray(a), np.shape(out)).ravel() if np.ndim(out) else np.asarray(a).ravel()
-                pt[v] = float(col[bad]) if col.size else float("nan")
+            bad = np.unravel_index(np.argmax(~np.isfinite(out)), np.shape(out))
+            pt = {v: float(np.broadcast_to(a, np.shape(out))[bad]) for v, a in zip(self.vars, arrays)}
             raise DomainError("non-finite value in batch evaluation", to_string(self.expr), pt)
         return out
 
@@ -1146,12 +1072,8 @@ def _surrogate_expr(e: Expr) -> Expr:
         return Expr("sqrt", (Expr("pow", (e, const(2))),))
     if op == "neg":
         return _surrogate_expr(e.args[0])
-    if op in ("add", "sub"):
-        return Expr("add", (_surrogate_expr(e.args[0]), _surrogate_expr(e.args[1])))
-    if op == "mul":
-        return Expr("mul", (_surrogate_expr(e.args[0]), _surrogate_expr(e.args[1])))
-    if op == "div":
-        return Expr("div", (_surrogate_expr(e.args[0]), _surrogate_expr(e.args[1])))
+    if op in ("add", "sub", "mul", "div"):
+        return Expr("add" if op == "sub" else op, tuple(_surrogate_expr(a) for a in e.args))
     if op == "pow":
         p = e.args[1]
         if p.op == "const" and p.value.denominator == 1:
@@ -1163,10 +1085,6 @@ def _surrogate_expr(e: Expr) -> Expr:
         return e  # general power: positive where defined
     # function application: |f(arg)| with the original argument
     return Expr("sqrt", (Expr("pow", (e, const(2))),))
-
-
-def _surrogate_eval(e: Expr, point: Mapping[str, float]) -> float:
-    return _eval(_surrogate_expr(e), point)
 
 
 def is_identically_zero(

@@ -25,10 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .degeneracy import kappa
-from .errors import NewtonDivergenceError, NumericalError, PreconditionError
+from .errors import NewtonDivergenceError, NumericalError
 from .expr import (
     DomainError,
-    Expr,
     FunctionSpec,
     ZeroPolicy,
     compile_scalar,

@@ -20,14 +20,13 @@ reproduces the same reconstruction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .degeneracy import EXPANDING, AdditiveDegeneracyError, aux_trivariate, classify, kappa
+from .degeneracy import AdditiveDegeneracyError, aux_trivariate, kappa
 from .errors import NumericalError, PreconditionError, QuadratureError
 from .expr import (
     DomainError,
@@ -38,7 +37,6 @@ from .expr import (
     compile_scalar,
     free_vars,
     substitute,
-    to_string,
 )
 from .jsonutil import jsonable
 

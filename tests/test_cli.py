@@ -105,6 +105,15 @@ def test_recover_expanding_precondition_exit_3(capsys):
     assert "precondition" in err
 
 
+def test_recover_undeterminable_zero_test_exit_3(capsys):
+    # sqrt(x - 5) is undefined on the whole default box: no sample decides
+    # the certificate, which classify reports as inconclusive too
+    code, out, err = run(capsys, "recover", "-f", "sqrt(x-5)*y")
+    assert code == 3
+    assert "inconclusive" in err
+    assert out == ""
+
+
 def test_recover_and_verify_round_trip(capsys, tmp_path):
     out_dir = tmp_path / "components"
     code, doc, _ = run_json(

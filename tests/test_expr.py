@@ -1,6 +1,7 @@
 """Tests for parsing, differentiation, simplification, evaluation, zero tests."""
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,8 @@ from expandlab.expr import (
     FunctionSpec,
     ParseError,
     ZeroPolicy,
+    compile_batch,
+    compile_scalar,
     const,
     differentiate,
     domain_notes,
@@ -315,6 +318,145 @@ def test_evaluate_batch_detects_domain_error():
     f = FunctionSpec.from_text("log(x)", ["x"], [(-1, 1)])
     with pytest.raises(DomainError):
         f.evaluate_batch([np.array([0.5, -0.5])])
+
+
+def test_scalar_overflow_is_domain_error_in_both_scalar_paths():
+    e = parse("x^400")
+    with pytest.raises(DomainError, match="overflow"):
+        compile_scalar(e, ("x",))(1e10)
+    with pytest.raises(DomainError, match="overflow"):
+        evaluate(e, {"x": 1e10})
+
+
+@pytest.mark.parametrize("text", ["sin(x)", "cos(x)"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_trig_of_infinity_is_domain_error(text, x):
+    with pytest.raises(DomainError) as err:
+        compile_scalar(parse(text), ("x",))(x)
+    assert err.value.culprit == text
+    with pytest.raises(DomainError):
+        evaluate(parse(text), {"x": x})
+    assert not np.isfinite(compile_batch(parse(text), ("x",))(np.array([x]))).any()
+
+
+def test_deep_expression_evaluates_on_every_path():
+    text = " + ".join(["x*y"] * 3000)
+    e = parse(text)
+    assert hash(e) == hash(parse(text))
+    assert evaluate(e, {"x": 2.0, "y": 0.5}) == 3000.0
+    assert compile_scalar(e, ("x", "y"))(2.0, 0.5) == 3000.0
+    out = compile_batch(e, ("x", "y"))(np.array([2.0, 1.0]), np.array([0.5, 3.0]))
+    assert out.tolist() == [3000.0, 9000.0]
+
+
+# ---------------------------------------------------------------------------
+# Cross-evaluator check on random DAGs.  The scalar paths and the batch path
+# each match a plain tree walk with their own primitives bit for bit.  The
+# two primitive sets agree exactly only on correctly rounded operations
+# (libm's pow and log may differ from numpy's in the last bit), so scalar
+# and batch are compared bitwise on DAGs built from those.
+# ---------------------------------------------------------------------------
+
+_EXACT_OPS = ("add", "sub", "mul", "div", "neg", "sqrt")
+_ALL_OPS = _EXACT_OPS + ("log", "powi", "pow")
+_MATH_OPS = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv,
+    "neg": operator.neg, "sqrt": math.sqrt, "log": math.log, "powi": operator.pow, "pow": math.pow,
+}
+_NUMPY_OPS = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": np.true_divide,
+    "neg": np.negative, "sqrt": np.sqrt, "log": np.log,
+    "powi": lambda a, k: np.power(a, k, dtype=np.float64),
+    "pow": lambda a, b: np.power(np.asarray(a, dtype=np.float64), b),
+}
+_GRID = [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
+
+
+def _copy(e):
+    """A structurally equal tree that shares no node with e."""
+    return Expr(e.op, tuple(_copy(a) for a in e.args), e.value, e.name)
+
+
+def _random_dag(rng, ops, size=14):
+    """Each new node takes its operands from earlier nodes, sometimes the
+    same object, sometimes a structurally equal copy of one."""
+    pool = [var("x"), var("y"), const(2), const(Fraction(1, 3))]
+    for _ in range(size):
+        a, b = (pool[int(i)] for i in rng.integers(len(pool), size=2))
+        if rng.random() < 0.2:
+            b = _copy(a)
+        op = ops[int(rng.integers(len(ops)))]
+        if op == "powi":
+            node = a ** int(rng.choice([-2, -1, 2, 3]))
+        elif op == "pow":
+            node = a ** (b if rng.random() < 0.5 else Fraction(1, 2))
+        elif op in ("neg", "sqrt", "log"):
+            node = Expr(op, (a,))
+        else:
+            node = Expr(op, (a, b))
+        pool.append(node)
+    return pool[-1] + pool[-2]
+
+
+def _tree_eval(e, env, fns, memo):
+    if id(e) not in memo:
+        if e.op == "const":
+            memo[id(e)] = float(e.value)
+        elif e.op == "var":
+            memo[id(e)] = env[e.name]
+        elif e.op == "pow" and e.args[1].op == "const" and e.args[1].value.denominator == 1:
+            base = _tree_eval(e.args[0], env, fns, memo)
+            memo[id(e)] = fns["powi"](base, e.args[1].value.numerator)
+        else:
+            memo[id(e)] = fns[e.op](*(_tree_eval(a, env, fns, memo) for a in e.args))
+    return memo[id(e)]
+
+
+def _subtrees(e):
+    stack, out = [e], []
+    while stack:
+        out.append(stack.pop())
+        stack.extend(out[-1].args)
+    return out
+
+
+def _scalar_outcome(fn):
+    try:
+        return repr(fn())
+    except DomainError as err:
+        return err
+
+
+@pytest.mark.parametrize("ops", [_EXACT_OPS, _ALL_OPS], ids=["exact-ops", "all-ops"])
+def test_evaluators_agree_on_random_dags(ops):
+    rng = np.random.default_rng(20260303)
+    names = ("x", "y")
+    xs, ys = (a.ravel() for a in np.meshgrid(_GRID, _GRID))
+    for _ in range(40):
+        e = _random_dag(rng, ops)
+        batch = compile_batch(e, names)(xs, ys)
+        with np.errstate(all="ignore"):
+            ref = np.broadcast_to(_tree_eval(e, {"x": xs, "y": ys}, _NUMPY_OPS, {}), xs.shape)
+        assert np.array_equal(batch.view(np.int64), ref.view(np.int64)), to_string(e)
+        scalar = compile_scalar(e, names)
+        for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+            got = _scalar_outcome(lambda: scalar(x, y))
+            via_evaluate = _scalar_outcome(lambda: evaluate(e, {"x": x, "y": y}))
+            assert str(got) == str(via_evaluate)
+            try:
+                expected = repr(_tree_eval(e, {"x": x, "y": y}, _MATH_OPS, {}))
+            except (ArithmeticError, ValueError):
+                expected = None
+            if isinstance(got, DomainError):
+                assert expected is None, (to_string(e), x, y)
+                # the failing operation is non-finite in the batch path too
+                culprit = next(n for n in _subtrees(e) if to_string(n) == got.culprit)
+                value = compile_batch(culprit, names)(xs[i : i + 1], ys[i : i + 1])
+                assert not np.isfinite(value).any(), (str(got), x, y)
+                continue
+            assert got == expected, (to_string(e), x, y)
+            if ops is _EXACT_OPS and math.isfinite(float(got)):
+                assert got == repr(float(batch[i])), (to_string(e), x, y)
 
 
 # ---------------------------------------------------------------------------
