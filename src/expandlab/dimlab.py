@@ -2,12 +2,14 @@
 
 The image f(A x B [x C]) is quantized onto a fixed grid of delta_min-cells
 over a value range determined in a first streaming pass (a declared range is
-widened, never clamped, when values fall outside it).  Occupancy lives in a
-bitset of uint64 words; shards are merged by bitwise-or, so the result is
-bit-identical for any thread count or block size.  Box counts at coarser
-scales merge cells exactly (delta must be an integer multiple of delta_min),
-and the box-counting dimension is the least-squares slope of log N against
-log(1/delta) over a fit window.
+widened, never clamped, when values fall outside it).  Every shard stores 1
+into one shared byte map at each cell it hits; since every write stores the
+same value, the map, and the bitset of uint64 words packed from it, is
+bit-identical for any thread count, shard order or block size.  Box counts at
+coarser scales merge cells exactly (delta must be an integer multiple of
+delta_min) by counting runs in the sorted occupied cells, with no sort or
+hash, and the box-counting dimension is the least-squares slope of log N
+against log(1/delta) over a fit window.
 
 Box dimension dominates Hausdorff dimension, so the theorems' lower bounds
 remain valid one-sided predicates for these estimates (up to estimator
@@ -44,27 +46,24 @@ __all__ = [
     "power_ladder",
 ]
 
-_MAX_CELLS = 1 << 28  # 32 MiB of bitset
+# bounds both the byte map image_quantize scatters into (1 byte per cell,
+# 256 MiB) and the bitset packed from it (32 MiB)
+_MAX_CELLS = 1 << 28
 _BLOCK = 1 << 22  # tuples evaluated per vectorized block
 
 
 class _Bitset:
-    def __init__(self, nbits: int):
+    def __init__(self, nbits: int, words: np.ndarray | None = None):
         if nbits < 1:
             raise ValueError("empty bitset")
         self.nbits = nbits
-        self.words = np.zeros((nbits + 63) // 64, dtype=np.uint64)
+        self.words = np.zeros(_nwords(nbits), dtype=np.uint64) if words is None else words
 
-    def set_cells(self, idx: np.ndarray):
-        u = np.unique(idx)
-        np.bitwise_or.at(
-            self.words,
-            u >> 6,
-            np.left_shift(np.uint64(1), u.astype(np.uint64) & np.uint64(63)),
-        )
-
-    def merge(self, other: "_Bitset"):
-        self.words |= other.words
+    @classmethod
+    def from_bytemap(cls, hit: np.ndarray, nbits: int) -> "_Bitset":
+        """Pack a map of one 0/1 byte per cell, padded with zeros to whole
+        words (_nwords(nbits) * 64 bytes), into a bitset."""
+        return cls(nbits, np.packbits(hit, bitorder="little").view(np.uint64))
 
     def count(self) -> int:
         return int(np.bitwise_count(self.words).sum())
@@ -75,6 +74,20 @@ class _Bitset:
 
     def equal(self, other: "_Bitset") -> bool:
         return self.nbits == other.nbits and bool(np.array_equal(self.words, other.words))
+
+
+def _nwords(nbits: int) -> int:
+    return (nbits + 63) // 64
+
+
+def _run_starts(c: np.ndarray) -> np.ndarray:
+    """Mask of the elements of a sorted array that differ from the one before
+    it (the first is kept): c[mask] are its distinct values, in O(n) with no
+    sort or hash.  Callers guarantee sortedness."""
+    keep = np.empty(c.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(c[1:], c[:-1], out=keep[1:])
+    return keep
 
 
 @dataclass
@@ -106,13 +119,18 @@ class QuantizedSet:
             self._occupied = self.bits.occupied()
         return self._occupied
 
+    def _coarse(self, delta) -> np.ndarray:
+        # occupied_cells() comes from np.flatnonzero, so it is strictly
+        # increasing, and floor division by k > 0 keeps it sorted: equal
+        # coarse cells form runs
+        return self.occupied_cells() // _delta_multiple(delta, self.delta_min)
+
     def cells_at(self, delta) -> np.ndarray:
-        k = _delta_multiple(delta, self.delta_min)
-        occ = self.occupied_cells()
-        return np.unique(occ // k)
+        c = self._coarse(delta)
+        return c[_run_starts(c)]
 
     def box_count(self, delta) -> int:
-        return int(self.cells_at(delta).size)
+        return int(np.count_nonzero(_run_starts(self._coarse(delta))))
 
     def bit_identical(self, other: "QuantizedSet") -> bool:
         return (
@@ -211,17 +229,16 @@ def image_quantize(
     if ncells > _MAX_CELLS:
         raise BudgetError(f"{ncells} cells exceed the bitset budget of {_MAX_CELLS}")
 
-    def quantize(shard: np.ndarray) -> _Bitset:
-        bits = _Bitset(ncells)
-        for arrays in _tuple_blocks(sets, shard, block):
-            vals = fn(*arrays)
-            bits.set_cells(_cell_indices(vals, lo, delta_min, ncells))
-        return bits
+    # one map shared by every shard; a write never reads, and every write
+    # stores 1, so concurrent shards cannot lose a hit
+    hit = np.zeros(_nwords(ncells) * 64, dtype=np.uint8)
 
-    partials = _run_sharded(quantize, shards, threads)
-    bits = _Bitset(ncells)
-    for p in partials:
-        bits.merge(p)
+    def quantize(shard: np.ndarray):
+        for arrays in _tuple_blocks(sets, shard, block):
+            hit[_cell_indices(fn(*arrays), lo, delta_min, ncells)] = 1
+
+    _run_sharded(quantize, shards, threads)
+    bits = _Bitset.from_bytemap(hit, ncells)
     return QuantizedSet(
         lo=lo,
         hi=hi,
@@ -296,13 +313,14 @@ def box_counts(
             ratio = width / (Fraction(data.exact_den) * d)
             p, q = ratio.numerator, ratio.denominator
             nums = data.exact_num.astype(object)
-            idx = (nums * p) // q
-            n = len({min(int(i), int(ncells) - 1) for i in idx.tolist()})
+            idx = np.minimum((nums * p) // q, int(ncells) - 1)
         else:
             dv = float(d)
             idx = np.floor((data.values - lo) / dv).astype(np.int64)
             idx = np.clip(idx, 0, int(ncells) - 1)
-            n = int(np.unique(idx).size)
+        # the points are strictly increasing and both cell maps are monotone,
+        # so the cell indices are sorted
+        n = int(np.count_nonzero(_run_starts(idx)))
         out.append((float(d), n))
     return out
 
@@ -312,10 +330,11 @@ def covered_fraction(q: QuantizedSet, delta) -> float:
     stand-in for positive measure of the image.  The final cell is trimmed
     to its intersection with the range, so the fraction stays in (0, 1]."""
     k = _delta_multiple(delta, q.delta_min)
-    cells = q.cells_at(delta)
-    covered = cells.size * float(delta)
+    n = q.box_count(delta)
+    covered = n * float(delta)
     ncoarse = -(-q.ncells // k)
-    if cells.size and int(cells[-1]) == ncoarse - 1:
+    occ = q.occupied_cells()
+    if occ.size and int(occ[-1]) // k == ncoarse - 1:
         covered -= max(0.0, ncoarse * float(delta) - (q.hi - q.lo))
     return covered / (q.hi - q.lo)
 

@@ -342,6 +342,9 @@ _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
 
 def _prec(e: Expr) -> int:
     if e.op == "const":
+        # a non-integer prints as "p/q", which parses as a division
+        if e.value.denominator != 1:
+            return _PREC["div"]
         return 3 if e.value < 0 else 5
     if e.op == "var" or e.op in CALLABLE_FUNCS:
         return 5

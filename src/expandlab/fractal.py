@@ -122,6 +122,13 @@ class PointSet1D:
         lo, hi = self.interval
         if v[0] < lo - 1e-12 or v[-1] > hi + 1e-12:
             raise ValueError("points fall outside the target interval")
+        if self.exact_num is not None:
+            # box counts read the cells of the numerators as sorted runs
+            num = np.asarray(self.exact_num)
+            if num.shape != v.shape or np.any(np.diff(num) <= 0):
+                raise ValueError("exact numerators must be strictly increasing, one per value")
+            if not isinstance(self.exact_den, int) or self.exact_den < 1:
+                raise ValueError("exact_den must be a positive integer")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -250,10 +257,13 @@ def _hash_spec(description: str, interval: tuple[float, float]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Binary export/import: one JSON header line, then little-endian float64.
+# Binary export/import: one JSON header line, then the little-endian float64
+# values and, in v2 when the set carries them, the little-endian int64 exact
+# numerators over the header's "exact_den".  v1 files (values only) still load.
 # ---------------------------------------------------------------------------
 
-_MAGIC = "expandlab-pointset-v1"
+_MAGIC = "expandlab-pointset-v2"
+_MAGIC_V1 = "expandlab-pointset-v1"
 
 
 def save_points(ps: PointSet1D, path: str | Path):
@@ -264,11 +274,14 @@ def save_points(ps: PointSet1D, path: str | Path):
         "dimension": ps.dimension,
         "spec": ps.provenance,
         "interval": list(ps.interval),
+        "exact_den": ps.exact_den if ps.has_exact else None,
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
         fh.write(ps.values.astype("<f8").tobytes())
+        if ps.has_exact:
+            fh.write(ps.exact_num.astype("<i8").tobytes())
 
 
 def load_points(path: str | Path) -> PointSet1D:
@@ -276,14 +289,22 @@ def load_points(path: str | Path) -> PointSet1D:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         header = json.loads(header_line.decode("utf-8"))
-        if header.get("format") != _MAGIC:
-            raise ValueError(f"{path} is not a {_MAGIC} file")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != header["count"]:
-        raise ValueError(f"{path}: expected {header['count']} points, found {data.size}")
+        if header.get("format") not in (_MAGIC, _MAGIC_V1):
+            raise ValueError(f"{path} is not a {_MAGIC} or {_MAGIC_V1} file")
+        body = fh.read()
+    count = header["count"]
+    exact_den = header.get("exact_den")
+    width = 16 if exact_den is not None else 8
+    if len(body) != count * width:
+        raise ValueError(f"{path}: expected {count} points, found {len(body) / width:g}")
+    exact_num = None
+    if exact_den is not None:
+        exact_num = np.frombuffer(body, dtype="<i8", offset=count * 8).astype(np.int64)
     return PointSet1D(
-        values=data.astype(np.float64),
+        values=np.frombuffer(body, dtype="<f8", count=count).astype(np.float64),
         dimension=float(header["dimension"]),
         provenance=str(header["spec"]),
         interval=tuple(header["interval"]),
+        exact_num=exact_num,
+        exact_den=exact_den,
     )

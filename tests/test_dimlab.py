@@ -1,6 +1,7 @@
 """Tests for streaming quantization, box counts, and dimension estimates."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from expandlab.dimlab import (
     QuantizedSet,
     _Bitset,
+    _nwords,
     box_counts,
     covered_fraction,
     dim_estimate,
@@ -72,6 +74,32 @@ def test_image_quantize_thread_invariance():
     assert qs[0].population == qs[1].population == qs[2].population
 
 
+@pytest.mark.parametrize(
+    "f, sets",
+    [
+        (F_SUM, [digit_points(3, [0, 2], 6)] * 2),
+        (
+            FunctionSpec(parse("x*y + z"), ("x", "y", "z"), ((0, 1),) * 3),
+            [digit_points(2, [0, 1], 4)] * 3,
+        ),
+    ],
+)
+def test_shared_scatter_is_thread_invariant_and_matches_naive(f, sets):
+    # a small block makes every shard write many blocks into the shared map
+    # while the others do; a short switch interval interleaves them more
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        qs = [image_quantize(f, sets, delta_min=1e-3, threads=t, block=64) for t in (1, 2, 3, 8)]
+    finally:
+        sys.setswitchinterval(interval)
+    for q in qs[1:]:
+        assert qs[0].bit_identical(q)
+    naive = naive_quantize_cells(f, sets, qs[0].lo, qs[0].delta_min, qs[0].ncells)
+    assert qs[0].occupied_cells().tolist() == naive
+    assert qs[0].population == len(naive)
+
+
 def test_image_quantize_widens_declared_range():
     A = PointSet1D.from_values([0.0, 0.9])
     q = image_quantize(F_SUM, [A, A], delta_min=1e-3, value_range=(0.0, 1.0))
@@ -133,6 +161,57 @@ def test_box_counts_quantized_monotone_and_multiple_check():
     assert ns == sorted(ns, reverse=True)  # N non-increasing as delta grows
     with pytest.raises(ValueError):
         box_counts(q, [delta_min * 2.5])
+
+
+def _random_quantized(rng, ncells: int, density: float) -> tuple[QuantizedSet, np.ndarray]:
+    occ = np.flatnonzero(rng.random(ncells) < density)
+    occ = np.union1d(occ, [ncells - 1])  # the last cell, so the last coarse cell is trimmed
+    hit = np.zeros(_nwords(ncells) * 64, dtype=np.uint8)
+    hit[occ] = 1
+    delta_min = 2.0**-10
+    # hi - lo ends half-way through the last cell
+    q = QuantizedSet(
+        lo=0.0,
+        hi=(ncells - 0.5) * delta_min,
+        delta_min=delta_min,
+        bits=_Bitset.from_bytemap(hit, ncells),
+        population=occ.size,
+    )
+    return q, occ
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_box_counts_match_unique_oracle_on_random_sets(seed):
+    rng = np.random.default_rng(seed)
+    for ncells, density in ((1, 1.0), (1000, 0.5), (100_003, 0.01), (5_000, 0.002)):
+        q, occ = _random_quantized(rng, ncells, density)
+        assert q.occupied_cells().tolist() == occ.tolist()
+        for k in (1, 2, 3, 7, 64, 3**5):
+            delta = k * q.delta_min
+            cells = np.unique(occ // k)
+            assert q.cells_at(delta).tolist() == cells.tolist()
+            assert q.box_count(delta) == cells.size
+            assert box_counts(q, [delta]) == [(delta, cells.size)]
+            ncoarse = -(-ncells // k)
+            covered = cells.size * delta
+            if cells[-1] == ncoarse - 1:
+                covered -= max(0.0, ncoarse * delta - (q.hi - q.lo))
+            assert covered_fraction(q, delta) == covered / (q.hi - q.lo)
+            assert 0 < covered_fraction(q, delta) <= 1
+
+
+def test_point_set_box_counts_match_unique_oracle():
+    rng = np.random.default_rng(5)
+    values = np.unique(rng.random(20_000))
+    ps = PointSet1D(values=values, dimension=1.0, provenance="random", interval=(0.0, 1.0))
+    for delta in (0.3, 2.0**-5, 1e-3, 3.0**-9, 1e-6):
+        idx = np.clip(np.floor(values / delta).astype(np.int64), 0, math.ceil(1 / delta) - 1)
+        assert box_counts(ps, [delta]) == [(delta, np.unique(idx).size)]
+    mid = cantor_points(CantorSpec(3, Fraction(1, 4), 7, rule="mid"))
+    for k in range(1, 9):
+        d = Fraction(1, 4**k)
+        exact = {min(int(n * 4**k) // mid.exact_den, 4**k - 1) for n in mid.exact_num.tolist()}
+        assert box_counts(mid, [d]) == [(float(d), len(exact))]
 
 
 def test_covered_fraction_basics():

@@ -130,6 +130,19 @@ def test_printer_round_trip():
             assert evaluate(e, vals) == evaluate(e2, vals), text
 
 
+@pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(-1, 2), -2])
+def test_printer_round_trips_constant_exponents_and_divisors(k):
+    # a non-integer constant prints as "p/q": as an exponent or a divisor it
+    # needs parentheses, or x^1/2 reads as (x^1)/2
+    x = var("x")
+    for e in (x**k, x / const(k), const(k) ** x):
+        text = to_string(e)
+        back = parse(text)
+        assert to_string(back) == text
+        assert evaluate(back, {"x": 9.0}) == evaluate(e, {"x": 9.0}), text
+    assert evaluate(parse(to_string(x**k)), {"x": 9.0}) == 9.0 ** float(k)
+
+
 # ---------------------------------------------------------------------------
 # Differentiation
 # ---------------------------------------------------------------------------

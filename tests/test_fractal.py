@@ -1,6 +1,7 @@
 """Tests for the self-similar point-set generators."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -118,6 +119,56 @@ def test_binary_round_trip(tmp_path):
     assert np.array_equal(back.values, ps.values)
     assert back.dimension == ps.dimension
     assert back.interval == ps.interval
+
+
+def test_binary_round_trip_keeps_exact_box_counts(tmp_path):
+    # the float values of m2r1/3:10 misplace points that sit on cell
+    # boundaries (N(3^-5) = 51 and N(3^-8) = 291 against 32 and 256); the
+    # stored numerators keep the exact counts
+    from expandlab.dimlab import box_counts, power_ladder
+
+    ps = cantor_points(CantorSpec(2, Fraction(1, 3), 10))
+    path = tmp_path / "points.bin"
+    save_points(ps, path)
+    back = load_points(path)
+    assert np.array_equal(back.exact_num, ps.exact_num)
+    assert back.exact_den == ps.exact_den
+    ladder = power_ladder(3, 1, 10)
+    assert box_counts(back, ladder) == box_counts(ps, ladder)
+    assert [n for _, n in box_counts(back, ladder)] == [2**k for k in range(1, 11)]
+
+
+def test_load_reads_v1_files(tmp_path):
+    ps = digit_points(4, [0, 1], 6)
+    header = {
+        "format": "expandlab-pointset-v1",
+        "count": len(ps),
+        "dimension": ps.dimension,
+        "spec": ps.provenance,
+        "interval": list(ps.interval),
+    }
+    path = tmp_path / "points-v1.bin"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + ps.values.astype("<f8").tobytes())
+    back = load_points(path)
+    assert np.array_equal(back.values, ps.values)
+    assert not back.has_exact
+    assert back.provenance == ps.provenance
+
+
+def test_load_rejects_truncated_or_inconsistent_files(tmp_path):
+    ps = digit_points(4, [0, 1], 4)
+    path = tmp_path / "points.bin"
+    save_points(ps, path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-8])  # one numerator short
+    with pytest.raises(ValueError):
+        load_points(path)
+    header, body = data.split(b"\n", 1)
+    n = len(ps)
+    shuffled = body[: 8 * n] + ps.exact_num[::-1].astype("<i8").tobytes()
+    path.write_bytes(header + b"\n" + shuffled)
+    with pytest.raises(ValueError):
+        load_points(path)
 
 
 def test_load_rejects_foreign_files(tmp_path):
