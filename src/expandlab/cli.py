@@ -6,8 +6,9 @@ JSON output; with --no-timestamp the same config and seed produce
 byte-identical documents.  Exact rationals are emitted as {"num", "den"}
 objects, never floats.
 
-Exit codes: 0 ok; 2 usage or parse error; 3 inconclusive classification,
-degenerate precondition or undecidable zero test; 4 numerical failure.
+Exit codes: 0 ok; 2 usage or parse error, or an expression too deep or
+too large to process; 3 inconclusive classification, degenerate
+precondition or undecidable zero test; 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .degeneracy import (
 )
 from .dimlab import expansion_experiment
 from .errors import NumericalError, PreconditionError, BudgetError
-from .expr import DomainError, FunctionSpec, ParseError, UndeterminableOnBox, parse
+from .expr import DomainError, ExprError, FunctionSpec, ParseError, UndeterminableOnBox, parse
 from .foldgeom import fold_verify
 from .fractal import CantorSpec, cantor_points, digit_points, load_points, save_points
 from .jsonutil import jsonable
@@ -528,6 +529,12 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalError, DomainError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except RecursionError:
+        print("error: expression nested too deeply or too large to process", file=sys.stderr)
+        return EXIT_USAGE
+    except ExprError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -55,6 +55,12 @@ _MAX_TERMS = 600
 _MAX_POW = 64
 _MAX_MUL_WORK = 8_000
 
+# Entries per memo of the symbolic layer (simplify, differentiate, the
+# canonical form, ...): bounded, so a long-lived process stays bounded, and
+# large enough that one command evicts nothing (a trivariate quintic's
+# classify or recover peaks at about 11k canonical forms).
+_MEMO_SIZE = 1 << 16
+
 
 class ExprError(Exception):
     """Base class for expression-level failures."""
@@ -418,12 +424,28 @@ _FAULT_MESSAGE = {
     "cos": "cos of non-finite value",
 }
 
-# ... numpy gives non-finite entries instead.
+
+def _nan_unless_finite(out, *operands):
+    """out, with NaN wherever one of the operands is not finite."""
+    for x in operands:
+        finite = np.isfinite(x)
+        if not np.all(finite):
+            out = np.where(finite, out, np.nan)
+    return out
+
+
+# ... numpy gives non-finite entries instead.  An op that would turn a
+# non-finite operand into a finite entry (x/inf, exp(-inf), nan^0, 2^-inf)
+# gives NaN there, so a point outside the domain stays non-finite to the end.
 _BATCH = (
-    operator.add, operator.sub, operator.mul, np.true_divide,
-    lambda a, b: np.power(np.asarray(a, dtype=np.float64), b),
-    lambda a, k: np.power(a, k, dtype=np.float64),
-    np.negative, np.sin, np.cos, np.exp, np.log, np.sqrt,
+    operator.add, operator.sub, operator.mul,
+    lambda a, b: _nan_unless_finite(np.true_divide(a, b), b),
+    lambda a, b: _nan_unless_finite(np.power(np.asarray(a, dtype=np.float64), b), a, b),
+    lambda a, k: (np.power(a, k, dtype=np.float64) if k > 0
+                  else _nan_unless_finite(np.power(a, k, dtype=np.float64), a)),
+    np.negative, np.sin, np.cos,
+    lambda a: _nan_unless_finite(np.exp(a), a),
+    np.log, np.sqrt,
 )
 
 
@@ -561,7 +583,7 @@ def compile_batch(e: Expr, var_order: tuple[str, ...]) -> Callable[..., np.ndarr
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def differentiate(e: Expr, v: str) -> Expr:
     fast = _poly_diff(e, v)
     if fast is not None:
@@ -678,7 +700,7 @@ _Poly = dict
 _POLY_ONE = {(): Fraction(1)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _expr_key(e: Expr):
     if e.op == "const":
         return ("const", str(e.value), ())
@@ -755,24 +777,20 @@ def _poly_const(p):
     return None
 
 
-_canon_memo: dict = {}
-_CANON_FAILED = object()
-
-
 def _canonical(e: Expr):
     """Memoized rational normal form; failures are cached too."""
-    hit = _canon_memo.get(e)
-    if hit is not None:
-        if hit is _CANON_FAILED:
-            raise _NonCanonical
-        return hit
-    try:
-        res = _canonical_impl(e)
-    except _NonCanonical:
-        _canon_memo[e] = _CANON_FAILED
-        raise
-    _canon_memo[e] = res
+    res = _canonical_or_none(e)
+    if res is None:
+        raise _NonCanonical
     return res
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _canonical_or_none(e: Expr):
+    try:
+        return _canonical_impl(e)
+    except _NonCanonical:
+        return None
 
 
 def _canonical_impl(e: Expr):
@@ -899,7 +917,7 @@ def _rebuild(n, d) -> Expr:
     return Expr("div", (_poly_to_expr(n), _poly_to_expr(d)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def simplify(e: Expr) -> Expr:
     """Bounded rewriting to a canonical rational form.
 
@@ -1063,7 +1081,7 @@ class ZeroCheck:
     sampled_values: tuple = ()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _surrogate_expr(e: Expr) -> Expr:
     """Absolute-value surrogate: sums of |monomial-like subterms| of the
     unsimplified expression; the scale against which 'zero' is judged.

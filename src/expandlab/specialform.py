@@ -21,7 +21,7 @@ reproduces the same reconstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -29,14 +29,13 @@ from scipy.interpolate import CubicSpline
 from .degeneracy import AdditiveDegeneracyError, aux_trivariate, kappa
 from .errors import NumericalError, PreconditionError, QuadratureError
 from .expr import (
-    DomainError,
     Expr,
     FunctionSpec,
     ZeroPolicy,
     compile_batch,
-    compile_scalar,
+    differentiate,
     free_vars,
-    substitute,
+    is_identically_zero,
 )
 from .jsonutil import jsonable
 
@@ -56,7 +55,7 @@ __all__ = [
 
 
 def quadrature(e: Expr, var: str, a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive Simpson integral of a univariate expression over [a, b].
+    """Adaptive Gauss-Legendre integral of a univariate expression over [a, b].
 
     The integrand must be continuous and sign-stable on [a, b]; a sampled
     pre-check rejects sign changes and singularities."""
@@ -67,53 +66,75 @@ def quadrature(e: Expr, var: str, a: float, b: float, tol: float = 1e-10) -> flo
         raise ValueError("require a <= b")
     if a == b:
         return 0.0
-    fn = compile_scalar(e, (var,))
+    fn = compile_batch(e, (var,))
+    integrand = lambda t: _finite(fn(t), t, var, "integrand")
     xs = np.linspace(a, b, 65)
-    try:
-        vals = np.array([fn(x) for x in xs])
-    except DomainError as err:
-        raise QuadratureError(f"singularity in integrand: {err}") from None
+    vals = integrand(xs)
     if vals.max() > 0 and vals.min() < 0:
         i = int(np.argmin(np.abs(vals)))
-        raise QuadratureError(
-            f"integrand changes sign near {var}={xs[i]:.6g} on [{a}, {b}]"
-        )
-    return _adaptive_simpson(fn, a, b, tol)
+        raise QuadratureError(f"integrand changes sign near {var}={xs[i]:.6g} on [{a}, {b}]")
+    return float(_gauss_legendre(integrand, np.array([a]), np.array([b]), tol)[0])
 
 
-def _adaptive_simpson(fn: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-    whole = (b - a) / 6 * (fa + 4 * fm + fb)
-    return _simpson_step(fn, a, fa, b, fb, 0.5 * (a + b), fm, whole, tol, 50)
+def _finite(vals: np.ndarray, t: np.ndarray, var: str, what: str) -> np.ndarray:
+    """vals, which must be finite; else QuadratureError at the first bad t."""
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        at = np.broadcast_to(t, np.shape(vals))[bad].flat[0]
+        raise QuadratureError(f"{what} is singular at {var}={at:.6g}")
+    return vals
 
 
-def _simpson_step(fn, a, fa, b, fb, m, fm, whole, tol, depth) -> float:
-    if depth <= 0:
-        raise QuadratureError(f"adaptive refinement exhausted on [{a}, {b}]")
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = fn(lm), fn(rm)
-    left = (m - a) / 6 * (fa + 4 * flm + fm)
-    right = (b - m) / 6 * (fm + 4 * frm + fb)
-    if abs(left + right - whole) <= 15 * tol:
-        return left + right + (left + right - whole) / 15
-    return _simpson_step(fn, a, fa, m, fm, lm, flm, left, tol / 2, depth - 1) + _simpson_step(
-        fn, m, fm, b, fb, rm, frm, right, tol / 2, depth - 1
-    )
+# 16- and 8-point Gauss-Legendre rules on [-1, 1], evaluated in one batch:
+# the 8-point value estimates the error of the 16-point one
+_GL_NODES16, _GL_WEIGHTS16 = np.polynomial.legendre.leggauss(16)
+_GL_NODES8, _GL_WEIGHTS8 = np.polynomial.legendre.leggauss(8)
+_GL_NODES = np.concatenate((_GL_NODES16, _GL_NODES8))
+# Bounds on the refinement: rounds, and cells in one round.  Near a pole the
+# rounding noise of the cell values outgrows the halved tolerance, so the
+# failing cells double each round; the cell bound ends a divergent integral
+# before it takes the memory.
+_MAX_ROUNDS = 50
+_MAX_CELLS = 1 << 14
+
+
+def _gauss_legendre(fn, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """Integrals of the vectorized fn over the cells [lo[i], hi[i]].
+
+    Each round evaluates both rules on every pending cell in one call of fn,
+    keeps the 16-point value of the cells where the rules agree within tol
+    and halves the others, with half the tolerance each."""
+    out = np.zeros(len(lo))
+    owner = np.arange(len(lo))
+    for _ in range(_MAX_ROUNDS):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        vals = fn((mid[:, None] + half[:, None] * _GL_NODES).ravel()).reshape(len(lo), -1)
+        fine = half * np.sum(vals[:, :16] * _GL_WEIGHTS16, axis=1)
+        coarse = half * np.sum(vals[:, 16:] * _GL_WEIGHTS8, axis=1)
+        done = np.abs(fine - coarse) <= tol
+        np.add.at(out, owner[done], fine[done])
+        if np.all(done):
+            return out
+        split = ~done
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+        owner = np.tile(owner[split], 2)
+        tol = tol / 2
+        if len(lo) > _MAX_CELLS:
+            break
+    raise QuadratureError(f"adaptive refinement exhausted on [{lo.min():.6g}, {hi.max():.6g}]")
 
 
 def _cumulative_from_base(fn, grid: np.ndarray, base: float, seg_tol: float = 1e-12) -> np.ndarray:
-    """Antiderivative values on the grid, normalized to vanish at base."""
+    """Antiderivative values of the vectorized fn on the grid, normalized to
+    vanish at base.  The grid cells and the piece from the grid node at or
+    below base up to base are integrated together."""
     n = len(grid)
-    cum = np.zeros(n)
-    for i in range(1, n):
-        cum[i] = cum[i - 1] + _adaptive_simpson(fn, grid[i - 1], grid[i], seg_tol)
-    # offset so the antiderivative vanishes at the base point
-    idx = int(np.searchsorted(grid, base))
-    idx = min(max(idx, 1), n - 1)
-    anchor = grid[idx - 1]
-    at_base = cum[idx - 1] + (_adaptive_simpson(fn, anchor, base, seg_tol) if base > anchor else 0.0)
-    return cum - at_base
+    idx = min(max(int(np.searchsorted(grid, base)), 1), n - 1)
+    lo = np.append(grid[:-1], grid[idx - 1])
+    hi = np.append(grid[1:], base)
+    pieces = _gauss_legendre(fn, lo, hi, seg_tol)
+    cum = np.concatenate(([0.0], np.cumsum(pieces[:-1])))
+    return cum - (cum[idx - 1] + pieces[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +266,7 @@ def reconstruction_residual(
     kind = "bivariate" if f.arity == 2 else "trivariate"
     inner = [components[k] for k in _INNER_KEYS[kind]]
     outer = components[_OUTER_KEY[kind]]
-    axes = [np.linspace(lo, hi, verify_n) for lo, hi in f.box]
+    axes = _grids(f, verify_n)
     inner_vals = [s(ax) for s, ax in zip(inner, axes)]
     mesh = np.meshgrid(*inner_vals, indexing="ij")
     total = sum(mesh)
@@ -255,32 +276,32 @@ def reconstruction_residual(
     return float(np.max(np.abs(fvals - recon)))
 
 
-def _line_expr(e: Expr, f: FunctionSpec, free_axis: int, anchor: Sequence[float]) -> Expr:
-    """Restrict e to the axis line through `anchor` along `free_axis`."""
-    from .expr import simplify
+def _line_ratio(num: Expr, den: Expr, f: FunctionSpec, axis: int, anchor: Sequence[float]):
+    """num/den on the line through anchor parallel to the given axis, as a
+    vectorized callable of that coordinate; raises QuadratureError where the
+    ratio is not finite."""
+    fn = compile_batch(num / den, f.vars)
+    var = f.vars[axis]
 
-    out = e
-    for i, v in enumerate(f.vars):
-        if i != free_axis:
-            out = substitute(out, v, const_from_float(anchor[i]))
-    return simplify(out)
+    def ratio(t):
+        t = np.asarray(t, dtype=np.float64)
+        coords = [t if i == axis else float(c) for i, c in enumerate(anchor)]
+        return _finite(fn(*coords), t, var, "partial-derivative ratio")
 
-
-def const_from_float(x: float) -> Expr:
-    from fractions import Fraction
-
-    from .expr import const
-
-    return const(Fraction(x).limit_denominator(10**12))
+    return ratio
 
 
-def _sign_stable(vals: np.ndarray, what: str):
-    if not np.all(np.isfinite(vals)):
-        raise PreconditionError(f"{what} is singular on the grid")
+def _sign_stable(fn, grid: np.ndarray, what: str) -> np.ndarray:
+    """fn on the grid, where it must be finite, nonzero and of one sign."""
+    try:
+        vals = fn(grid)
+    except QuadratureError:
+        raise PreconditionError(f"{what} is singular on the grid") from None
     if vals.max() > 0 and vals.min() < 0:
         raise PreconditionError(f"{what} changes sign on the grid")
     if np.min(np.abs(vals)) == 0.0:
         raise PreconditionError(f"{what} vanishes on the grid")
+    return vals
 
 
 def _monotone_path_outer(
@@ -309,15 +330,32 @@ def _monotone_path_outer(
     return SampledFunction1D(sigma, fvals, name="outer")
 
 
-def _ratio_on_line(
-    num: Expr, den: Expr, f: FunctionSpec, axis: int, anchor: Sequence[float], grid: np.ndarray
-) -> np.ndarray:
-    fn = compile_batch(_line_expr(num, f, axis, anchor), (f.vars[axis],))
-    fd = compile_batch(_line_expr(den, f, axis, anchor), (f.vars[axis],))
-    n, d = fn(grid), fd(grid)
-    if not np.all(np.isfinite(n)) or not np.all(np.isfinite(d)) or np.any(d == 0.0):
-        raise PreconditionError("partial-derivative ratio is singular along a grid line")
-    return n / d
+def _grids(f: FunctionSpec, n: int) -> list[np.ndarray]:
+    return [np.linspace(lo, hi, n) for lo, hi in f.box]
+
+
+def _recovered(kind, f, derivs, grids, base, sep_err, verify_n, residual_tol) -> RecoveryResult:
+    """Check the inner derivatives on the grids, integrate them from the base
+    point, sample the outer component and judge the reconstruction."""
+    names = _INNER_KEYS[kind]
+    for fn, grid, name in zip(derivs, grids, names):
+        _sign_stable(fn, grid, f"{name}'")
+    inner = [
+        SampledFunction1D(grid, _cumulative_from_base(fn, grid, b), name=name)
+        for fn, grid, b, name in zip(derivs, grids, base, names)
+    ]
+    components = {_OUTER_KEY[kind]: _monotone_path_outer(f, inner), **dict(zip(names, inner))}
+    residual = reconstruction_residual(f, components, verify_n)
+    return RecoveryResult(
+        kind=kind,
+        components=components,
+        base=base,
+        residual=residual,
+        residual_tol=residual_tol,
+        separability_error=sep_err,
+        verdict="success" if residual < residual_tol else "failure",
+        notes=(f"components normalized to vanish at base {base}",),
+    )
 
 
 def _verify_base(f: FunctionSpec, base: Sequence[float] | None) -> tuple[float, ...]:
@@ -332,8 +370,6 @@ def _verify_base(f: FunctionSpec, base: Sequence[float] | None) -> tuple[float, 
 def _require_special_bivariate(f: FunctionSpec, policy: ZeroPolicy):
     """The deciding certificate check: kappa (or f_xy) vanishes identically.
     Equivalent to classify(f) != expanding, without the full report."""
-    from .expr import is_identically_zero
-
     try:
         k = kappa(f, policy)
     except AdditiveDegeneracyError:
@@ -348,8 +384,6 @@ def _require_special_bivariate(f: FunctionSpec, policy: ZeroPolicy):
 
 
 def _require_special_trivariate(f: FunctionSpec, policy: ZeroPolicy):
-    from .expr import is_identically_zero
-
     for i, g in enumerate(aux_trivariate(f), start=1):
         check = is_identically_zero(g, f.box, f.vars, policy)
         if not check.is_zero:
@@ -387,29 +421,16 @@ def recover_bivariate(
         _require_special_bivariate(f, policy)
     x, y = f.vars
     fx, fy = f.partial(0), f.partial(1)
-    gx = np.linspace(f.box[0][0], f.box[0][1], grid_n)
-    gy = np.linspace(f.box[1][0], f.box[1][1], grid_n)
 
     # separability of q = f_x/f_y: the mixed log-derivative must vanish;
     # in terms of partials of f,
     #   dxdy log q = (f_xxy f_x - f_xy f_xx)/f_x^2 - (f_xyy f_y - f_yy f_xy)/f_y^2
-    q = fx / fy
-    from .expr import differentiate as _d
-
-    fxy = _d(fx, y)
-    fxx = _d(fx, x)
-    fyy = _d(fy, y)
-    fxxy = _d(fxy, x)
-    fxyy = _d(fxy, y)
+    fxy, fxx, fyy = differentiate(fx, y), differentiate(fx, x), differentiate(fy, y)
+    fxxy, fxyy = differentiate(fxy, x), differentiate(fxy, y)
     sep_expr = (fxxy * fx - fxy * fxx) / (fx * fx) - (fxyy * fy - fyy * fxy) / (fy * fy)
-    gx33 = np.linspace(f.box[0][0], f.box[0][1], 33)
-    gy33 = np.linspace(f.box[1][0], f.box[1][1], 33)
-    mx, my = np.meshgrid(gx33, gy33, indexing="ij")
-    sep_fn = compile_batch(sep_expr, f.vars)
-    q_fn = compile_batch(q, f.vars)
-    with np.errstate(all="ignore"):
-        sep_vals = sep_fn(mx.ravel(), my.ravel())
-        q_vals = q_fn(mx.ravel(), my.ravel())
+    mx, my = (m.ravel() for m in np.meshgrid(*_grids(f, 33), indexing="ij"))
+    sep_vals = compile_batch(sep_expr, f.vars)(mx, my)
+    q_vals = compile_batch(fx / fy, f.vars)(mx, my)
     if not np.all(np.isfinite(sep_vals)) or not np.all(np.isfinite(q_vals)):
         raise PreconditionError("f_x/f_y is singular on the box")
     logq = np.log(np.abs(q_vals))
@@ -419,46 +440,15 @@ def recover_bivariate(
         i = int(np.argmax(np.abs(sep_vals)))
         raise PreconditionError(
             f"ratio f_x/f_y does not separate: mixed log-derivative {sep_vals[i]:.3e} "
-            f"at ({mx.ravel()[i]:.6g}, {my.ravel()[i]:.6g})"
+            f"at ({mx[i]:.6g}, {my[i]:.6g})"
         )
 
-    hp = _ratio_on_line(fx, fy, f, 0, base, gx)
-    _sign_stable(hp, "h'")
-    q_base = _ratio_on_line(fx, fy, f, 0, base, np.array([base[0]]))[0]
-    kp = q_base / _ratio_on_line(fx, fy, f, 1, base, gy)
-    _sign_stable(kp, "k'")
-
-    hp_fn = _scalar_ratio_fn(fx, fy, f, 0, base)
-    q_col_fn = _scalar_ratio_fn(fx, fy, f, 1, base)
-    kp_fn = lambda t: q_base / q_col_fn(t)
-    h = SampledFunction1D(gx, _cumulative_from_base(hp_fn, gx, base[0]), name="h")
-    k = SampledFunction1D(gy, _cumulative_from_base(kp_fn, gy, base[1]), name="k")
-    g = _monotone_path_outer(f, [h, k])
-    components = {"g": g, "h": h, "k": k}
-    residual = reconstruction_residual(f, components, verify_n)
-    return RecoveryResult(
-        kind="bivariate",
-        components=components,
-        base=base,
-        residual=residual,
-        residual_tol=residual_tol,
-        separability_error=sep_err,
-        verdict="success" if residual < residual_tol else "failure",
-        notes=(f"components normalized to vanish at base {base}",),
-    )
-
-
-def _scalar_ratio_fn(num: Expr, den: Expr, f: FunctionSpec, axis: int, anchor: Sequence[float]):
-    fn = compile_scalar(_line_expr(num, f, axis, anchor), (f.vars[axis],))
-    fd = compile_scalar(_line_expr(den, f, axis, anchor), (f.vars[axis],))
-
-    def ratio(t: float) -> float:
-        d = fd(t)
-        if d == 0.0:
-            raise NumericalError(f"partial-derivative ratio singular at {f.vars[axis]}={t}")
-        return fn(t) / d
-
-    return ratio
+    # h'(x) = q(x, y0) and k'(y) = q(x0, y0) / q(x0, y)
+    hp = _line_ratio(fx, fy, f, 0, base)
+    q_base = _sign_stable(hp, np.array([base[0]]), "h'")[0]
+    q_col_inv = _line_ratio(fy, fx, f, 1, base)
+    kp = lambda t: q_base * q_col_inv(t)
+    return _recovered("bivariate", f, (hp, kp), _grids(f, grid_n), base, sep_err, verify_n, residual_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -480,97 +470,46 @@ def recover_trivariate(
 
     The ratio a = f_1/f_2 separates as a1~(x1)*a2~(x2) and b = f_2/f_3 as
     b3(x3)/a2~(x2); the inner derivatives are H1' = a1~, H2' = 1/a2~,
-    H3' = 1/b3 (each normalized at the base point), integrated by adaptive
-    quadrature."""
+    H3' = 1/b3 (each normalized at the base point), integrated by batched
+    Gauss-Legendre quadrature."""
     if f.arity != 3:
         raise ValueError("recover_trivariate requires 3 variables")
     base = _verify_base(f, base)
     if not skip_classify:
         _require_special_trivariate(f, policy)
     f1, f2, f3 = (f.partial(i) for i in range(3))
-    grids = [np.linspace(lo, hi, grid_n) for lo, hi in f.box]
 
-    # separated factors along base-anchored lines
-    a1t = _ratio_on_line(f1, f2, f, 0, base, grids[0])  # a1~(x1) = a(x1, x2^0)
-    a_base = _ratio_on_line(f1, f2, f, 0, base, np.array([base[0]]))[0]
-    a2t = _ratio_on_line(f1, f2, f, 1, base, grids[1]) / a_base  # a2~(x2), a2~(x2^0)=1
-    b3 = _ratio_on_line(f2, f3, f, 2, base, grids[2])  # b3(x3) = b(x2^0, x3)*a2~(x2^0)
-    for vals, nm in ((a1t, "a1~"), (a2t, "a2~"), (b3, "b3")):
-        _sign_stable(vals, nm)
-
-    sep_err = _trivariate_separability(f, f1, f2, f3, base, sep_tol)
-
-    # inner derivatives: H1' = a1~, H2' = 1/a2~, H3' = 1/b3
-    a1_fn = _scalar_ratio_fn(f1, f2, f, 0, base)
-    a2_fn = _scalar_ratio_fn(f1, f2, f, 1, base)
-    b3_fn = _scalar_ratio_fn(f2, f3, f, 2, base)
-    h1p = a1_fn
-    h2p = lambda t: a_base / a2_fn(t)
-    h3p = lambda t: 1.0 / b3_fn(t)
-    H1 = SampledFunction1D(grids[0], _cumulative_from_base(h1p, grids[0], base[0]), name="H1")
-    H2 = SampledFunction1D(grids[1], _cumulative_from_base(h2p, grids[1], base[1]), name="H2")
-    H3 = SampledFunction1D(grids[2], _cumulative_from_base(h3p, grids[2], base[2]), name="H3")
-    G0 = _monotone_path_outer(f, [H1, H2, H3])
-    components = {"G0": G0, "H1": H1, "H2": H2, "H3": H3}
-    residual = reconstruction_residual(f, components, verify_n)
-    return RecoveryResult(
-        kind="trivariate",
-        components=components,
-        base=base,
-        residual=residual,
-        residual_tol=residual_tol,
-        separability_error=sep_err,
-        verdict="success" if residual < residual_tol else "failure",
-        notes=(f"components normalized to vanish at base {base}",),
-    )
+    # inner derivatives along the lines through the base point x^0:
+    # H1' = a1~ = a(x1, x2^0, x3^0), H2' = 1/a2~ = a(x^0) / a(x1^0, x2, x3^0)
+    # and H3' = 1/b3 = (f_3/f_2)(x1^0, x2^0, x3)
+    h1p = _line_ratio(f1, f2, f, 0, base)
+    a_base = _sign_stable(h1p, np.array([base[0]]), "H1'")[0]
+    a_col_inv = _line_ratio(f2, f1, f, 1, base)
+    h2p = lambda t: a_base * a_col_inv(t)
+    h3p = _line_ratio(f3, f2, f, 2, base)
+    derivs = (h1p, h2p, h3p)
+    sep_err = _trivariate_separability(f, derivs, base, sep_tol)
+    return _recovered("trivariate", f, derivs, _grids(f, grid_n), base, sep_err, verify_n, residual_tol)
 
 
-def _trivariate_separability(
-    f: FunctionSpec, f1: Expr, f2: Expr, f3: Expr, base: Sequence[float], sep_tol: float
-) -> float:
-    """Check a(x1,x2) = a1~(x1)*a2~(x2) and b(x2,x3) = b3(x3)/a2~(x2) on
+def _trivariate_separability(f: FunctionSpec, derivs, base: Sequence[float], sep_tol: float) -> float:
+    """Check f_1/f_2 = H1'(x1)/H2'(x2) and f_2/f_3 = H2'(x2)/H3'(x3) on
     33x33 grids through the base point; raises with the worst point."""
-    g1 = np.linspace(f.box[0][0], f.box[0][1], 33)
-    g2 = np.linspace(f.box[1][0], f.box[1][1], 33)
-    g3 = np.linspace(f.box[2][0], f.box[2][1], 33)
-    a_fn = compile_batch(f1 / f2, f.vars)
-    b_fn = compile_batch(f2 / f3, f.vars)
-
-    m1, m2 = np.meshgrid(g1, g2, indexing="ij")
-    with np.errstate(all="ignore"):
-        a_grid = a_fn(m1.ravel(), m2.ravel(), np.full(m1.size, base[2]))
-    if not np.all(np.isfinite(a_grid)):
-        raise PreconditionError("ratio f_1/f_2 is singular on the box")
-    a1_line = _ratio_on_line(f1, f2, f, 0, base, g1)
-    a_base = a1_line[np.searchsorted(g1, base[0]) if base[0] in g1 else 0]
-    a2_line = _ratio_on_line(f1, f2, f, 1, base, g2) / _ratio_on_line(
-        f1, f2, f, 0, base, np.array([base[0]])
-    )[0]
-    product = np.outer(a1_line, a2_line).ravel()
-    scale_a = max(float(np.median(np.abs(a_grid))), 1e-12)
-    dev_a = np.abs(a_grid - product)
-    worst_a = float(dev_a.max())
-    if worst_a > sep_tol * scale_a:
-        i = int(np.argmax(dev_a))
-        raise PreconditionError(
-            f"ratio f_1/f_2 does not separate (deviation {worst_a:.3e} at "
-            f"({m1.ravel()[i]:.6g}, {m2.ravel()[i]:.6g}, {base[2]:.6g}))"
-        )
-
-    m2b, m3 = np.meshgrid(g2, g3, indexing="ij")
-    with np.errstate(all="ignore"):
-        b_grid = b_fn(np.full(m2b.size, base[0]), m2b.ravel(), m3.ravel())
-    if not np.all(np.isfinite(b_grid)):
-        raise PreconditionError("ratio f_2/f_3 is singular on the box")
-    b3_line = _ratio_on_line(f2, f3, f, 2, base, g3)
-    predicted = np.outer(1.0 / a2_line, b3_line).ravel()
-    scale_b = max(float(np.median(np.abs(b_grid))), 1e-12)
-    dev_b = np.abs(b_grid - predicted)
-    worst_b = float(dev_b.max())
-    if worst_b > sep_tol * scale_b:
-        i = int(np.argmax(dev_b))
-        raise PreconditionError(
-            f"ratio f_2/f_3 does not separate (deviation {worst_b:.3e} at "
-            f"({base[0]:.6g}, {m2b.ravel()[i]:.6g}, {m3.ravel()[i]:.6g}))"
-        )
-    return max(worst_a / scale_a, worst_b / scale_b)
+    grids = _grids(f, 33)
+    d = [_sign_stable(fn, g, f"H{i}'") for i, (fn, g) in enumerate(zip(derivs, grids), start=1)]
+    worst = 0.0
+    for i, j, fixed in ((0, 1, 2), (1, 2, 0)):
+        coords = [float(base[fixed])] * 3
+        coords[i], coords[j] = (m.ravel() for m in np.meshgrid(grids[i], grids[j], indexing="ij"))
+        ratio = compile_batch(f.partial(i) / f.partial(j), f.vars)(*coords)
+        what = f"ratio f_{i + 1}/f_{j + 1}"
+        if not np.all(np.isfinite(ratio)):
+            raise PreconditionError(f"{what} is singular on the box")
+        scale = max(float(np.median(np.abs(ratio))), 1e-12)
+        dev = np.abs(ratio - np.outer(d[i], 1.0 / d[j]).ravel())
+        k = int(np.argmax(dev))
+        if dev[k] > sep_tol * scale:
+            at = ", ".join(f"{c if np.isscalar(c) else c[k]:.6g}" for c in coords)
+            raise PreconditionError(f"{what} does not separate (deviation {dev[k]:.3e} at ({at}))")
+        worst = max(worst, float(dev[k]) / scale)
+    return worst

@@ -47,6 +47,19 @@ def test_classify_parse_error_exit_2(capsys):
     assert "offset 2" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 1500 + "x*y" + ")" * 1500, " + ".join(["x*y"] * 3000)],
+    ids=["1500-nested-parentheses", "3000-terms"],
+)
+def test_deep_or_large_expression_exit_2(capsys, text):
+    code, out, err = run(capsys, "classify", "-f", text, "--vars", "x,y")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_thresholds_trivariate(capsys):
     code, doc, _ = run_json(capsys, "thresholds", "--theorem", "trivariate-analytic", "--no-timestamp")
     assert code == 0

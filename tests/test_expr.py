@@ -376,11 +376,23 @@ _MATH_OPS = {
     "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv,
     "neg": operator.neg, "sqrt": math.sqrt, "log": math.log, "powi": operator.pow, "pow": math.pow,
 }
+
+
+# numpy's primitives, except that an op which would absorb a non-finite
+# operand into a finite entry (x/inf, nan^0, inf^-1, 1^nan) gives NaN
+def _nan_where(out, *operands):
+    bad = np.zeros(np.shape(out), dtype=bool)
+    for x in operands:
+        bad |= ~np.isfinite(x)
+    return np.where(bad, np.nan, out)
+
+
 _NUMPY_OPS = {
-    "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": np.true_divide,
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "div": lambda a, b: _nan_where(np.true_divide(a, b), b),
     "neg": np.negative, "sqrt": np.sqrt, "log": np.log,
-    "powi": lambda a, k: np.power(a, k, dtype=np.float64),
-    "pow": lambda a, b: np.power(np.asarray(a, dtype=np.float64), b),
+    "powi": lambda a, k: _nan_where(np.power(a, k, dtype=np.float64), *([a] if k <= 0 else [])),
+    "pow": lambda a, b: _nan_where(np.power(np.asarray(a, dtype=np.float64), b), a, b),
 }
 _GRID = [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
 
@@ -425,14 +437,6 @@ def _tree_eval(e, env, fns, memo):
     return memo[id(e)]
 
 
-def _subtrees(e):
-    stack, out = [e], []
-    while stack:
-        out.append(stack.pop())
-        stack.extend(out[-1].args)
-    return out
-
-
 def _scalar_outcome(fn):
     try:
         return repr(fn())
@@ -462,14 +466,37 @@ def test_evaluators_agree_on_random_dags(ops):
                 expected = None
             if isinstance(got, DomainError):
                 assert expected is None, (to_string(e), x, y)
-                # the failing operation is non-finite in the batch path too
-                culprit = next(n for n in _subtrees(e) if to_string(n) == got.culprit)
-                value = compile_batch(culprit, names)(xs[i : i + 1], ys[i : i + 1])
-                assert not np.isfinite(value).any(), (str(got), x, y)
+                # no later op absorbs the failure: the whole batch result is
+                # non-finite there too
+                assert not np.isfinite(batch[i]), (str(got), x, y)
                 continue
             assert got == expected, (to_string(e), x, y)
             if ops is _EXACT_OPS and math.isfinite(float(got)):
                 assert got == repr(float(batch[i])), (to_string(e), x, y)
+
+
+@pytest.mark.parametrize(
+    "text", ["z/log(x)", "exp(-1/x)", "(1/x)^0", "(1/x)^(-1)", "(1/x)^(1/2)", "2^(-1/x)"]
+)
+def test_batch_is_non_finite_where_scalar_raises(text):
+    # at x = 0 the last op would absorb the non-finite operand into a finite entry
+    e = parse(text)
+    with pytest.raises(DomainError):
+        evaluate(e, {"x": 0.0, "z": 1.0})
+    out = compile_batch(e, ("x", "z"))(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+    assert not np.isfinite(out[0])
+    assert np.isfinite(out[1])
+
+
+def test_expr_memos_are_bounded():
+    import expandlab.expr as expr_module
+
+    memos = [f for f in vars(expr_module).values() if hasattr(f, "cache_info")]
+    assert {f.__name__ for f in memos} >= {
+        "_canonical_or_none", "simplify", "differentiate", "_expr_key", "_surrogate_expr"
+    }
+    for f in memos:
+        assert f.cache_info().maxsize is not None, f.__name__
 
 
 # ---------------------------------------------------------------------------

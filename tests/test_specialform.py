@@ -6,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from expandlab.cli import main
 from expandlab.errors import NumericalError, PreconditionError, QuadratureError
 from expandlab.expr import FunctionSpec, compile_batch, const, parse, var
 from expandlab.specialform import (
     SampledFunction1D,
+    _cumulative_from_base,
     quadrature,
     reconstruction_residual,
     recover_bivariate,
@@ -65,6 +67,32 @@ def test_quadrature_tolerance_tightening_never_hurts():
         # allow a whisker of rounding noise at the tight end
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse + 1e-13
+
+
+def test_quadrature_rejects_pole_between_precheck_nodes():
+    # 3/10 is none of the 65 pre-check nodes, and the integrand is positive
+    with pytest.raises(QuadratureError):
+        quadrature(parse("1/(s - 3/10)^2"), "s", 0, 1)
+
+
+_ANTIDERIVATIVES = [
+    ("exp(s)", np.exp),
+    ("1/(1 + s^2)", np.arctan),
+    # steep near the left end: the cells there must be halved
+    ("1/(s + 1/1000)", lambda s: np.log(s + 1 / 1000)),
+]
+
+
+@pytest.mark.parametrize("text,antiderivative", _ANTIDERIVATIVES, ids=[t for t, _ in _ANTIDERIVATIVES])
+@pytest.mark.parametrize("base", [0.0, 0.25, 0.3, 1.0], ids=["left-end", "node", "between", "right-end"])
+def test_cumulative_from_base_matches_antiderivative(text, antiderivative, base):
+    grid = np.linspace(0.0, 1.0, 17)
+    fn = compile_batch(parse(text), ("s",))
+    cum = _cumulative_from_base(fn, grid, base)
+    truth = antiderivative(grid) - antiderivative(base)
+    assert np.max(np.abs(cum - truth)) < 1e-10
+    if base in grid:
+        assert cum[np.searchsorted(grid, base)] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +169,18 @@ def test_recover_trivariate_components_vanish_at_base():
         assert abs(r.components[name](r.base[i])) < 1e-12
 
 
+def test_recover_trivariate_from_off_centre_base():
+    f = FunctionSpec(parse("exp(x + y^2 + z^3)"), ("x", "y", "z"), ((0.5, 1.5),) * 3)
+    base = (0.6, 1.3, 0.9)
+    r = recover_trivariate(f, base=base)
+    assert r.success
+    # the gauge H2'(y0) = 1 scales the inner sum x + y^2 + z^3 by 1/(2 y0)
+    t = np.linspace(0.5, 1.5, 11)
+    for name, power, b in zip(("H1", "H2", "H3"), (1, 2, 3), base):
+        truth = (t**power - b**power) / (2 * base[1])
+        assert np.max(np.abs(r.components[name](t) - truth)) < 1e-9
+
+
 def test_recover_trivariate_rejects_expanding():
     f = FunctionSpec(parse("x*(y + z)"), ("x", "y", "z"), ((0.5, 1.5),) * 3)
     with pytest.raises(PreconditionError):
@@ -168,6 +208,30 @@ def test_recover_bivariate_additive():
     r = recover_bivariate(f)
     assert r.success
     assert r.residual < 1e-12
+
+
+def test_recover_bivariate_from_off_centre_base():
+    f = FunctionSpec(parse("(x + y^2)^3"), ("x", "y"), ((0.5, 1.5),) * 2)
+    base = (0.7, 1.4)
+    r = recover_bivariate(f, base=base)
+    assert r.success
+    assert r.residual < 1e-6
+    # h' = q(x, y0) scales the inner sum x + y^2 by 1/(2 y0)
+    t = np.linspace(0.5, 1.5, 11)
+    for name, power, b in zip(("h", "k"), (1, 2), base):
+        truth = (t**power - b**power) / (2 * base[1])
+        assert np.max(np.abs(r.components[name](t) - truth)) < 1e-9
+
+
+def test_recover_singular_integrand_is_quadrature_error(capsys):
+    # f_x has no real value for |x - 3/10| < 1/10^4, which lies strictly
+    # between two grid nodes: only the quadrature nodes meet it
+    text = "x + y + ((x - 3/10)^2 - 1/10^8)^(3/2)"
+    f = FunctionSpec(parse(text), ("x", "y"), ((0, 1),) * 2)
+    with pytest.raises(QuadratureError, match="singular"):
+        recover_bivariate(f)
+    assert main(["recover", "-f", text, "--vars", "x,y", "--box", "0,1,0,1"]) == 4
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_recover_bivariate_rejects_expanding():
