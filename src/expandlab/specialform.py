@@ -90,10 +90,13 @@ def _finite(vals: np.ndarray, t: np.ndarray, var: str, what: str) -> np.ndarray:
 _GL_NODES16, _GL_WEIGHTS16 = np.polynomial.legendre.leggauss(16)
 _GL_NODES8, _GL_WEIGHTS8 = np.polynomial.legendre.leggauss(8)
 _GL_NODES = np.concatenate((_GL_NODES16, _GL_NODES8))
-# Bounds on the refinement: rounds, and cells in one round.  Near a pole the
-# rounding noise of the cell values outgrows the halved tolerance, so the
-# failing cells double each round; the cell bound ends a divergent integral
-# before it takes the memory.
+# Rules that agree within 64 ulps of the cell's absolute integral agree up to
+# rounding.  Where that noise exceeds the tolerance, halving the cell halves
+# both, so without this floor a large integrand never converges.
+_NOISE_ULPS = 64 * np.finfo(np.float64).eps
+# Bounds on the refinement.  Near a pole the rounding of the node coordinates
+# keeps the rules apart on ever more cells; the cell bound ends such a
+# divergent integral before it takes the memory.
 _MAX_ROUNDS = 50
 _MAX_CELLS = 1 << 14
 
@@ -103,7 +106,8 @@ def _gauss_legendre(fn, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarra
 
     Each round evaluates both rules on every pending cell in one call of fn,
     keeps the 16-point value of the cells where the rules agree within tol
-    and halves the others, with half the tolerance each."""
+    or the rounding noise, and halves the others, with half the tolerance
+    each."""
     out = np.zeros(len(lo))
     owner = np.arange(len(lo))
     for _ in range(_MAX_ROUNDS):
@@ -111,7 +115,8 @@ def _gauss_legendre(fn, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarra
         vals = fn((mid[:, None] + half[:, None] * _GL_NODES).ravel()).reshape(len(lo), -1)
         fine = half * np.sum(vals[:, :16] * _GL_WEIGHTS16, axis=1)
         coarse = half * np.sum(vals[:, 16:] * _GL_WEIGHTS8, axis=1)
-        done = np.abs(fine - coarse) <= tol
+        noise = _NOISE_ULPS * half * np.sum(np.abs(vals[:, :16]) * _GL_WEIGHTS16, axis=1)
+        done = np.abs(fine - coarse) <= np.maximum(tol, noise)
         np.add.at(out, owner[done], fine[done])
         if np.all(done):
             return out
@@ -291,12 +296,17 @@ def _line_ratio(num: Expr, den: Expr, f: FunctionSpec, axis: int, anchor: Sequen
     return ratio
 
 
-def _sign_stable(fn, grid: np.ndarray, what: str) -> np.ndarray:
-    """fn on the grid, where it must be finite, nonzero and of one sign."""
+def _on_grid(fn, grid: np.ndarray, what: str) -> np.ndarray:
+    """fn on the grid, where it must be finite."""
     try:
-        vals = fn(grid)
+        return fn(grid)
     except QuadratureError:
         raise PreconditionError(f"{what} is singular on the grid") from None
+
+
+def _sign_stable(fn, grid: np.ndarray, what: str) -> np.ndarray:
+    """fn on the grid, where it must be finite, nonzero and of one sign."""
+    vals = _on_grid(fn, grid, what)
     if vals.max() > 0 and vals.min() < 0:
         raise PreconditionError(f"{what} changes sign on the grid")
     if np.min(np.abs(vals)) == 0.0:
@@ -496,7 +506,7 @@ def _trivariate_separability(f: FunctionSpec, derivs, base: Sequence[float], sep
     """Check f_1/f_2 = H1'(x1)/H2'(x2) and f_2/f_3 = H2'(x2)/H3'(x3) on
     33x33 grids through the base point; raises with the worst point."""
     grids = _grids(f, 33)
-    d = [_sign_stable(fn, g, f"H{i}'") for i, (fn, g) in enumerate(zip(derivs, grids), start=1)]
+    d = [_on_grid(fn, g, f"H{i}'") for i, (fn, g) in enumerate(zip(derivs, grids), start=1)]
     worst = 0.0
     for i, j, fixed in ((0, 1, 2), (1, 2, 0)):
         coords = [float(base[fixed])] * 3
@@ -506,9 +516,10 @@ def _trivariate_separability(f: FunctionSpec, derivs, base: Sequence[float], sep
         if not np.all(np.isfinite(ratio)):
             raise PreconditionError(f"{what} is singular on the box")
         scale = max(float(np.median(np.abs(ratio))), 1e-12)
-        dev = np.abs(ratio - np.outer(d[i], 1.0 / d[j]).ravel())
-        k = int(np.argmax(dev))
-        if dev[k] > sep_tol * scale:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dev = np.abs(ratio - np.outer(d[i], 1.0 / d[j]).ravel())
+        k = int(np.argmax(dev))  # the first NaN, if any
+        if not dev[k] <= sep_tol * scale:
             at = ", ".join(f"{c if np.isscalar(c) else c[k]:.6g}" for c in coords)
             raise PreconditionError(f"{what} does not separate (deviation {dev[k]:.3e} at ({at}))")
         worst = max(worst, float(dev[k]) / scale)

@@ -437,6 +437,14 @@ def _tree_eval(e, env, fns, memo):
     return memo[id(e)]
 
 
+def _subtrees(e):
+    stack, out = [e], []
+    while stack:
+        out.append(stack.pop())
+        stack.extend(out[-1].args)
+    return out
+
+
 def _scalar_outcome(fn):
     try:
         return repr(fn())
@@ -466,8 +474,11 @@ def test_evaluators_agree_on_random_dags(ops):
                 expected = None
             if isinstance(got, DomainError):
                 assert expected is None, (to_string(e), x, y)
-                # no later op absorbs the failure: the whole batch result is
-                # non-finite there too
+                # the failing operation is non-finite in the batch path too
+                culprit = next(n for n in _subtrees(e) if to_string(n) == got.culprit)
+                value = compile_batch(culprit, names)(xs[i : i + 1], ys[i : i + 1])
+                assert not np.isfinite(value).any(), (str(got), x, y)
+                # and no later op absorbs it: so is the whole batch result
                 assert not np.isfinite(batch[i]), (str(got), x, y)
                 continue
             assert got == expected, (to_string(e), x, y)

@@ -95,6 +95,16 @@ def test_cumulative_from_base_matches_antiderivative(text, antiderivative, base)
         assert cum[np.searchsorted(grid, base)] == 0.0
 
 
+def test_large_integrands_converge_at_rounding_noise():
+    # the cell integrals reach 1.2e7, whose ulp exceeds the cell tolerance:
+    # the two rules agree only up to rounding
+    grid = np.linspace(0.0, 1000.0, 257)
+    cum = _cumulative_from_base(compile_batch(parse("3*s^2"), ("s",)), grid, 500.0)
+    assert np.max(np.abs(cum - (grid**3 - 500.0**3))) < 1e-13 * 1000.0**3
+    assert quadrature(parse("3*s^2"), "s", 0, 100) == pytest.approx(1e6, rel=1e-14)
+    assert quadrature(parse("10^8*exp(s)"), "s", 0, 1) == pytest.approx(1e8 * (math.e - 1), rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # sampled functions
 # ---------------------------------------------------------------------------
@@ -179,6 +189,16 @@ def test_recover_trivariate_from_off_centre_base():
     for name, power, b in zip(("H1", "H2", "H3"), (1, 2, 3), base):
         truth = (t**power - b**power) / (2 * base[1])
         assert np.max(np.abs(r.components[name](t) - truth)) < 1e-9
+
+
+def test_recover_trivariate_separability_leaves_zeros_to_the_grid_check():
+    # H1' = 6 (2x - 1)^2 vanishes at x = 1/2, a node of the 33-point
+    # separability grids but not of the 32-point recovery grid
+    f = FunctionSpec(parse("(2*x - 1)^3 + y + z"), ("x", "y", "z"), ((0, 1),) * 3)
+    r = recover_trivariate(f, base=(0.3, 0.5, 0.5), grid_n=32, skip_classify=True)
+    assert r.success
+    with pytest.raises(PreconditionError, match="H1' vanishes on the grid"):
+        recover_trivariate(f, base=(0.3, 0.5, 0.5), grid_n=33, skip_classify=True)
 
 
 def test_recover_trivariate_rejects_expanding():
