@@ -17,6 +17,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -64,22 +65,26 @@ def _default_threads() -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """float(text), which must be finite: NaN or infinity is a usage error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_box(text: str, arity: int) -> tuple[tuple[float, float], ...]:
-    parts = [float(p) for p in text.split(",")]
+    parts = [_finite_float(p) for p in text.split(",")]
     if len(parts) != 2 * arity:
         raise ValueError(f"--box needs {2 * arity} comma-separated numbers, got {len(parts)}")
     return tuple((parts[2 * i], parts[2 * i + 1]) for i in range(arity))
 
 
 def _parse_point(text: str, arity: int | None = None) -> tuple[float, ...]:
-    parts = tuple(float(p) for p in text.split(","))
+    parts = tuple(_finite_float(p) for p in text.split(","))
     if arity is not None and len(parts) != arity:
         raise ValueError(f"expected {arity} coordinates, got {len(parts)}")
     return parts
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _parse_params(items: list[str] | None) -> dict:
@@ -116,7 +121,7 @@ def _parse_ladder(text: str) -> list:
         if "/" in part:
             out.append(Fraction(part))
         else:
-            out.append(float(part))
+            out.append(_finite_float(part))
     return out
 
 
@@ -145,7 +150,7 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     version = doc.pop("schema_version", 1)
     if version != 1:
         raise ValueError(f"unsupported config schema_version {version}")
@@ -168,7 +173,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv, args: argparse.Namespac
 def _emit(document: dict, args: argparse.Namespace):
     if not getattr(args, "no_timestamp", False):
         document["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = json.dumps(jsonable(document), indent=2, sort_keys=True)
+    text = json.dumps(jsonable(document), indent=2, sort_keys=True, allow_nan=False)
     out = getattr(args, "out", None)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
@@ -358,7 +363,8 @@ def _export_components(components: dict, directory: str, meta: dict):
             writer.writerow(["grid", "value"])
             for g, v in zip(sf.grid, sf.values):
                 writer.writerow([repr(float(g)), repr(float(v))])
-    (d / "meta.json").write_text(json.dumps(jsonable(meta), indent=2, sort_keys=True))
+    text = json.dumps(jsonable(meta), indent=2, sort_keys=True, allow_nan=False)
+    (d / "meta.json").write_text(text)
 
 
 def _load_components(directory: str) -> dict:
@@ -383,8 +389,6 @@ def _write_ladder_csv(report, path: str):
         writer = csv.writer(fh)
         writer.writerow(["delta", "count", "log_inv_delta", "log_count", "covered_fraction"])
         covered = dict(report.covered_trace)
-        import math
-
         for d, n in report.image_estimate.ladder:
             writer.writerow(
                 [repr(d), n, repr(-math.log(d)), repr(math.log(n)), repr(covered.get(d, ""))]
@@ -427,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=64, help="zero-test sample count")
-        p.add_argument("--rel-tol", type=float, default=1e-9, help="zero-test relative tolerance")
+        p.add_argument(
+            "--rel-tol", type=_finite_float, default=1e-9, help="zero-test relative tolerance"
+        )
 
     p = add_command("classify", help="special-form / expanding classification")
     common(p)
@@ -445,14 +451,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--base", help="base point coordinates, comma-separated (default: box center)")
     p.add_argument("--grid-n", type=int, default=257)
-    p.add_argument("--residual-tol", type=float, default=1e-6)
+    p.add_argument("--residual-tol", type=_finite_float, default=1e-6)
     p.add_argument("--out-dir", help="export recovered components as CSV into this directory")
     p.set_defaults(func=cmd_recover)
 
     p = add_command("fold", help="verify the fold certificate at a base point")
     common(p)
     p.add_argument("--base", required=True, help="base point x,y")
-    p.add_argument("--theta", type=float, default=1.0)
+    p.add_argument("--theta", type=_finite_float, default=1.0)
     p.set_defaults(func=cmd_fold)
 
     p = add_command("expand", help="dimension-expansion experiment")
@@ -467,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ladder", required=True, help="e.g. 2^-6..2^-20 or comma-separated deltas")
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--param", action="append", help="theorem parameter name=value")
-    p.add_argument("--slack", type=float, default=0.05)
-    p.add_argument("--delta-min", type=float, default=None)
+    p.add_argument("--slack", type=_finite_float, default=0.05)
+    p.add_argument("--delta-min", type=_finite_float, default=None)
     p.add_argument("--value-range", help="declared image range lo,hi")
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--budget", type=int, default=1 << 24)
@@ -486,14 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uvars", required=True, help="comma-separated parameter names")
     p.add_argument("--x", required=True, help="ambient point coordinates")
     p.add_argument("--u", required=True, help="surface parameter coordinates")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.set_defaults(func=cmd_surface_distance)
 
     p = add_command("verify-recovery", help="replay a recovery from exported components")
     common(p)
     p.add_argument("--components", required=True, help="directory of component CSV files")
     p.add_argument("--verify-n", type=int, default=50)
-    p.add_argument("--residual-tol", type=float, default=1e-6)
+    p.add_argument("--residual-tol", type=_finite_float, default=1e-6)
     p.set_defaults(func=cmd_verify_recovery)
 
     p = add_command("gen-fractal", help="generate a point set and write it as binary")

@@ -52,7 +52,6 @@ from .expr import (
     is_identically_zero,
     simplify,
     substitute,
-    to_string,
     var,
 )
 from .jsonutil import jsonable, rational
@@ -201,9 +200,6 @@ class ExprMatrix:
         if r > 6:
             raise ValueError("symbolic determinant limited to 6x6")
         return simplify(_cofactor_det(self.entries))
-
-    def to_strings(self) -> list[list[str]]:
-        return [[to_string(e) for e in row] for row in self.entries]
 
 
 def _cofactor_det(rows: tuple[tuple[Expr, ...], ...]) -> Expr:
@@ -687,12 +683,6 @@ class ThresholdReport:
         """max{sum - offset, 0} capped at p: the guaranteed image dimension."""
         total = sum(Fraction(d) if not isinstance(d, float) else Fraction(d).limit_denominator(10**9) for d in dims)
         return max(Fraction(0), min(total - self.expansion_offset, Fraction(self.p)))
-
-    def predicts_positive_measure(self, dims: Sequence[Fraction]) -> bool:
-        return sum(map(Fraction, dims)) > self.measure_bound
-
-    def predicts_interior(self, dims: Sequence[Fraction]) -> bool:
-        return sum(map(Fraction, dims)) > self.interior_bound
 
     def to_json_dict(self) -> dict:
         return {

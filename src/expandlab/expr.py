@@ -1039,11 +1039,6 @@ class FunctionSpec:
             raise DomainError("non-finite value in batch evaluation", to_string(self.expr), pt)
         return out
 
-    def sample_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n uniform points in the box, shape (n, arity)."""
-        cols = [rng.uniform(lo, hi, size=n) for lo, hi in self.box]
-        return np.column_stack(cols)
-
     def contains(self, point: Sequence[float]) -> bool:
         return all(lo <= p <= hi for p, (lo, hi) in zip(point, self.box))
 
@@ -1061,7 +1056,6 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class ZeroPolicy:
-    symbolic_first: bool = True
     samples: int = 64
     rel_tol: float = 1e-9
     seed: int = 0
@@ -1124,10 +1118,8 @@ def is_identically_zero(
     """
     if policy.samples < 1:
         raise ValueError("samples must be >= 1")
-    if policy.symbolic_first:
-        s = simplify(e)
-        if is_zero_const(s):
-            return ZeroCheck(is_zero=True, symbolic=True)
+    if is_zero_const(simplify(e)):
+        return ZeroCheck(is_zero=True, symbolic=True)
     rng = np.random.default_rng(policy.seed)
     names = tuple(vars)
     cols = [rng.uniform(lo, hi, size=policy.samples) for lo, hi in box]

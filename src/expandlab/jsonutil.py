@@ -1,11 +1,13 @@
 """JSON encoding helpers.
 
 Exact rationals are always emitted as {"num": ..., "den": ...} objects, never
-as floats; numpy scalars/arrays are converted to plain Python values.
+as floats; numpy scalars/arrays are converted to plain Python values, and a
+non-finite float (NaN or infinity) becomes None, so the document stays JSON.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +28,8 @@ def jsonable(obj):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):

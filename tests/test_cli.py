@@ -271,3 +271,94 @@ def test_fold_shorthand_defaults(capsys):
     code, doc, _ = run_json(capsys, "fold", "-f", "x*y", "--base", "1,1", "--no-timestamp")
     assert code == 3
     assert doc["report"]["reason"] == "κ=0"
+
+
+def test_verify_recovery_rejects_a_non_finite_component_value(capsys, tmp_path):
+    out_dir = tmp_path / "components"
+    code, _, _ = run_json(
+        capsys,
+        "recover", "-f", "(x + y^2)^3", "--vars", "x,y", "--box", "0.5,1.5,0.5,1.5",
+        "--out-dir", str(out_dir), "--no-timestamp",
+    )
+    assert code == 0
+    lines = (out_dir / "h.csv").read_text().splitlines()
+    grid_value, _ = lines[5].split(",")
+    lines[5] = f"{grid_value},nan"
+    (out_dir / "h.csv").write_text("\n".join(lines) + "\n")
+
+    code2, out, _ = run(
+        capsys,
+        "verify-recovery", "-f", "(x + y^2)^3", "--vars", "x,y",
+        "--box", "0.5,1.5,0.5,1.5", "--components", str(out_dir), "--no-timestamp",
+    )
+    assert code2 == 2
+    assert out == ""
+
+
+def test_recover_residual_is_relative_to_the_function_size(capsys, tmp_path):
+    # values reach 1e12 on this box; the absolute rounding error (~4e-4)
+    # used to fail the 1e-6 tolerance
+    out_dir = tmp_path / "components"
+    argv = ["-f", "(x^3+y)^2", "--box", "1,100,1,100", "--no-timestamp"]
+    code, doc, _ = run_json(capsys, "recover", *argv, "--out-dir", str(out_dir))
+    assert code == 0
+    assert doc["report"]["verdict"] == "success"
+    assert doc["report"]["residual"] < 1e-12
+
+    code2, doc2, _ = run_json(capsys, "verify-recovery", *argv, "--components", str(out_dir))
+    assert code2 == 0
+    assert doc2["report"]["verdict"] == "success"
+    assert doc2["report"]["residual"] == doc["report"]["residual"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recover", "-f", "exp(x+y)", "--box", "0,1,0,1", "--residual-tol", "nan"],
+        ["recover", "-f", "exp(x+y)", "--box", "0,1,0,1", "--residual-tol", "inf"],
+        ["classify", "-f", "x*y", "--rel-tol", "-inf"],
+        ["fold", "-f", "x*y", "--base", "1,1", "--theta", "nan"],
+        ["classify", "-f", "x*y", "--box", "0,nan,0,1"],
+        ["fold", "-f", "x*y", "--base", "1,inf"],
+    ],
+)
+def test_non_finite_option_value_exits_2(capsys, argv):
+    try:
+        code = main(argv + ["--no-timestamp"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+
+
+def test_non_finite_config_value_exits_2(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text('{"schema_version": 1, "rel_tol": NaN}')
+    code, out, _ = run(capsys, "classify", "-f", "x*y", "--config", str(config), "--no-timestamp")
+    assert code == 2
+    assert out == ""
+
+
+def test_emit_never_writes_nan_or_infinity(capsys, tmp_path):
+    import argparse
+
+    from expandlab.cli import _emit
+
+    document = {
+        "a": float("nan"),
+        "b": [float("inf"), -float("inf"), 1.5],
+        "c": np.array([np.nan, 2.0]),
+        "d": np.float64(np.inf),
+        "e": {"f": (np.float32(np.nan), 0.25)},
+    }
+    _emit(document, argparse.Namespace(no_timestamp=True))
+    text = capsys.readouterr().out
+    assert "NaN" not in text and "Infinity" not in text
+    assert json.loads(text) == {
+        "a": None,
+        "b": [None, None, 1.5],
+        "c": [None, 2.0],
+        "d": None,
+        "e": {"f": [None, 0.25]},
+    }

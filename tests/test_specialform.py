@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from expandlab.cli import main
-from expandlab.errors import NumericalError, PreconditionError, QuadratureError
+from expandlab.errors import PreconditionError, QuadratureError
 from expandlab.expr import FunctionSpec, compile_batch, const, parse, var
 from expandlab.specialform import (
     SampledFunction1D,
@@ -118,25 +118,78 @@ def test_sampled_function_interpolates_cubics_exactly():
     assert np.max(np.abs(sf(xs) - (xs**3 - xs + 1))) < 1e-12
 
 
-def test_sampled_function_inverse_accuracy():
-    g = np.linspace(0, 1.5, 65)
-    sf = SampledFunction1D(g, g**3 + g)
-    for y in (0.0, 0.7, 2.3, 4.8):
-        x = sf.inverse_at(y)
-        assert abs((x**3 + x) - y) < 1e-10
+def _non_uniform_grid(n, lo=-1.0, hi=3.0, seed=7):
+    rng = np.random.default_rng(seed)
+    inner = np.sort(rng.uniform(lo, hi, n - 2))
+    return np.concatenate(([lo], inner, [hi]))
 
 
-def test_sampled_function_inverse_requires_monotonicity():
-    g = np.linspace(-1, 1, 33)
-    sf = SampledFunction1D(g, g**2)
-    assert not sf.is_strictly_monotone
-    with pytest.raises(NumericalError):
-        sf.inverse_at(0.5)
+def test_sampled_function_is_exact_at_the_nodes():
+    g = _non_uniform_grid(40)
+    v = np.sin(3 * g) + g**2
+    sf = SampledFunction1D(g, v)
+    # every node but the last starts its interval, where the value is stored
+    assert np.array_equal(sf(g[:-1]), v[:-1])
+    assert sf(g[-1]) == pytest.approx(v[-1], rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [4, 5, 17, 200])
+def test_sampled_function_reproduces_cubics_on_non_uniform_grids(n):
+    # not-a-knot reproduces every cubic, whatever the node spacing
+    g = _non_uniform_grid(n, seed=n)
+    cubic = lambda t: 2 * t**3 - 5 * t**2 + t - 4
+    sf = SampledFunction1D(g, cubic(g))
+    xs = np.linspace(g[0], g[-1], 301)
+    assert np.max(np.abs(sf(xs) - cubic(xs))) < 1e-11
+
+
+def test_sampled_function_needs_four_samples():
+    g = np.array([0.0, 0.5, 2.0, 3.0])
+    sf = SampledFunction1D(g, g**3)
+    assert sf(1.25) == pytest.approx(1.25**3, rel=1e-14)
+    with pytest.raises(ValueError):
+        SampledFunction1D(g[:3], g[:3] ** 3)
+
+
+def test_sampled_function_scalar_argument_gives_a_float():
+    sf = SampledFunction1D(np.linspace(0, 1, 9), np.linspace(0, 1, 9) ** 2)
+    assert type(sf(0.3)) is float
+    assert type(sf(np.float64(0.3))) is float
+    assert isinstance(sf(np.array([0.3])), np.ndarray)
+
+
+def test_sampled_function_clips_outside_the_grid():
+    g = _non_uniform_grid(12)
+    v = np.cos(g)
+    sf = SampledFunction1D(g, v)
+    assert sf(g[0] - 5.0) == sf(g[0]) == v[0]
+    assert sf(g[-1] + 5.0) == sf(g[-1])
+    assert np.array_equal(sf(np.array([-1e9, 1e9])), sf(np.array([g[0], g[-1]])))
+
+
+def test_sampled_function_matches_scipy_not_a_knot_spline():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    for n in (4, 5, 33, 257, 2000):
+        g = _non_uniform_grid(n, seed=n)
+        v = np.exp(g) * np.sin(4 * g) + 10 * g**2
+        ref = interpolate.CubicSpline(g, v)
+        xs = np.concatenate((g, np.linspace(g[0], g[-1], 4001)))
+        expected = ref(xs)
+        assert np.max(np.abs(SampledFunction1D(g, v)(xs) - expected)) < 1e-13 * np.max(np.abs(expected))
 
 
 def test_sampled_function_validates_grid():
     with pytest.raises(ValueError):
         SampledFunction1D(np.array([0.0, 0.0, 1.0, 2.0]), np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", ["value-nan", "value-inf", "grid-nan", "grid-inf"])
+def test_sampled_function_rejects_non_finite_samples(bad):
+    g, v = np.linspace(0, 1, 8), np.zeros(8)
+    which, token = bad.split("-")
+    (v if which == "value" else g)[5] = float(token)
+    with pytest.raises(ValueError, match="non-finite"):
+        SampledFunction1D(g, v)
 
 
 # ---------------------------------------------------------------------------
