@@ -157,16 +157,43 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv, args: argparse.Namespace, config: dict):
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser; it keeps its options by destination, so a
+    config value goes through the same conversion as the flag."""
+
+    def __init__(self, *args, **kwargs):
+        self.options: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
+
+    def config_defaults(self, config: dict) -> dict:
+        """The config values by destination, converted by each option's type
+        from their JSON text and checked against its choices."""
+        out = {}
+        for key, value in config.items():
+            action = self.options.get(key.replace("-", "_"))
+            if action is None or action.dest == "help":
+                raise ValueError(f"config key {key!r} does not match any option")
+            if action.type is not None:
+                text = value if isinstance(value, str) else json.dumps(value)
+                try:
+                    value = action.type(text)
+                except (TypeError, ValueError) as err:
+                    raise ValueError(f"config key {key!r}: {err}") from None
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+            out[action.dest] = value
+        return out
+
+
+def _apply_config(parser: argparse.ArgumentParser, command: _CommandParser, argv, config: dict):
     """Re-parse with config values as the subcommand's defaults; explicit
     flags keep priority."""
-    mapped = {}
-    for key, value in config.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ValueError(f"config key {key!r} does not match any option")
-        mapped[attr] = value
-    parser._command_parsers[args.command].set_defaults(**mapped)
+    command.set_defaults(**command.config_defaults(config))
     return parser.parse_args(argv)
 
 
@@ -401,18 +428,22 @@ def _write_ladder_csv(report, path: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="expandlab",
         description="Degeneracy certificates, thresholds, fold verification, "
         "special-form recovery, and dimension-expansion experiments.",
     )
     parser.add_argument("--version", action="version", version=f"expandlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser._command_parsers = {}
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    commands: dict[str, _CommandParser] = {}
 
     def add_command(name, **kw):
-        sp = sub.add_parser(name, **kw)
-        parser._command_parsers[name] = sp
+        sp = commands[name] = sub.add_parser(name, **kw)
         return sp
 
     def common(p, function=True):
@@ -509,16 +540,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_file", help="output path")
     p.set_defaults(func=cmd_gen_fractal)
 
-    return parser
+    return parser, commands
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = _build_parsers()
     try:
         args = parser.parse_args(argv)
         config = _load_config(getattr(args, "config", None))
         if config:
-            args = _apply_config(parser, argv, args, config)
+            args = _apply_config(parser, commands[args.command], argv, config)
         return args.func(args)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -41,6 +41,7 @@ from .errors import (
 from .expr import (
     DomainError,
     Expr,
+    SAMPLED,
     FunctionSpec,
     UndeterminableOnBox,
     ZeroCheck,
@@ -49,6 +50,7 @@ from .expr import (
     const,
     differentiate,
     evaluate,
+    in_rational_fragment,
     is_identically_zero,
     simplify,
     substitute,
@@ -116,8 +118,17 @@ def rho(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy()) -> Expr:
     return simplify(fx * fy / fxy)
 
 
-def kappa(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy(), wedge_sign: int = 1) -> Expr:
-    """Gradient wedge of f against rho: f_x*rho_y - f_y*rho_x.
+def _finish(e: Expr, f: FunctionSpec, raw: bool) -> Expr:
+    """simplify(e); with raw, e itself when it lies in the rational fragment,
+    where the zero test decides it exactly without simplification."""
+    return e if raw and in_rational_fragment(e, f.vars) else simplify(e)
+
+
+def kappa(
+    f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy(), wedge_sign: int = 1, *, raw: bool = False
+) -> Expr:
+    """Gradient wedge of f against rho: f_x*rho_y - f_y*rho_x, simplified
+    (with raw=True, unsimplified when it lies in the rational fragment).
 
     Built from the expanded quotient rule (all derivatives taken of f
     itself), which keeps the tree compact:
@@ -144,20 +155,19 @@ def kappa(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy(), wedge_sign: int = 
     k = (fx * num_ry - fy * num_rx) / (fxy * fxy)
     if wedge_sign < 0:
         k = Expr("neg", (k,))
-    return simplify(k)
+    return _finish(k, f, raw)
 
 
-def aux_trivariate(f: FunctionSpec) -> tuple[Expr, Expr, Expr]:
-    """The three trivariate certificates (G1, G2, G3), simplified."""
+def aux_trivariate(f: FunctionSpec, *, raw: bool = False) -> tuple[Expr, Expr, Expr]:
+    """The three trivariate certificates (G1, G2, G3), simplified (with
+    raw=True, each unsimplified when it lies in the rational fragment)."""
     _require_arity(f, 3)
     f1, f2, f3 = (f.partial(i) for i in range(3))
     f12 = f.partial2(0, 1)
     f13 = f.partial2(0, 2)
     f23 = f.partial2(1, 2)
-    g1 = simplify(f3 * f12 - f13 * f2)
-    g2 = simplify(f3 * f12 - f23 * f1)
-    g3 = simplify(f1 * f23 - f13 * f2)
-    return g1, g2, g3
+    gs = (f3 * f12 - f13 * f2, f3 * f12 - f23 * f1, f1 * f23 - f13 * f2)
+    return tuple(_finish(g, f, raw) for g in gs)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +391,7 @@ class CertificateStatus:
     witness_value: float | None = None
     zero_point: dict | None = None
     valid_fraction: float = 1.0
+    route: str | None = None  # the zero-test route; None when not tested
 
     def to_json_dict(self) -> dict:
         return jsonable(
@@ -388,6 +399,7 @@ class CertificateStatus:
                 "name": self.name,
                 "status": self.status,
                 "symbolic": self.symbolic,
+                "route": self.route,
                 "witness_point": self.witness_point,
                 "witness_value": self.witness_value,
                 "zero_point": self.zero_point,
@@ -427,7 +439,11 @@ class DegeneracyReport:
 def _status_from_check(name: str, check: ZeroCheck) -> CertificateStatus:
     if check.is_zero:
         return CertificateStatus(
-            name, IDENTICALLY_ZERO, symbolic=check.symbolic, valid_fraction=check.valid_fraction
+            name,
+            IDENTICALLY_ZERO,
+            symbolic=check.symbolic,
+            valid_fraction=check.valid_fraction,
+            route=check.route,
         )
     values = np.asarray(check.sampled_values)
     signs = np.sign(values)
@@ -441,6 +457,7 @@ def _status_from_check(name: str, check: ZeroCheck) -> CertificateStatus:
             witness_value=check.witness_value,
             zero_point=check.sampled_points[i],
             valid_fraction=check.valid_fraction,
+            route=check.route,
         )
     return CertificateStatus(
         name,
@@ -448,6 +465,7 @@ def _status_from_check(name: str, check: ZeroCheck) -> CertificateStatus:
         witness_point=check.witness_point,
         witness_value=check.witness_value,
         valid_fraction=check.valid_fraction,
+        route=check.route,
     )
 
 
@@ -455,7 +473,7 @@ def _certificate(name: str, e: Expr, f: FunctionSpec, policy: ZeroPolicy) -> Cer
     try:
         check = is_identically_zero(e, f.box, f.vars, policy)
     except UndeterminableOnBox:
-        return CertificateStatus(name, UNDEFINED, valid_fraction=0.0)
+        return CertificateStatus(name, UNDEFINED, valid_fraction=0.0, route=SAMPLED)
     return _status_from_check(name, check)
 
 
@@ -569,7 +587,7 @@ def _classify_bivariate(f: FunctionSpec, policy: ZeroPolicy, wedge_sign: int) ->
                 witness_certificate=name,
                 notes=notes + (f"{name} vanishes identically on the box",),
             )
-    k = kappa(f, policy, wedge_sign)
+    k = kappa(f, policy, wedge_sign, raw=True)
     certs["kappa"] = _certificate("kappa", k, f, policy)
     kc = certs["kappa"]
     if kc.status == UNDEFINED or kc.valid_fraction < 0.5:
@@ -617,7 +635,7 @@ def _classify_trivariate(f: FunctionSpec, policy: ZeroPolicy) -> DegeneracyRepor
     }
     for name, e in first.items():
         certs[name] = _certificate(name, e, f, policy)
-    gs = aux_trivariate(f)
+    gs = aux_trivariate(f, raw=True)
     for i, g in enumerate(gs, start=1):
         certs[f"G{i}"] = _certificate(f"G{i}", g, f, policy)
     g_stats = [certs[f"G{i}"] for i in (1, 2, 3)]

@@ -3,13 +3,14 @@
 Expressions are immutable trees over named real variables with exact rational
 constants.  Simplification normalizes to a rational normal form (polynomial
 numerator/denominator over "atoms": variables and irreducible function
-applications) with Fraction coefficients; the rewrite system is bounded, so a
-sampling fallback (`is_identically_zero`) remains the authority for
-vanishing decisions on a box.
+applications) with Fraction coefficients; the rewrite system is bounded.
 
 One evaluator serves every entry point: an expression is compiled once into
 a straight-line program over its DAG, run with a scalar op table (`evaluate`,
-`compile_scalar`: DomainError off the domain) or a numpy one (`compile_batch`).
+`compile_scalar`: DomainError off the domain), a numpy one (`compile_batch`)
+or one over the integers mod a prime.  The last decides vanishing exactly for
+the rational fragment (`+ - * /`, negation, integer powers): see
+`is_identically_zero`, where simplification and sampling decide the rest.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "domain_notes",
     "compile_scalar",
     "compile_batch",
+    "in_rational_fragment",
     "is_identically_zero",
 ]
 
@@ -60,6 +62,14 @@ _MAX_MUL_WORK = 8_000
 # large enough that one command evicts nothing (a trivariate quintic's
 # classify or recover peaks at about 11k canonical forms).
 _MEMO_SIZE = 1 << 16
+
+# The modular zero test: a Mersenne prime, the number of random points that
+# must all give zero (a nonzero rational function of numerator degree d
+# passes with probability at most (d/p)^k), and how many extra points may
+# replace those that hit a zero denominator.
+_MODULUS = (1 << 61) - 1
+_MODULAR_POINTS = 8
+_MODULAR_REDRAWS = 8
 
 
 class ExprError(Exception):
@@ -448,14 +458,35 @@ _BATCH = (
     np.log, np.sqrt,
 )
 
+# Over the integers mod _MODULUS, defined on the rational fragment only.  A
+# zero divisor raises ValueError (pow(0, -1, p) has no inverse).
+_MODP = (
+    lambda a, b: (a + b) % _MODULUS,
+    lambda a, b: (a - b) % _MODULUS,
+    lambda a, b: a * b % _MODULUS,
+    lambda a, b: a * pow(b, -1, _MODULUS) % _MODULUS,
+    None,
+    lambda a, k: pow(a, k, _MODULUS),
+    lambda a: -a % _MODULUS,
+    None, None, None, None, None,
+)
+_RATIONAL_OPCODES = frozenset(i for i, fn in enumerate(_MODP) if fn is not None)
+
 
 @dataclass(frozen=True)
 class _Program:
     vars: tuple[str, ...]  # input registers 0 .. len(vars) - 1
     consts: tuple  # preloaded into the registers after the inputs
+    exact: tuple  # the same constants exactly: Fractions, and ints for powi
     ntemps: int  # registers for intermediate values, reused once dead
     code: tuple  # (opcode, dst, a, b, node); b < 0 for a unary op
     out: int
+
+    @property
+    def rational(self) -> bool:
+        """Every instruction lies in the rational fragment (+ - * /,
+        negation, integer powers), so the program runs mod a prime."""
+        return all(ins[0] in _RATIONAL_OPCODES for ins in self.code)
 
 
 @lru_cache(maxsize=4096)
@@ -490,17 +521,17 @@ def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
     # after its last use and taken again by the next instruction
     index = {name: i for i, name in enumerate(var_order)}
     reg = [0] * len(number)
-    consts: list = []
+    exact: list = []
     last_use = {}
     for n, (kind, *operands) in enumerate(number):
         if kind == "var":
             reg[n] = index[operands[0]]
         elif kind in _LEAVES:
-            reg[n] = len(var_order) + len(consts)
-            consts.append(float(operands[0]) if kind == "const" else operands[0])
+            reg[n] = len(var_order) + len(exact)
+            exact.append(operands[0])
         else:
             last_use.update((m, n) for m in operands)
-    base = len(var_order) + len(consts)
+    base = len(var_order) + len(exact)
     free: list[int] = []
     ntemps = 0
     code = []
@@ -514,16 +545,18 @@ def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
         reg[n] = free.pop()
         b = reg[operands[1]] if len(operands) > 1 else -1
         code.append((_OPCODES.index(kind), reg[n], reg[operands[0]], b, node))
-    return _Program(var_order, tuple(consts), ntemps, tuple(code), reg[seen[id(e)]])
+    consts = tuple(float(c) if isinstance(c, Fraction) else c for c in exact)
+    return _Program(var_order, consts, tuple(exact), ntemps, tuple(code), reg[seen[id(e)]])
 
 
-def _execute(prog: _Program, table: tuple, regs: list, point=None):
+def _execute(prog: _Program, table: tuple, regs: list, point=None, consts=None):
     """Run prog with an op table on the input registers regs and return the
-    output register.  With the scalar table, an instruction that leaves its
-    domain raises DomainError at point (default: the inputs)."""
+    output register; consts replaces prog.consts.  With the scalar table, an
+    instruction that leaves its domain raises DomainError at point (default:
+    the inputs)."""
     if len(regs) != len(prog.vars):
         raise TypeError(f"expected {len(prog.vars)} inputs, got {len(regs)}")
-    regs += prog.consts
+    regs += prog.consts if consts is None else consts
     regs += [None] * prog.ntemps
     try:
         for ins in prog.code:
@@ -575,6 +608,12 @@ def compile_batch(e: Expr, var_order: tuple[str, ...]) -> Callable[..., np.ndarr
         return out
 
     return run
+
+
+def in_rational_fragment(e: Expr, var_order: tuple[str, ...]) -> bool:
+    """Whether e is built from variables, constants, + - * /, negation and
+    integer constant powers only, so the zero test decides it exactly."""
+    return _program(e, var_order).rational
 
 
 # ---------------------------------------------------------------------------
@@ -1050,7 +1089,7 @@ class FunctionSpec:
 
 
 # ---------------------------------------------------------------------------
-# Probabilistic zero test.
+# Zero test.
 # ---------------------------------------------------------------------------
 
 
@@ -1061,18 +1100,28 @@ class ZeroPolicy:
     seed: int = 0
 
 
+# the routes that decide a zero test
+SYMBOLIC = "symbolic"  # simplification reached the zero constant
+MODULAR = "modular"  # exact evaluation mod a prime (rational fragment)
+SAMPLED = "sampled"  # float samples against a tolerance
+
+
 @dataclass(frozen=True)
 class ZeroCheck:
-    """Outcome of is_identically_zero: either Zero or a nonzero witness."""
+    """Outcome of is_identically_zero: either Zero or a nonzero witness.
+    symbolic means the verdict was decided exactly (route symbolic or
+    modular)."""
 
     is_zero: bool
     symbolic: bool = False
     witness_point: dict | None = None
     witness_value: float | None = None
     valid_fraction: float = 1.0
-    # sampled values kept for status reporting (empty on the symbolic route)
+    # sampled values kept for status reporting (empty when no float samples
+    # were needed: an exact zero)
     sampled_points: tuple = ()
     sampled_values: tuple = ()
+    route: str = SAMPLED
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -1102,6 +1151,46 @@ def _surrogate_expr(e: Expr) -> Expr:
     return Expr("sqrt", (Expr("pow", (e, const(2))),))
 
 
+def median(values) -> float:
+    """np.median of a 1-D array, bit for bit (NaN if any entry is NaN),
+    without np.median's lazy import of numpy.ma."""
+    s = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    n = s.size
+    if n == 0 or np.isnan(s[-1]):
+        return math.nan
+    m = n // 2
+    return float(s[m]) if n % 2 else float((s[m - 1] + s[m]) / 2)
+
+
+def _modular_verdict(prog: _Program, seed: int) -> bool | None:
+    """Whether the rational program prog computes the zero function, by
+    running it mod _MODULUS at random points: True when _MODULAR_POINTS
+    points all give 0, False at the first nonzero value, None when too many
+    points hit a zero denominator (or a constant has no inverse mod p)."""
+    try:
+        consts = [
+            c.numerator * pow(c.denominator, -1, _MODULUS) % _MODULUS
+            if isinstance(c, Fraction) else c
+            for c in prog.exact
+        ]
+    except ValueError:
+        return None
+    rng = np.random.default_rng(seed)
+    points = rng.integers(_MODULUS, size=(_MODULAR_POINTS + _MODULAR_REDRAWS, len(prog.vars)))
+    zeros = 0
+    for point in points.tolist():
+        try:
+            value = _execute(prog, _MODP, point, consts=consts)
+        except ValueError:  # a zero denominator: draw the next point
+            continue
+        if value:
+            return False
+        zeros += 1
+        if zeros == _MODULAR_POINTS:
+            return True
+    return None
+
+
 def is_identically_zero(
     e: Expr,
     box: Sequence[tuple[float, float]],
@@ -1110,18 +1199,29 @@ def is_identically_zero(
 ) -> ZeroCheck:
     """Decide whether e vanishes identically on the box.
 
-    Symbolic simplification is authoritative when it reaches the zero
-    constant.  Otherwise uniform samples decide: the function is declared
-    zero when |e| < rel_tol * scale everywhere, with scale the median of an
-    absolute-value surrogate over auxiliary samples.  Returns a witness at
-    the sample of largest |e| otherwise.
+    In the rational fragment the modular test is authoritative: e is zero
+    when it evaluates to 0 mod p = 2^61 - 1 at 8 random points (error at
+    most (deg/p)^8), and nonzero otherwise; rel_tol plays no part.  Outside
+    it, or when too many drawn points hit a zero denominator, simplification
+    decides when it reaches the zero constant.  Otherwise uniform samples
+    decide: the function is declared zero when |e| < rel_tol * scale
+    everywhere, with scale the median of an absolute-value surrogate over
+    auxiliary samples.
+
+    A nonzero verdict carries a witness: the sample of largest |e| among
+    those above their threshold, or among all samples when the modular test
+    found e nonzero but no sample exceeds its threshold.
     """
     if policy.samples < 1:
         raise ValueError("samples must be >= 1")
-    if is_zero_const(simplify(e)):
-        return ZeroCheck(is_zero=True, symbolic=True)
-    rng = np.random.default_rng(policy.seed)
     names = tuple(vars)
+    prog = _program(e, names)
+    modular = _modular_verdict(prog, policy.seed) if prog.rational else None
+    if modular:
+        return ZeroCheck(is_zero=True, symbolic=True, route=MODULAR)
+    if modular is None and is_zero_const(simplify(e)):
+        return ZeroCheck(is_zero=True, symbolic=True, route=SYMBOLIC)
+    rng = np.random.default_rng(policy.seed)
     cols = [rng.uniform(lo, hi, size=policy.samples) for lo, hi in box]
     aux_cols = [rng.uniform(lo, hi, size=64) for lo, hi in box]
 
@@ -1144,7 +1244,7 @@ def is_identically_zero(
 
     aux_surr = np.atleast_1d(surr_fn(*aux_cols))
     aux_ok = aux_surr[np.isfinite(aux_surr)]
-    scale = float(np.median(aux_ok)) if aux_ok.size else 0.0
+    scale = median(aux_ok) if aux_ok.size else 0.0
 
     # per-point threshold: the global median scale floors the local
     # cancellation scale, so noise amplified near singular loci of the
@@ -1153,22 +1253,25 @@ def is_identically_zero(
     abs_vals = np.abs(values)
     exceed = abs_vals > thresholds
     if not np.any(exceed):
-        return ZeroCheck(
-            is_zero=True,
-            symbolic=False,
-            valid_fraction=valid_fraction,
-            sampled_points=tuple(points),
-            sampled_values=tuple(values),
-        )
+        if modular is None:
+            return ZeroCheck(
+                is_zero=True,
+                symbolic=False,
+                valid_fraction=valid_fraction,
+                sampled_points=tuple(points),
+                sampled_values=tuple(values),
+            )
+        exceed = np.ones_like(exceed)  # exactly nonzero, below tolerance everywhere
     # witness: the largest |e| among samples that exceed their threshold
     magnitudes = np.where(exceed, abs_vals, -np.inf)
     imax = int(np.argmax(magnitudes))
     return ZeroCheck(
         is_zero=False,
-        symbolic=False,
+        symbolic=modular is not None,
         witness_point=points[imax],
         witness_value=float(values[imax]),
         valid_fraction=valid_fraction,
         sampled_points=tuple(points),
         sampled_values=tuple(values),
+        route=SAMPLED if modular is None else MODULAR,
     )

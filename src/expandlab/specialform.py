@@ -36,6 +36,7 @@ from .expr import (
     differentiate,
     free_vars,
     is_identically_zero,
+    median,
 )
 from .jsonutil import jsonable
 
@@ -376,7 +377,7 @@ def _require_special_bivariate(f: FunctionSpec, policy: ZeroPolicy):
     """The deciding certificate check: kappa (or f_xy) vanishes identically.
     Equivalent to classify(f) != expanding, without the full report."""
     try:
-        k = kappa(f, policy)
+        k = kappa(f, policy, raw=True)
     except AdditiveDegeneracyError:
         return  # f_xy vanishes identically: additively separable, special form
     check = is_identically_zero(k, f.box, f.vars, policy)
@@ -389,7 +390,7 @@ def _require_special_bivariate(f: FunctionSpec, policy: ZeroPolicy):
 
 
 def _require_special_trivariate(f: FunctionSpec, policy: ZeroPolicy):
-    for i, g in enumerate(aux_trivariate(f), start=1):
+    for i, g in enumerate(aux_trivariate(f, raw=True), start=1):
         check = is_identically_zero(g, f.box, f.vars, policy)
         if not check.is_zero:
             raise PreconditionError(
@@ -439,7 +440,7 @@ def recover_bivariate(
     if not np.all(np.isfinite(sep_vals)) or not np.all(np.isfinite(q_vals)):
         raise PreconditionError("f_x/f_y is singular on the box")
     logq = np.log(np.abs(q_vals))
-    scale = max(1.0, float(np.median(np.abs(logq))))
+    scale = max(1.0, median(np.abs(logq)))
     sep_err = float(np.max(np.abs(sep_vals)))
     if sep_err > sep_tol * scale:
         i = int(np.argmax(np.abs(sep_vals)))
@@ -510,7 +511,7 @@ def _trivariate_separability(f: FunctionSpec, derivs, base: Sequence[float], sep
         what = f"ratio f_{i + 1}/f_{j + 1}"
         if not np.all(np.isfinite(ratio)):
             raise PreconditionError(f"{what} is singular on the box")
-        scale = max(float(np.median(np.abs(ratio))), 1e-12)
+        scale = max(median(np.abs(ratio)), 1e-12)
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = np.abs(ratio - np.outer(d[i], 1.0 / d[j]).ravel())
         k = int(np.argmax(dev))  # the first NaN, if any

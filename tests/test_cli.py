@@ -1,12 +1,18 @@
 """Tests for the command-line surface: exit codes, JSON shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from expandlab.cli import main
 from expandlab.fractal import load_points
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -362,3 +368,63 @@ def test_emit_never_writes_nan_or_infinity(capsys, tmp_path):
         "d": None,
         "e": {"f": [None, 0.25]},
     }
+
+
+def test_classify_reports_the_zero_test_route_deterministically(capsys):
+    argv = ["classify", "-f", "(x + y^2)^3", "--vars", "x,y",
+            "--box", "0.5,1.5,0.5,1.5", "--no-timestamp"]
+    code1, out1, _ = run(capsys, *argv)
+    code2, out2, _ = run(capsys, *argv)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    certs = json.loads(out1)["report"]["certificates"]
+    assert {name: c["route"] for name, c in certs.items()} == {
+        "f_x": "modular", "f_y": "modular", "f_xy": "modular", "kappa": "modular",
+    }
+    assert certs["kappa"]["status"] == "identically_zero" and certs["kappa"]["symbolic"]
+    code, doc, _ = run_json(capsys, "classify", "-f", "sin(x) + x*y", "--vars", "x,y",
+                            "--box", "0.5,1.5,0.5,1.5", "--no-timestamp")
+    assert doc["report"]["certificates"]["kappa"]["route"] == "sampled"
+
+
+def test_cli_does_not_import_numpy_ma():
+    # np.median imports numpy.ma lazily, which every CLI process would pay;
+    # classify and both recoveries take medians
+    commands = [
+        ["classify", "-f", "x*y"],
+        ["recover", "-f", "(x + y^2)^3", "--box", "0.5,1.5,0.5,1.5"],
+        ["recover", "-f", "(x + y + z^3)^3", "--box", "0.5,1.5,0.5,1.5,0.5,1.5"],
+    ]
+    code = (
+        "import os, sys\n"
+        "from expandlab.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv + ['--no-timestamp', '--out', os.devnull]) == 0\n"
+        "    print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"] * len(commands)
+
+
+@pytest.mark.parametrize("value", ["1.5", "true", '"many"'])
+def test_config_value_of_the_wrong_type_exits_2(capsys, tmp_path, value):
+    config = tmp_path / "run.json"
+    config.write_text('{"schema_version": 1, "samples": %s}' % value)
+    code, out, err = run(capsys, "classify", "-f", "x*y", "--config", str(config), "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config key 'samples'") and err.count("\n") == 1
+
+
+def test_config_value_goes_through_the_option_type(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text('{"schema_version": 1, "samples": 32, "rel_tol": 1e-6}')
+    code, doc, _ = run_json(capsys, "classify", "-f", "x*y", "--config", str(config), "--no-timestamp")
+    assert code == 0
+    assert doc["config"]["options"]["samples"] == 32
+    assert doc["config"]["options"]["rel_tol"] == 1e-6
+    config.write_text('{"schema_version": 1, "thresholds": "no-such-theorem"}')
+    code, out, err = run(capsys, "classify", "-f", "x*y", "--config", str(config), "--no-timestamp")
+    assert code == 2 and out == "" and err.count("\n") == 1

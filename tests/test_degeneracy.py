@@ -472,3 +472,55 @@ def test_surface_distance_rank_deficient_parametrization():
     psi = [parse("u^2"), parse("0")]  # derivative vanishes at u = 0
     with pytest.raises(RankDeficientError):
         surface_distance_check(psi, ["u"], x=(0, 1), u=(0,))
+
+
+# ---------------------------------------------------------------------------
+# The modular zero test against simplification and sampling
+# ---------------------------------------------------------------------------
+
+
+def _special_form(rng, names, zero_shift):
+    """Criterion 5's generator over any number of variables: a quintic of a
+    sum of monotone cubics p*t + q*(t - s)^3/3, with Fraction coefficients
+    (q and s may be 0) and the first shift forced to 0 when zero_shift."""
+    inner = None
+    for i, v in enumerate(names):
+        p = Fraction(int(rng.integers(5, 15)), 10)
+        q = Fraction(int(rng.integers(0, 10)), 10)
+        s = Fraction(0) if zero_shift and i == 0 else Fraction(int(rng.integers(0, 10)), 10)
+        term = const(p) * var(v) + const(q) * (var(v) - const(s)) ** 3 / 3
+        inner = term if inner is None else inner + term
+    p = Fraction(int(rng.integers(5, 15)), 10)
+    a = Fraction(int(rng.integers(1, 5)), 10)
+    s = -Fraction(int(rng.integers(2, 10)), 10)
+    return const(p) * inner + const(a) * (inner - const(s)) ** 5 / 5
+
+
+def test_modular_verdicts_match_simplify_then_sample(monkeypatch):
+    import expandlab.expr as expr_mod
+
+    rng = np.random.default_rng(2024)
+    perturbation = parse("x^2*y/10")
+    cases = []
+    for names, zero_shift in ((("x", "y"), False), (("x", "y"), True), (("x", "y", "z"), True)):
+        form = _special_form(rng, names, zero_shift)
+        for e, special in ((form, True), (form + perturbation, False)):
+            f = FunctionSpec(e, names, ((0.0, 1.0),) * len(names))
+            certs = (kappa(f, raw=True),) if len(names) == 2 else aux_trivariate(f, raw=True)
+            cases.append((f, certs, special))
+
+    def verdicts():
+        return [[is_identically_zero(c, f.box, f.vars) for c in certs] for f, certs, _ in cases]
+
+    modular = verdicts()
+    assert all(check.route == "modular" for checks in modular for check in checks)
+    # with the modular test switched off, is_identically_zero is
+    # simplify-then-sample, the route it took before the modular test
+    monkeypatch.setattr(expr_mod, "_modular_verdict", lambda prog, seed: None)
+    oracle = verdicts()
+    assert [[c.is_zero for c in checks] for checks in modular] == [
+        [c.is_zero for c in checks] for checks in oracle
+    ]
+    # a special form's certificates all vanish; a perturbation's do not
+    for checks, (_, _, special) in zip(modular, cases):
+        assert all(c.is_zero for c in checks) == special

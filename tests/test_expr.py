@@ -7,11 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from expandlab import expr as expr_mod
 from expandlab.expr import (
     DomainError,
     Expr,
     FunctionSpec,
     ParseError,
+    UndeterminableOnBox,
     ZeroPolicy,
     compile_batch,
     compile_scalar,
@@ -20,7 +22,9 @@ from expandlab.expr import (
     domain_notes,
     evaluate,
     free_vars,
+    in_rational_fragment,
     is_identically_zero,
+    median,
     parse,
     simplify,
     substitute,
@@ -568,3 +572,109 @@ def test_zero_tiny_but_structured_function_is_not_zero():
     e = parse("1e-12*(x - y)")
     check = is_identically_zero(e, [(0, 1), (0, 1)], ("x", "y"))
     assert not check.is_zero
+
+
+# ---------------------------------------------------------------------------
+# The modular route: exact evaluation mod p of the rational fragment
+# ---------------------------------------------------------------------------
+
+BOX_X = [(0.5, 1.5)]
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        parse("x/3 - x*(1/3)"),
+        parse("(1/10)*x*10 - x"),
+        parse("0.1*x*10 - x"),
+        var("x") / 3 - var("x") * const(Fraction(1, 3)),
+    ],
+    ids=["x/3 - x*(1/3)", "(1/10)*x*10 - x", "0.1*x*10 - x", "Fraction(1, 3)"],
+)
+def test_modular_route_uses_the_exact_constants(e):
+    # 1/3 and 1/10 have no exact float; mod p they are exact inverses
+    check = is_identically_zero(e, BOX_X, ("x",))
+    assert check.is_zero and check.symbolic
+    assert check.route == "modular"
+
+
+def test_modular_route_sees_a_difference_below_the_sampling_tolerance():
+    # Intended: in the rational fragment the verdict is exact, so a relative
+    # difference of 1e-15 is nonzero whatever rel_tol says.  The same function
+    # outside the fragment (|x| written as sqrt(x^2)) goes to the sampled
+    # route, which calls it zero at rel_tol 1e-9.
+    check = is_identically_zero(parse("x*(1 + 1/10^15) - x"), BOX_X, ("x",))
+    assert not check.is_zero and check.route == "modular"
+    # no sample exceeds its threshold, so the witness is the largest |e|
+    assert check.witness_value == max(check.sampled_values, key=abs)
+    sampled = is_identically_zero(parse("sqrt(x^2)*(1 + 1/10^15) - sqrt(x^2)"), BOX_X, ("x",))
+    assert sampled.is_zero and sampled.route == "sampled" and not sampled.symbolic
+
+
+def _first_modular_points(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.integers(expr_mod._MODULUS, size=(expr_mod._MODULAR_POINTS + expr_mod._MODULAR_REDRAWS, 1))[:n, 0]
+
+
+def test_modular_zero_denominator_at_a_drawn_point_redraws():
+    (c,) = _first_modular_points(1)
+    # (x - c)/(x - c) - 1 is zero, but its denominator vanishes at the first
+    # drawn point: the point is redrawn and the test stays modular (without
+    # the redraw it would fall back to simplification)
+    e = parse(f"(x - {c})/(x - {c}) - 1")
+    check = is_identically_zero(e, BOX_X, ("x",))
+    assert check.is_zero and check.route == "modular"
+    nonzero = is_identically_zero(parse(f"1/(x - {c})"), BOX_X, ("x",))
+    assert not nonzero.is_zero and nonzero.route == "modular"
+
+
+def test_modular_redraws_are_bounded_then_simplification_decides():
+    # a denominator vanishing at the first 9 of the 16 drawn points leaves
+    # fewer than 8 usable points: the modular test gives up
+    factors = "*".join(f"(x - {c})" for c in _first_modular_points(9))
+    e = parse(f"({factors})/({factors}) - 1")
+    assert expr_mod._modular_verdict(expr_mod._program(e, ("x",)), 0) is None
+    check = is_identically_zero(e, BOX_X, ("x",))
+    assert check.is_zero and check.route == "symbolic"
+
+
+def test_modular_identically_zero_denominator_stays_undeterminable():
+    with pytest.raises(UndeterminableOnBox):
+        is_identically_zero(parse("1/(x - x)"), BOX_X, ("x",))
+
+
+@pytest.mark.parametrize(
+    "text, zero, route",
+    [
+        ("sin(x) - sin(x)", True, "symbolic"),
+        ("exp(x) - 1 - x", False, "sampled"),
+        ("sqrt(x)^2 - x", True, "sampled"),
+        ("x^(1/2)*x^(1/2) - x", True, "sampled"),
+        ("x^(3/2) + x", False, "sampled"),
+    ],
+)
+def test_outside_the_rational_fragment_the_route_is_unchanged(text, zero, route):
+    e = parse(text)
+    assert not in_rational_fragment(e, ("x",))
+    check = is_identically_zero(e, BOX_X, ("x",))
+    assert check.is_zero == zero
+    assert check.route == route
+    assert check.symbolic == (route == "symbolic")
+
+
+def test_rational_fragment_predicate():
+    assert in_rational_fragment(parse("-(x + 2*y)^3/(x - y)^2 - 1/7"), ("x", "y"))
+    assert in_rational_fragment(var("x") ** const(-2), ("x",))
+    # the parser reads x^-2 as x^(-(2)): an exponent that is not a constant
+    for text in ("x^y", "x^(1/2)", "x^-2", "log(x)", "cos(y)*x"):
+        assert not in_rational_fragment(parse(text), ("x", "y"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 65])
+def test_median_matches_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+    assert median(values) == np.median(values)
+    assert median(np.abs(values)) == np.median(np.abs(values))
+    values[n // 2] = np.nan
+    assert math.isnan(median(values))
