@@ -46,6 +46,7 @@ from .expr import (
     UndeterminableOnBox,
     ZeroCheck,
     ZeroPolicy,
+    compile_batch,
     compile_scalar,
     const,
     differentiate,
@@ -504,8 +505,6 @@ def _sign_stable_box(
     def stable(candidate) -> bool:
         pts = [rng.uniform(lo, hi, size=grid) for lo, hi in candidate]
         for e, _, v0 in certs:
-            from .expr import compile_batch
-
             vals = np.atleast_1d(compile_batch(e, f.vars)(*pts))
             if not np.all(np.isfinite(vals)):
                 return False

@@ -174,8 +174,8 @@ _ZERO = const(0)
 _ONE = const(1)
 
 
-def is_zero_const(e: Expr) -> bool:
-    return e.op == "const" and e.value == 0
+def _is_const(e: Expr, c) -> bool:
+    return e.op == "const" and e.value == c
 
 
 def free_vars(e: Expr) -> frozenset[str]:
@@ -201,10 +201,11 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
 # Tokenizer / parser.  Grammar (see GRAMMAR.md):
 #   expr   := term (('+'|'-') term)*
 #   term   := unary (('*'|'/') unary)*
-#   unary  := '-' unary | power
+#   unary  := '-' NUMBER | '-' unary | power   # '-' NUMBER unless '^' follows
 #   power  := atom ('^' unary)?            # right-associative
 #   atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
-# Unary minus binds below '^', so -x^2 parses as -(x^2).
+# Unary minus binds below '^', so -x^2 parses as -(x^2) and -2^2 as -(2^2);
+# on a bare literal it is part of the constant, so x^-2 is x^(const -2).
 # ---------------------------------------------------------------------------
 
 
@@ -305,6 +306,13 @@ class _Parser:
         tok = self.peek()
         if tok and tok[0] == "-":
             self.next()
+            # a minus directly on a numeric literal that is not a power base
+            # belongs to the constant, so x^-2 has an integer exponent
+            num = self.peek()
+            after = self.tokens[self.pos + 1][0] if self.pos + 1 < len(self.tokens) else None
+            if num and num[0] == "num" and after != "^":
+                self.next()
+                return const(-Fraction(num[1]))
             return Expr("neg", (self.unary(),))
         return self.power()
 
@@ -617,89 +625,134 @@ def in_rational_fragment(e: Expr, var_order: tuple[str, ...]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Differentiation.  Results are simplified; non-integer powers are rewritten
-# through exp/log (side condition: positive base, see domain_notes).
+# Differentiation over the DAG (forward mode on the expression itself): each
+# distinct node is differentiated once, and the result is built from e's own
+# subexpressions, so it has O(size of e's DAG) distinct nodes.  Results are
+# not in normal form; call simplify for one.  The constructors below fold 0,
+# 1 and constant-by-constant operations, which drops the zero branches of the
+# product and quotient rules.  A power whose exponent is not an integer
+# constant is rewritten through exp/log (side condition: positive base, see
+# domain_notes).
 # ---------------------------------------------------------------------------
+
+
+def _neg(a: Expr) -> Expr:
+    return const(-a.value) if a.op == "const" else Expr("neg", (a,))
+
+
+def _add(a: Expr, b: Expr) -> Expr:
+    if _is_const(a, 0):
+        return b
+    if _is_const(b, 0):
+        return a
+    if a.op == b.op == "const":
+        return const(a.value + b.value)
+    return Expr("add", (a, b))
+
+
+def _sub(a: Expr, b: Expr) -> Expr:
+    if _is_const(b, 0):
+        return a
+    if _is_const(a, 0):
+        return _neg(b)
+    if a.op == b.op == "const":
+        return const(a.value - b.value)
+    return Expr("sub", (a, b))
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    if _is_const(a, 0) or _is_const(b, 0):
+        return _ZERO
+    if _is_const(a, 1):
+        return b
+    if _is_const(b, 1):
+        return a
+    if a.op == b.op == "const":
+        return const(a.value * b.value)
+    return Expr("mul", (a, b))
+
+
+def _div(a: Expr, b: Expr) -> Expr:
+    if _is_const(b, 0):
+        return Expr("div", (a, b))
+    if _is_const(a, 0):
+        return _ZERO
+    if _is_const(b, 1):
+        return a
+    if a.op == b.op == "const":
+        return const(a.value / b.value)
+    return Expr("div", (a, b))
+
+
+def _powi(u: Expr, k: int) -> Expr:
+    if k == 0:
+        return _ONE
+    if k == 1:
+        return u
+    return Expr("pow", (u, const(k)))
+
+
+def _derivative(node: Expr, d: Callable[[Expr], Expr]) -> Expr:
+    """The chain rule at node, with d giving the derivatives of its
+    operands."""
+    op, args = node.op, node.args
+    if op == "neg":
+        return _neg(d(args[0]))
+    if op == "add":
+        return _add(d(args[0]), d(args[1]))
+    if op == "sub":
+        return _sub(d(args[0]), d(args[1]))
+    if op == "mul":
+        u, w = args
+        return _add(_mul(d(u), w), _mul(u, d(w)))
+    if op == "div":
+        u, w = args
+        return _div(_sub(_mul(d(u), w), _mul(u, d(w))), _mul(w, w))
+    if op == "pow":
+        u, p = args
+        if p.op == "const" and p.value.denominator == 1:
+            k = p.value.numerator
+            return _mul(_mul(const(k), _powi(u, k - 1)), d(u)) if k else _ZERO
+        # a^b with non-integer b: a^b = exp(b*log(a)), valid for a > 0
+        log_u = Expr("log", (u,))
+        exponent = Expr("mul", (p, log_u))
+        return _mul(Expr("exp", (exponent,)), _add(_mul(d(p), log_u), _mul(p, _div(d(u), u))))
+    if op == "sin":
+        return _mul(Expr("cos", args), d(args[0]))
+    if op == "cos":
+        return _neg(_mul(Expr("sin", args), d(args[0])))
+    if op == "exp":
+        return _mul(node, d(args[0]))
+    if op == "log":
+        return _div(d(args[0]), args[0])
+    if op == "sqrt":
+        return _div(d(args[0]), _mul(const(2), node))
+    raise ExprError(f"unknown op {op!r}")
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def differentiate(e: Expr, v: str) -> Expr:
-    fast = _poly_diff(e, v)
-    if fast is not None:
-        return fast
-    return simplify(_diff(e, v))
-
-
-def _poly_diff(e: Expr, v: str) -> Expr | None:
-    """Term-wise derivative for expressions that canonicalize to a polynomial
-    over plain variables (constant denominator); None when inapplicable."""
-    try:
-        n, d = _canonical(e)
-    except _NonCanonical:
-        return None
-    dc = _poly_const(d)
-    if dc is None or dc == 0:
-        return None
-    for m in n:
-        for atom, _ in m:
-            if atom.op != "var":
-                return None
-    out: dict = {}
-    for m, c in n.items():
-        for i, (atom, k) in enumerate(m):
-            if atom.name != v:
+    """The partial derivative of e in v.  The walk is iterative, so the depth
+    of e does not matter."""
+    done: dict[int, Expr] = {}  # id(node) -> its derivative
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        if node.op == "const":
+            done[id(node)] = _ZERO
+        elif node.op == "var":
+            done[id(node)] = _ONE if node.name == v else _ZERO
+        else:
+            pending = [a for a in node.args if id(a) not in done]
+            if pending:
+                stack.extend(pending)
                 continue
-            if k == 1:
-                nm = m[:i] + m[i + 1 :]
-            else:
-                nm = m[:i] + ((atom, k - 1),) + m[i + 1 :]
-            nc = out.get(nm, Fraction(0)) + c * k
-            if nc == 0:
-                out.pop(nm, None)
-            else:
-                out[nm] = nc
-    if dc != 1:
-        out = _poly_scale(out, Fraction(1) / dc)
-    return _poly_to_expr(out)
-
-
-def _diff(e: Expr, v: str) -> Expr:
-    op = e.op
-    if op == "const":
-        return _ZERO
-    if op == "var":
-        return _ONE if e.name == v else _ZERO
-    if op == "neg":
-        return Expr("neg", (_diff(e.args[0], v),))
-    if op in ("add", "sub"):
-        return Expr(op, (_diff(e.args[0], v), _diff(e.args[1], v)))
-    if op == "mul":
-        u, w = e.args
-        return _diff(u, v) * w + u * _diff(w, v)
-    if op == "div":
-        u, w = e.args
-        return (_diff(u, v) * w - u * _diff(w, v)) / (w * w)
-    if op == "pow":
-        u, p = e.args
-        if p.op == "const" and p.value.denominator == 1:
-            k = p.value.numerator
-            if k == 0:
-                return _ZERO
-            return const(k) * Expr("pow", (u, const(k - 1))) * _diff(u, v)
-        # a^b with non-integer b: a^b = exp(b*log(a)), valid for a > 0
-        rewritten = Expr("exp", (p * Expr("log", (u,)),))
-        return _diff(rewritten, v)
-    if op == "sin":
-        return Expr("cos", (e.args[0],)) * _diff(e.args[0], v)
-    if op == "cos":
-        return Expr("neg", (Expr("sin", (e.args[0],)) * _diff(e.args[0], v),))
-    if op == "exp":
-        return e * _diff(e.args[0], v)
-    if op == "log":
-        return _diff(e.args[0], v) / e.args[0]
-    if op == "sqrt":
-        return _diff(e.args[0], v) / (const(2) * e)
-    raise ExprError(f"unknown op {op!r}")
+            done[id(node)] = _derivative(node, lambda a: done[id(a)])
+        stack.pop()
+    return done[id(e)]
 
 
 def domain_notes(e: Expr) -> list[str]:
@@ -983,9 +1036,9 @@ def _fallback_simplify(e: Expr) -> Expr:
         return Expr("neg", args)
     if op in ("add", "sub"):
         a, b = args
-        if is_zero_const(b):
+        if _is_const(b, 0):
             return a
-        if is_zero_const(a):
+        if _is_const(a, 0):
             return b if op == "add" else Expr("neg", (b,))
         if a == b and op == "sub":
             return _ZERO
@@ -994,7 +1047,7 @@ def _fallback_simplify(e: Expr) -> Expr:
         return Expr(op, args)
     if op == "mul":
         a, b = args
-        if is_zero_const(a) or is_zero_const(b):
+        if _is_const(a, 0) or _is_const(b, 0):
             return _ZERO
         if a.op == "const" and a.value == 1:
             return b
@@ -1005,7 +1058,7 @@ def _fallback_simplify(e: Expr) -> Expr:
         return Expr(op, args)
     if op == "div":
         a, b = args
-        if is_zero_const(a) and not is_zero_const(b):
+        if _is_const(a, 0) and not _is_const(b, 0):
             return _ZERO
         if b.op == "const" and b.value == 1:
             return a
@@ -1219,7 +1272,7 @@ def is_identically_zero(
     modular = _modular_verdict(prog, policy.seed) if prog.rational else None
     if modular:
         return ZeroCheck(is_zero=True, symbolic=True, route=MODULAR)
-    if modular is None and is_zero_const(simplify(e)):
+    if modular is None and _is_const(simplify(e), 0):
         return ZeroCheck(is_zero=True, symbolic=True, route=SYMBOLIC)
     rng = np.random.default_rng(policy.seed)
     cols = [rng.uniform(lo, hi, size=policy.samples) for lo, hi in box]

@@ -89,6 +89,19 @@ def test_parse_against_independent_evaluator():
             assert math.isclose(mine, ref, rel_tol=1e-12, abs_tol=1e-12), text
 
 
+def test_parse_minus_on_a_literal_is_a_negative_constant():
+    e = parse("x^-2")
+    assert e.args[1] == const(-2)
+    # an integer power: defined at negative x, with no side condition
+    assert evaluate(differentiate(e, "x"), {"x": -1.0}) == 2.0
+    assert domain_notes(e) == []
+    assert parse("-2*x").args[0] == const(-2)
+    # a literal that is a power base keeps the minus outside the power
+    assert parse("-2^2").op == "neg"
+    assert evaluate(parse("-2^2"), {}) == -4
+    assert evaluate(parse("x^-2^2"), {"x": 2.0}) == 2.0**-4
+
+
 def test_parse_right_associative_pow():
     assert evaluate(parse("2^3^2"), {}) == 512
 
@@ -253,6 +266,87 @@ def test_non_integer_power_rewrites_through_exp_log():
         fd = central_fd(e, "x", point, 1e-6)
         assert abs(evaluate(de, point) - fd) / max(abs(fd), 1) < 1e-5
     assert any("> 0" in n for n in domain_notes(de))
+
+
+# An exact oracle: forward mode over Fractions.  Each node maps to the pair
+# (value, derivative), memoized by node identity so shared subtrees are
+# evaluated once.
+
+_DUAL_RULES = {
+    "add": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    "sub": lambda a, b: (a[0] - b[0], a[1] - b[1]),
+    "mul": lambda a, b: (a[0] * b[0], a[1] * b[0] + a[0] * b[1]),
+    "div": lambda a, b: (a[0] / b[0], (a[1] * b[0] - a[0] * b[1]) / (b[0] * b[0])),
+    "neg": lambda a: (-a[0], -a[1]),
+}
+
+
+def _dual(e, point, v, memo):
+    if id(e) not in memo:
+        if e.op == "const":
+            memo[id(e)] = (e.value, Fraction(0))
+        elif e.op == "var":
+            memo[id(e)] = (point[e.name], Fraction(int(e.name == v)))
+        elif e.op == "pow":
+            (u, du), k = _dual(e.args[0], point, v, memo), e.args[1].value.numerator
+            memo[id(e)] = (u**k, k * u ** (k - 1) * du if k else Fraction(0))
+        else:
+            memo[id(e)] = _DUAL_RULES[e.op](*(_dual(a, point, v, memo) for a in e.args))
+    return memo[id(e)]
+
+
+def _exact_value(e, point):
+    return _dual(e, point, None, {})[0]
+
+
+def _random_shared_rational(rng, names, steps):
+    """A rational expression whose operands are drawn from everything built
+    so far, so later nodes share earlier subtrees."""
+    pool = [const(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))) for _ in range(2)]
+    pool += [var(n) for n in names]
+    for _ in range(steps):
+        op = str(rng.choice(["add", "sub", "mul", "div", "neg", "pow"]))
+        a = pool[-1] if rng.random() < 0.7 else pool[int(rng.integers(len(pool)))]
+        if op == "neg":
+            pool.append(-a)
+        elif op == "pow":
+            pool.append(a ** const(int(rng.choice([-2, -1, 0, 1, 2]))))
+        else:
+            pool.append(Expr(op, (a, pool[int(rng.integers(len(pool)))])))
+    return pool[-1]
+
+
+def test_derivative_matches_exact_forward_mode():
+    rng = np.random.default_rng(8)
+    names = ("x", "y", "z")
+    checked = 0
+    while checked < 200:
+        e = _random_shared_rational(rng, names, 16)
+        point = {n: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))) for n in names}
+        if not free_vars(e):
+            continue
+        v = str(rng.choice(sorted(free_vars(e))))
+        try:
+            expected = _dual(e, point, v, {})[1]
+        except ZeroDivisionError:
+            continue
+        assert _exact_value(differentiate(e, v), point) == expected, to_string(e)
+        checked += 1
+
+
+def test_derivative_of_a_deep_chain():
+    # built with operators, not the recursive parser: 10,000 levels deep
+    n = 10_000
+    x, y = var("x"), var("y")
+    product, total = x, x
+    for _ in range(n - 1):
+        product = product * x
+        total = total + x * y
+    at = (np.array([1.0001]), np.array([0.5]))
+    d_product = compile_batch(differentiate(product, "x"), ("x", "y"))(*at)
+    assert d_product[0] == pytest.approx(n * 1.0001 ** (n - 1), rel=1e-9)
+    d_total = compile_batch(differentiate(total, "x"), ("x", "y"))(*at)
+    assert d_total[0] == pytest.approx(1 + (n - 1) * 0.5, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +759,9 @@ def test_outside_the_rational_fragment_the_route_is_unchanged(text, zero, route)
 def test_rational_fragment_predicate():
     assert in_rational_fragment(parse("-(x + 2*y)^3/(x - y)^2 - 1/7"), ("x", "y"))
     assert in_rational_fragment(var("x") ** const(-2), ("x",))
-    # the parser reads x^-2 as x^(-(2)): an exponent that is not a constant
-    for text in ("x^y", "x^(1/2)", "x^-2", "log(x)", "cos(y)*x"):
+    # the parser reads x^-2 as x^(const -2), an integer power
+    assert in_rational_fragment(parse("x^-2"), ("x",))
+    for text in ("x^y", "x^(1/2)", "log(x)", "cos(y)*x"):
         assert not in_rational_fragment(parse(text), ("x", "y"))
 
 
