@@ -49,7 +49,9 @@ __all__ = [
 # bounds both the byte map image_quantize scatters into (1 byte per cell,
 # 256 MiB) and the bitset packed from it (32 MiB)
 _MAX_CELLS = 1 << 28
-_BLOCK = 1 << 22  # tuples evaluated per vectorized block
+# tuples evaluated per vectorized block: a float64 block is 2 MiB, so the
+# evaluator's temporaries stay in a core's L2 cache
+_BLOCK = 1 << 18
 
 
 class _Bitset:
@@ -149,11 +151,6 @@ def _delta_multiple(delta, delta_min: float) -> int:
     return int(k)
 
 
-def _cell_indices(values: np.ndarray, lo: float, delta_min: float, ncells: int) -> np.ndarray:
-    idx = np.floor((values - lo) / delta_min).astype(np.int64)
-    return np.clip(idx, 0, ncells - 1)
-
-
 def _tuple_blocks(sets: Sequence[PointSet1D], shard: np.ndarray, block: int):
     """Yield coordinate arrays covering shard x rest as broadcast views, one
     axis per set, so the product is formed by the evaluator, not copied."""
@@ -179,10 +176,14 @@ def image_quantize(
 ) -> QuantizedSet:
     """Quantize f(A x B [x C]) at resolution delta_min.
 
-    Every product tuple is evaluated exactly once, streaming in blocks.  A
-    first pass resolves the value range: a declared range is widened when
-    values fall outside it (with the overflow count reported), never
-    clamped.  The occupancy bitset is identical for any thread count."""
+    The product tuples stream through in blocks of `block` tuples, sized so
+    the evaluator's temporaries stay in cache, and each tuple is evaluated
+    twice.  A first pass resolves the value range: a declared range is
+    widened when values fall outside it (with the overflow count reported),
+    never clamped.  The second pass quantizes.  The values are not kept
+    between the passes because the grid origin is the exact minimum of the
+    image, which is known only after the first pass has seen every tuple.
+    The occupancy bitset is identical for any thread count and block size."""
     if len(sets) != f.arity or len(sets) not in (2, 3):
         raise ValueError("need one point set per variable (2 or 3)")
     fn = compile_batch(f.expr, f.vars)
@@ -194,11 +195,13 @@ def image_quantize(
         outside = 0
         for arrays in _tuple_blocks(sets, shard, block):
             vals = fn(*arrays)
-            if not np.all(np.isfinite(vals)):
+            # NaN propagates through min and max, so finite extremes mean
+            # every value is finite
+            bmin, bmax = float(vals.min()), float(vals.max())
+            if not (math.isfinite(bmin) and math.isfinite(bmax)):
                 raise ValueError("image values are not finite on the product set")
-            vmin = min(vmin, float(vals.min()))
-            vmax = max(vmax, float(vals.max()))
-            if value_range is not None:
+            vmin, vmax = min(vmin, bmin), max(vmax, bmax)
+            if value_range is not None and (bmin < value_range[0] or bmax > value_range[1]):
                 outside += int(
                     np.count_nonzero((vals < value_range[0]) | (vals > value_range[1]))
                 )
@@ -235,7 +238,16 @@ def image_quantize(
 
     def quantize(shard: np.ndarray):
         for arrays in _tuple_blocks(sets, shard, block):
-            hit[_cell_indices(fn(*arrays), lo, delta_min, ncells)] = 1
+            vals = fn(*arrays)
+            # the cell index is computed in place, in the evaluated block;
+            # when f returns an input's own array (f = x), the subtraction
+            # writes to a new array instead
+            aliased = any(np.may_share_memory(vals, a) for a in arrays)
+            vals = np.subtract(vals, lo, out=None if aliased else vals)
+            np.divide(vals, delta_min, out=vals)
+            np.floor(vals, out=vals)
+            np.clip(vals, 0, ncells - 1, out=vals)
+            hit[vals.astype(np.intp)] = 1
 
     _run_sharded(quantize, shards, threads)
     bits = _Bitset.from_bytemap(hit, ncells)

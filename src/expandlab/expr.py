@@ -730,29 +730,47 @@ def _derivative(node: Expr, d: Callable[[Expr], Expr]) -> Expr:
     raise ExprError(f"unknown op {op!r}")
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def differentiate(e: Expr, v: str) -> Expr:
-    """The partial derivative of e in v.  The walk is iterative, so the depth
-    of e does not matter."""
-    done: dict[int, Expr] = {}  # id(node) -> its derivative
+def _walk_dag(e: Expr, step: Callable[[Expr, Callable[[Expr], Expr]], Expr]) -> Expr:
+    """Build a result for each node of e in post-order: step(node, r) builds
+    node's result, with r giving the results of its operands.  Nodes are
+    value-numbered as in _program (a leaf by itself, any other node by its op
+    and its operands' numbers), so structurally equal nodes share one result
+    and no two trees are ever compared node by node.  The walk is iterative,
+    so the depth of e does not matter."""
+    number: dict[int, int] = {}  # id(node) -> value number
+    table: dict = {}  # structural key -> value number
+    done: list[Expr] = []  # value number -> result
+    result = lambda a: done[number[id(a)]]
     stack = [e]
     while stack:
         node = stack[-1]
-        if id(node) in done:
+        if id(node) in number:
             stack.pop()
             continue
-        if node.op == "const":
-            done[id(node)] = _ZERO
-        elif node.op == "var":
-            done[id(node)] = _ONE if node.name == v else _ZERO
-        else:
-            pending = [a for a in node.args if id(a) not in done]
-            if pending:
-                stack.extend(pending)
-                continue
-            done[id(node)] = _derivative(node, lambda a: done[id(a)])
+        pending = [a for a in node.args if id(a) not in number]
+        if pending:
+            stack.extend(pending)
+            continue
         stack.pop()
-    return done[id(e)]
+        key = (node.op, *(number[id(a)] for a in node.args)) if node.args else node
+        n = number[id(node)] = table.setdefault(key, len(table))
+        if n == len(done):
+            done.append(step(node, result))
+    return done[number[id(e)]]
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def differentiate(e: Expr, v: str) -> Expr:
+    """The partial derivative of e in v, by one walk over e's DAG."""
+
+    def step(node: Expr, d: Callable[[Expr], Expr]) -> Expr:
+        if node.op == "const":
+            return _ZERO
+        if node.op == "var":
+            return _ONE if node.name == v else _ZERO
+        return _derivative(node, d)
+
+    return _walk_dag(e, step)
 
 
 def domain_notes(e: Expr) -> list[str]:
@@ -1177,31 +1195,33 @@ class ZeroCheck:
     route: str = SAMPLED
 
 
+def _surrogate_node(node: Expr, s: Callable[[Expr], Expr]) -> Expr:
+    """node's surrogate, with s giving the surrogates of its operands."""
+    op = node.op
+    if op == "const":
+        return const(abs(node.value))
+    if op == "neg":
+        return s(node.args[0])
+    if op in ("add", "sub", "mul", "div"):
+        return Expr("add" if op == "sub" else op, tuple(s(a) for a in node.args))
+    if op == "pow":
+        p = node.args[1]
+        if not (p.op == "const" and p.value.denominator == 1):
+            return node  # general power: positive where defined
+        k = p.value.numerator
+        power = Expr("pow", (s(node.args[0]), const(abs(k))))
+        return power if k >= 0 else Expr("div", (_ONE, power))
+    # a variable, or a function application with its original argument
+    return Expr("sqrt", (Expr("pow", (node, const(2))),))
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def _surrogate_expr(e: Expr) -> Expr:
     """Absolute-value surrogate: sums of |monomial-like subterms| of the
     unsimplified expression; the scale against which 'zero' is judged.
-    Absolute values are encoded as sqrt(u^2) to stay in the grammar."""
-    op = e.op
-    if op == "const":
-        return const(abs(e.value))
-    if op == "var":
-        return Expr("sqrt", (Expr("pow", (e, const(2))),))
-    if op == "neg":
-        return _surrogate_expr(e.args[0])
-    if op in ("add", "sub", "mul", "div"):
-        return Expr("add" if op == "sub" else op, tuple(_surrogate_expr(a) for a in e.args))
-    if op == "pow":
-        p = e.args[1]
-        if p.op == "const" and p.value.denominator == 1:
-            k = p.value.numerator
-            base = _surrogate_expr(e.args[0])
-            if k >= 0:
-                return Expr("pow", (base, const(k)))
-            return Expr("div", (_ONE, Expr("pow", (base, const(-k)))))
-        return e  # general power: positive where defined
-    # function application: |f(arg)| with the original argument
-    return Expr("sqrt", (Expr("pow", (e, const(2))),))
+    Absolute values are encoded as sqrt(u^2) to stay in the grammar.  One
+    walk over e's DAG builds it, so the depth of e does not matter."""
+    return _walk_dag(e, _surrogate_node)
 
 
 def median(values) -> float:

@@ -100,6 +100,60 @@ def test_shared_scatter_is_thread_invariant_and_matches_naive(f, sets):
     assert qs[0].population == len(naive)
 
 
+_MT5 = digit_points(3, [0, 2], 5)  # 32 points, 1024 pairs
+_B4 = digit_points(2, [0, 1], 4)  # 16 points, 4096 triples
+_D16 = PointSet1D.from_values([i / 16 for i in range(17)])
+
+
+@pytest.mark.parametrize(
+    "text, sets",
+    [
+        ("x^2 + x*y", [_MT5, _MT5]),
+        # the maximum 2 is 2000 cells of 1e-3 from the minimum 0, so it is
+        # clipped into the last cell, 1999
+        ("x + y", [_D16, _D16]),
+        # (2.001 - 0)/1e-3 rounds to just below 2001, while 2.001*(1/1e-3)
+        # is 2001: the cell index must divide
+        ("x + y", [PointSet1D.from_values([0.0, 1.0, 2.001, 2.5]), _D16]),
+        # f = y with one-tuple blocks, and f = x with a one-point second set,
+        # return an input's own array from the evaluator
+        ("y", [_MT5, _MT5]),
+        ("x", [_MT5, PointSet1D.from_values([0.25])]),
+        ("x*y + z", [_B4, _B4, _B4]),
+        ("z", [_B4, PointSet1D.from_values([0.5]), _B4]),
+    ],
+)
+def test_image_quantize_is_block_size_invariant(text, sets):
+    names = ("x", "y", "z")[: len(sets)]
+    f = FunctionSpec(parse(text), names, ((0, 3),) * len(sets))
+    before = [s.values.copy() for s in sets]
+    product = math.prod(len(s) for s in sets)
+    blocks = (1, 64, 1 << 18, None, 10 * product)  # None: the default
+    qs = [
+        image_quantize(f, sets, delta_min=1e-3, threads=t, **({} if b is None else {"block": b}))
+        for b in blocks
+        for t in (1, 2)
+    ]
+    for q in qs[1:]:
+        assert qs[0].bit_identical(q)
+    naive = naive_quantize_cells(f, sets, qs[0].lo, qs[0].delta_min, qs[0].ncells)
+    assert qs[0].occupied_cells().tolist() == naive
+    # the cell index is computed in place: no input may be written
+    for s, values in zip(sets, before):
+        assert np.array_equal(s.values, values)
+
+
+@pytest.mark.parametrize("c", ["0", "1", "-1"])  # NaN, +inf, -inf
+def test_image_quantize_rejects_one_non_finite_tuple_in_a_middle_block(c):
+    # singular only at (1/2, 1/2); with one x row per block of 11 tuples
+    # that tuple lies in the sixth of eleven blocks
+    f = FunctionSpec(parse(f"x + y + {c}/((x - 1/2)^2 + (y - 1/2)^2)"), ("x", "y"), ((0, 1),) * 2)
+    grid = PointSet1D.from_values([i / 10 for i in range(11)])
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match="not finite"):
+            image_quantize(f, [grid, grid], delta_min=1e-3, threads=threads, block=11)
+
+
 def test_image_quantize_widens_declared_range():
     A = PointSet1D.from_values([0.0, 0.9])
     q = image_quantize(F_SUM, [A, A], delta_min=1e-3, value_range=(0.0, 1.0))

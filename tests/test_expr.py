@@ -668,6 +668,71 @@ def test_zero_tiny_but_structured_function_is_not_zero():
     assert not check.is_zero
 
 
+def _recursive_surrogate(e):
+    # the surrogate's rules written as a plain tree recursion
+    sabs = lambda u: Expr("sqrt", (Expr("pow", (u, const(2))),))
+    if e.op == "const":
+        return const(abs(e.value))
+    if e.op == "var":
+        return sabs(e)
+    if e.op == "neg":
+        return _recursive_surrogate(e.args[0])
+    if e.op in ("add", "sub", "mul", "div"):
+        op = "add" if e.op == "sub" else e.op
+        return Expr(op, tuple(_recursive_surrogate(a) for a in e.args))
+    if e.op == "pow":
+        p = e.args[1]
+        if p.op == "const" and p.value.denominator == 1:
+            k = p.value.numerator
+            power = Expr("pow", (_recursive_surrogate(e.args[0]), const(abs(k))))
+            return power if k >= 0 else Expr("div", (const(1), power))
+        return e
+    return sabs(e)
+
+
+def test_surrogate_matches_the_tree_recursion():
+    rng = np.random.default_rng(5)
+    exprs = [_random_expr(rng) for _ in range(100)]
+    exprs += [parse(t) for t in ("x^-2 - y^(1/2)/x", "-(x*y)^3/sin(x - 1/3)", "x^y + log(x)")]
+    for e in exprs:
+        # derivatives share e's subexpressions, so the walk meets each twice
+        for target in (e, differentiate(e, "x")):
+            assert expr_mod._surrogate_expr(target) == _recursive_surrogate(target), to_string(e)
+
+
+def test_zero_test_of_a_deep_rational_chain():
+    # 3,000 levels (three times Python's default recursion limit) built with
+    # operators; the modular route finds the derivative nonzero, and the
+    # sampled witness builds its surrogate
+    x, y = var("x"), var("y")
+    e = x
+    for _ in range(2_999):
+        e = e * x / 2 + y
+    d = differentiate(e, "x")
+    check = is_identically_zero(d, [(0.5, 1.0), (0.5, 1.0)], ("x", "y"))
+    assert not check.is_zero and check.route == "modular"
+    p = check.witness_point
+    at = (np.array([p["x"]]), np.array([p["y"]]))
+    assert check.witness_value == compile_batch(d, ("x", "y"))(*at)[0]
+
+
+def test_surrogate_of_a_deep_non_rational_chain():
+    # e_k = e_(k-1)*x + y*sin(x), 3,000 levels; d_k = d_(k-1)*x + e_(k-1)
+    # + y*cos(x).  The surrogate replaces each variable and function value by
+    # its absolute value.
+    x, y = var("x"), var("y")
+    e = x
+    for _ in range(2_999):
+        e = e * x + y * Expr("sin", (x,))
+    surrogate = expr_mod._surrogate_expr(differentiate(e, "x"))
+    xv, yv = -0.5, -0.75
+    s_e, s_d = abs(xv), 1.0
+    for _ in range(2_999):
+        s_e, s_d = s_e * abs(xv) + abs(yv) * abs(math.sin(xv)), s_d * abs(xv) + s_e + abs(yv) * abs(math.cos(xv))
+    got = compile_batch(surrogate, ("x", "y"))(np.array([xv]), np.array([yv]))[0]
+    assert got == pytest.approx(s_d, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # The modular route: exact evaluation mod p of the rational fragment
 # ---------------------------------------------------------------------------
