@@ -51,7 +51,6 @@ from .expr import (
     const,
     differentiate,
     evaluate,
-    in_rational_fragment,
     is_identically_zero,
     simplify,
     substitute,
@@ -119,17 +118,9 @@ def rho(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy()) -> Expr:
     return simplify(fx * fy / fxy)
 
 
-def _finish(e: Expr, f: FunctionSpec, raw: bool) -> Expr:
-    """simplify(e); with raw, e itself when it lies in the rational fragment,
-    where the zero test decides it exactly without simplification."""
-    return e if raw and in_rational_fragment(e, f.vars) else simplify(e)
-
-
-def kappa(
-    f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy(), wedge_sign: int = 1, *, raw: bool = False
-) -> Expr:
-    """Gradient wedge of f against rho: f_x*rho_y - f_y*rho_x, simplified
-    (with raw=True, unsimplified when it lies in the rational fragment).
+def kappa(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy(), wedge_sign: int = 1) -> Expr:
+    """Gradient wedge of f against rho: f_x*rho_y - f_y*rho_x, as built, not
+    simplified (the zero test needs no normal form; simplify gives one).
 
     Built from the expanded quotient rule (all derivatives taken of f
     itself), which keeps the tree compact:
@@ -154,21 +145,18 @@ def kappa(
     num_ry = (fxy * fy + fx * fyy) * fxy - fx * fy * fxyy
     num_rx = (fxx * fy + fx * fxy) * fxy - fx * fy * fxxy
     k = (fx * num_ry - fy * num_rx) / (fxy * fxy)
-    if wedge_sign < 0:
-        k = Expr("neg", (k,))
-    return _finish(k, f, raw)
+    return Expr("neg", (k,)) if wedge_sign < 0 else k
 
 
-def aux_trivariate(f: FunctionSpec, *, raw: bool = False) -> tuple[Expr, Expr, Expr]:
-    """The three trivariate certificates (G1, G2, G3), simplified (with
-    raw=True, each unsimplified when it lies in the rational fragment)."""
+def aux_trivariate(f: FunctionSpec) -> tuple[Expr, Expr, Expr]:
+    """The three trivariate certificates (G1, G2, G3), as built, not
+    simplified."""
     _require_arity(f, 3)
     f1, f2, f3 = (f.partial(i) for i in range(3))
     f12 = f.partial2(0, 1)
     f13 = f.partial2(0, 2)
     f23 = f.partial2(1, 2)
-    gs = (f3 * f12 - f13 * f2, f3 * f12 - f23 * f1, f1 * f23 - f13 * f2)
-    return tuple(_finish(g, f, raw) for g in gs)
+    return (f3 * f12 - f13 * f2, f3 * f12 - f23 * f1, f1 * f23 - f13 * f2)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +574,7 @@ def _classify_bivariate(f: FunctionSpec, policy: ZeroPolicy, wedge_sign: int) ->
                 witness_certificate=name,
                 notes=notes + (f"{name} vanishes identically on the box",),
             )
-    k = kappa(f, policy, wedge_sign, raw=True)
+    k = kappa(f, policy, wedge_sign)
     certs["kappa"] = _certificate("kappa", k, f, policy)
     kc = certs["kappa"]
     if kc.status == UNDEFINED or kc.valid_fraction < 0.5:
@@ -634,7 +622,7 @@ def _classify_trivariate(f: FunctionSpec, policy: ZeroPolicy) -> DegeneracyRepor
     }
     for name, e in first.items():
         certs[name] = _certificate(name, e, f, policy)
-    gs = aux_trivariate(f, raw=True)
+    gs = aux_trivariate(f)
     for i, g in enumerate(gs, start=1):
         certs[f"G{i}"] = _certificate(f"G{i}", g, f, policy)
     g_stats = [certs[f"G{i}"] for i in (1, 2, 3)]

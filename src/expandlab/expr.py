@@ -3,24 +3,28 @@
 Expressions are immutable trees over named real variables with exact rational
 constants.  Simplification normalizes to a rational normal form (polynomial
 numerator/denominator over "atoms": variables and irreducible function
-applications) with Fraction coefficients; the rewrite system is bounded.
+applications) with Fraction coefficients; the rewrite system is bounded.  It
+is a normal-form utility only: no decision calls it.
 
 One evaluator serves every entry point: an expression is compiled once into
 a straight-line program over its DAG, run with a scalar op table (`evaluate`,
 `compile_scalar`: DomainError off the domain), a numpy one (`compile_batch`)
-or one over the integers mod a prime.  The last decides vanishing exactly for
-the rational fragment (`+ - * /`, negation, integer powers): see
-`is_identically_zero`, where simplification and sampling decide the rest.
+or one over the integers mod a prime, where each function application is an
+opaque pseudo-random atom.  The last is the one exact zero test (see
+`is_identically_zero`): all zero at random points proves e zero; a nonzero
+value proves e nonzero only in the rational fragment (`+ - * /`, negation,
+integer powers), and float samples decide the rest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -45,28 +49,28 @@ __all__ = [
     "domain_notes",
     "compile_scalar",
     "compile_batch",
-    "in_rational_fragment",
     "is_identically_zero",
 ]
 
 CALLABLE_FUNCS = ("sin", "cos", "exp", "log", "sqrt")
 
-# Bounds on the canonicalizer; beyond these a subtree is kept structural and
-# zero-decisions fall back to sampling.
+# Bounds on the canonicalizer; beyond these a subtree is kept structural, so
+# one simplify call stays bounded however large its input.
 _MAX_TERMS = 600
 _MAX_POW = 64
 _MAX_MUL_WORK = 8_000
 
 # Entries per memo of the symbolic layer (simplify, differentiate, the
 # canonical form, ...): bounded, so a long-lived process stays bounded, and
-# large enough that one command evicts nothing (a trivariate quintic's
-# classify or recover peaks at about 11k canonical forms).
+# far above what one CLI command fills (no command simplifies; a certify
+# command makes about 25 differentiate calls on average).
 _MEMO_SIZE = 1 << 16
 
 # The modular zero test: a Mersenne prime, the number of random points that
 # must all give zero (a nonzero rational function of numerator degree d
-# passes with probability at most (d/p)^k), and how many extra points may
-# replace those that hit a zero denominator.
+# passes with probability at most (d/p)^k, with function applications
+# counted as extra variables), and how many extra points may replace those
+# that hit a zero denominator.
 _MODULUS = (1 << 61) - 1
 _MODULAR_POINTS = 8
 _MODULAR_REDRAWS = 8
@@ -179,22 +183,19 @@ def _is_const(e: Expr, c) -> bool:
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    if e.op == "var":
-        return frozenset((e.name,))
-    if e.op == "const":
-        return frozenset()
-    out: frozenset[str] = frozenset()
-    for a in e.args:
-        out |= free_vars(a)
-    return out
+    def step(node: Expr, r: Callable[[Expr], frozenset[str]]) -> frozenset[str]:
+        return frozenset((node.name,)) if node.op == "var" else frozenset().union(*map(r, node.args))
+
+    return _walk_dag(e, step)
 
 
 def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
-    if e.op == "var":
-        return replacement if e.name == name else e
-    if e.op == "const":
-        return e
-    return Expr(e.op, tuple(substitute(a, name, replacement) for a in e.args))
+    def step(node: Expr, r: Callable[[Expr], Expr]) -> Expr:
+        if node.op == "var" and node.name == name:
+            return replacement
+        return Expr(node.op, tuple(map(r, node.args))) if node.args else node
+
+    return _walk_dag(e, step)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +424,7 @@ def _frac_str(v: Fraction) -> str:
 
 # Opcodes index the op tables.  "powi" is a power with an integer constant
 # exponent; its second operand register holds the exact int.
-_OPCODES = ("add", "sub", "mul", "div", "pow", "powi", "neg", "sin", "cos", "exp", "log", "sqrt")
+_OPCODES = ("add", "sub", "mul", "div", "pow", "powi", "neg", *CALLABLE_FUNCS)
 _LEAVES = ("var", "const", "int")
 
 # Python floats raise where an operation leaves its domain (an OverflowError
@@ -466,19 +467,28 @@ _BATCH = (
     np.log, np.sqrt,
 )
 
-# Over the integers mod _MODULUS, defined on the rational fragment only.  A
-# zero divisor raises ValueError (pow(0, -1, p) has no inverse).
+def _opaque(op: str) -> Callable[..., int]:
+    """op as an uninterpreted function mod _MODULUS: a pseudo-random value of
+    op and its operands' residues, the same in every process.  It must not be
+    algebraic: with sin(a) = a + c, sin(x) - x - c would be "proven" zero."""
+    return lambda *operands: int.from_bytes(
+        hashlib.blake2b(repr((op, operands)).encode(), digest_size=8).digest(), "little") % _MODULUS
+
+
+# Over the integers mod _MODULUS: exact on the rational fragment, with every
+# other op an opaque atom.  A zero divisor raises ValueError (pow(0, -1, p)
+# has no inverse).
 _MODP = (
     lambda a, b: (a + b) % _MODULUS,
     lambda a, b: (a - b) % _MODULUS,
     lambda a, b: a * b % _MODULUS,
     lambda a, b: a * pow(b, -1, _MODULUS) % _MODULUS,
-    None,
+    _opaque("pow"),
     lambda a, k: pow(a, k, _MODULUS),
     lambda a: -a % _MODULUS,
-    None, None, None, None, None,
+    *map(_opaque, CALLABLE_FUNCS),
 )
-_RATIONAL_OPCODES = frozenset(i for i, fn in enumerate(_MODP) if fn is not None)
+_RATIONAL_OPCODES = frozenset(map(_OPCODES.index, ("add", "sub", "mul", "div", "powi", "neg")))
 
 
 @dataclass(frozen=True)
@@ -493,7 +503,8 @@ class _Program:
     @property
     def rational(self) -> bool:
         """Every instruction lies in the rational fragment (+ - * /,
-        negation, integer powers), so the program runs mod a prime."""
+        negation, integer powers), so a nonzero value mod a prime proves the
+        program nonzero."""
         return all(ins[0] in _RATIONAL_OPCODES for ins in self.code)
 
 
@@ -618,12 +629,6 @@ def compile_batch(e: Expr, var_order: tuple[str, ...]) -> Callable[..., np.ndarr
     return run
 
 
-def in_rational_fragment(e: Expr, var_order: tuple[str, ...]) -> bool:
-    """Whether e is built from variables, constants, + - * /, negation and
-    integer constant powers only, so the zero test decides it exactly."""
-    return _program(e, var_order).rational
-
-
 # ---------------------------------------------------------------------------
 # Differentiation over the DAG (forward mode on the expression itself): each
 # distinct node is differentiated once, and the result is built from e's own
@@ -730,7 +735,10 @@ def _derivative(node: Expr, d: Callable[[Expr], Expr]) -> Expr:
     raise ExprError(f"unknown op {op!r}")
 
 
-def _walk_dag(e: Expr, step: Callable[[Expr, Callable[[Expr], Expr]], Expr]) -> Expr:
+_T = TypeVar("_T")
+
+
+def _walk_dag(e: Expr, step: Callable[[Expr, Callable[[Expr], _T]], _T]) -> _T:
     """Build a result for each node of e in post-order: step(node, r) builds
     node's result, with r giving the results of its operands.  Nodes are
     value-numbered as in _program (a leaf by itself, any other node by its op
@@ -739,7 +747,7 @@ def _walk_dag(e: Expr, step: Callable[[Expr, Callable[[Expr], Expr]], Expr]) -> 
     so the depth of e does not matter."""
     number: dict[int, int] = {}  # id(node) -> value number
     table: dict = {}  # structural key -> value number
-    done: list[Expr] = []  # value number -> result
+    done: list = []  # value number -> result
     result = lambda a: done[number[id(a)]]
     stack = [e]
     while stack:
@@ -1172,19 +1180,15 @@ class ZeroPolicy:
 
 
 # the routes that decide a zero test
-SYMBOLIC = "symbolic"  # simplification reached the zero constant
-MODULAR = "modular"  # exact evaluation mod a prime (rational fragment)
+MODULAR = "modular"  # exact evaluation mod a prime
 SAMPLED = "sampled"  # float samples against a tolerance
 
 
 @dataclass(frozen=True)
 class ZeroCheck:
-    """Outcome of is_identically_zero: either Zero or a nonzero witness.
-    symbolic means the verdict was decided exactly (route symbolic or
-    modular)."""
+    """Outcome of is_identically_zero: either Zero or a nonzero witness."""
 
     is_zero: bool
-    symbolic: bool = False
     witness_point: dict | None = None
     witness_value: float | None = None
     valid_fraction: float = 1.0
@@ -1193,6 +1197,11 @@ class ZeroCheck:
     sampled_points: tuple = ()
     sampled_values: tuple = ()
     route: str = SAMPLED
+
+    @property
+    def symbolic(self) -> bool:
+        """The verdict was decided exactly (route modular)."""
+        return self.route == MODULAR
 
 
 def _surrogate_node(node: Expr, s: Callable[[Expr], Expr]) -> Expr:
@@ -1236,9 +1245,10 @@ def median(values) -> float:
 
 
 def _modular_verdict(prog: _Program, seed: int) -> bool | None:
-    """Whether the rational program prog computes the zero function, by
-    running it mod _MODULUS at random points: True when _MODULAR_POINTS
-    points all give 0, False at the first nonzero value, None when too many
+    """Whether prog computes the zero function, by running it mod _MODULUS
+    at random points, function applications as opaque atoms: True when
+    _MODULAR_POINTS points all give 0, False at the first nonzero value
+    (which proves prog nonzero only when prog.rational), None when too many
     points hit a zero denominator (or a constant has no inverse mod p)."""
     try:
         consts = [
@@ -1272,28 +1282,28 @@ def is_identically_zero(
 ) -> ZeroCheck:
     """Decide whether e vanishes identically on the box.
 
-    In the rational fragment the modular test is authoritative: e is zero
-    when it evaluates to 0 mod p = 2^61 - 1 at 8 random points (error at
-    most (deg/p)^8), and nonzero otherwise; rel_tol plays no part.  Outside
-    it, or when too many drawn points hit a zero denominator, simplification
-    decides when it reaches the zero constant.  Otherwise uniform samples
-    decide: the function is declared zero when |e| < rel_tol * scale
-    everywhere, with scale the median of an absolute-value surrogate over
-    auxiliary samples.
+    The modular test proves e zero when it evaluates to 0 mod p = 2^61 - 1
+    at 8 random points, each function application an opaque atom (error at
+    most (deg/p)^8, the atoms counted as variables).  In the rational
+    fragment a nonzero value proves e nonzero too, and rel_tol plays no
+    part.  Outside it a nonzero value proves nothing (sin(x)^2 + cos(x)^2 - 1
+    is nonzero mod p), so uniform samples decide, as they do when too many
+    drawn points hit a zero denominator: the function is declared zero when
+    |e| < rel_tol * scale everywhere, with scale the median of an
+    absolute-value surrogate over auxiliary samples.
 
     A nonzero verdict carries a witness: the sample of largest |e| among
     those above their threshold, or among all samples when the modular test
-    found e nonzero but no sample exceeds its threshold.
+    proved e nonzero but no sample exceeds its threshold.
     """
     if policy.samples < 1:
         raise ValueError("samples must be >= 1")
     names = tuple(vars)
     prog = _program(e, names)
-    modular = _modular_verdict(prog, policy.seed) if prog.rational else None
+    modular = _modular_verdict(prog, policy.seed)
     if modular:
-        return ZeroCheck(is_zero=True, symbolic=True, route=MODULAR)
-    if modular is None and _is_const(simplify(e), 0):
-        return ZeroCheck(is_zero=True, symbolic=True, route=SYMBOLIC)
+        return ZeroCheck(is_zero=True, route=MODULAR)
+    exact = modular is False and prog.rational  # proven nonzero
     rng = np.random.default_rng(policy.seed)
     cols = [rng.uniform(lo, hi, size=policy.samples) for lo, hi in box]
     aux_cols = [rng.uniform(lo, hi, size=64) for lo, hi in box]
@@ -1326,10 +1336,9 @@ def is_identically_zero(
     abs_vals = np.abs(values)
     exceed = abs_vals > thresholds
     if not np.any(exceed):
-        if modular is None:
+        if not exact:
             return ZeroCheck(
                 is_zero=True,
-                symbolic=False,
                 valid_fraction=valid_fraction,
                 sampled_points=tuple(points),
                 sampled_values=tuple(values),
@@ -1340,11 +1349,10 @@ def is_identically_zero(
     imax = int(np.argmax(magnitudes))
     return ZeroCheck(
         is_zero=False,
-        symbolic=modular is not None,
         witness_point=points[imax],
         witness_value=float(values[imax]),
         valid_fraction=valid_fraction,
         sampled_points=tuple(points),
         sampled_values=tuple(values),
-        route=SAMPLED if modular is None else MODULAR,
+        route=MODULAR if exact else SAMPLED,
     )

@@ -272,7 +272,7 @@ def fold_verify(
     if abs(fy0) < trans_tol:
         return FoldReport(base=(x0, y0), theta=theta, verdict=DEGENERATE, reason="f_y=0")
 
-    k = kappa(f, policy, raw=True)
+    k = kappa(f, policy)
     if is_identically_zero(k, f.box, f.vars, policy).is_zero:
         return FoldReport(base=(x0, y0), theta=theta, verdict=DEGENERATE, reason="κ=0")
     kap0 = evaluate(k, point)

@@ -377,7 +377,7 @@ def _require_special_bivariate(f: FunctionSpec, policy: ZeroPolicy):
     """The deciding certificate check: kappa (or f_xy) vanishes identically.
     Equivalent to classify(f) != expanding, without the full report."""
     try:
-        k = kappa(f, policy, raw=True)
+        k = kappa(f, policy)
     except AdditiveDegeneracyError:
         return  # f_xy vanishes identically: additively separable, special form
     check = is_identically_zero(k, f.box, f.vars, policy)
@@ -390,7 +390,7 @@ def _require_special_bivariate(f: FunctionSpec, policy: ZeroPolicy):
 
 
 def _require_special_trivariate(f: FunctionSpec, policy: ZeroPolicy):
-    for i, g in enumerate(aux_trivariate(f, raw=True), start=1):
+    for i, g in enumerate(aux_trivariate(f), start=1):
         check = is_identically_zero(g, f.box, f.vars, policy)
         if not check.is_zero:
             raise PreconditionError(

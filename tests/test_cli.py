@@ -53,17 +53,23 @@ def test_classify_parse_error_exit_2(capsys):
     assert "offset 2" in err
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["(" * 1500 + "x*y" + ")" * 1500, " + ".join(["x*y"] * 3000)],
-    ids=["1500-nested-parentheses", "3000-terms"],
-)
+@pytest.mark.parametrize("text", ["(" * 1500 + "x*y" + ")" * 1500], ids=["1500-nested-parentheses"])
 def test_deep_or_large_expression_exit_2(capsys, text):
     code, out, err = run(capsys, "classify", "-f", text, "--vars", "x,y")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_sum_of_3000_terms_is_classified(capsys):
+    # parsed into a 3,000-deep chain of additions; every walk over it is
+    # iterative, so it is classified like any other function
+    text = " + ".join(["x*y"] * 3000)
+    code, doc, _ = run_json(capsys, "classify", "-f", text, "--vars", "x,y", "--no-timestamp")
+    assert code == 0
+    assert doc["report"]["classification"] == "special_form"
+    assert doc["report"]["certificates"]["kappa"]["route"] == "modular"
 
 
 def test_thresholds_trivariate(capsys):
@@ -385,6 +391,34 @@ def test_classify_reports_the_zero_test_route_deterministically(capsys):
     code, doc, _ = run_json(capsys, "classify", "-f", "sin(x) + x*y", "--vars", "x,y",
                             "--box", "0.5,1.5,0.5,1.5", "--no-timestamp")
     assert doc["report"]["certificates"]["kappa"]["route"] == "sampled"
+
+
+@pytest.mark.parametrize(
+    "argv, key, answer",
+    [
+        (["classify", "-f", "(x + y^2)^3"], "classification", "special_form"),
+        (["classify", "-f", "sin(x) + x*y"], "classification", "expanding"),
+        (["recover", "-f", "(x + y^2)^3"], "verdict", "success"),
+        (["recover", "-f", "exp(x + y^2)"], "verdict", "success"),
+        (["fold", "-f", "x^2 + x*y", "--base", "1,1"], "verdict", "fold_verified"),
+        (["fold", "-f", "sin(x) + x*y", "--base", "1,1"], "verdict", "fold_verified"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_no_command_simplifies(capsys, monkeypatch, argv, key, answer):
+    # the zero test decides every certificate, rational or not, without a
+    # normal form
+    import expandlab.degeneracy
+    import expandlab.expr
+
+    def fail(e):
+        raise AssertionError(f"simplify({e!r}) called")
+
+    monkeypatch.setattr(expandlab.expr, "simplify", fail)
+    monkeypatch.setattr(expandlab.degeneracy, "simplify", fail)
+    code, doc, _ = run_json(capsys, *argv, "--box", "0.5,1.5,0.5,1.5", "--no-timestamp")
+    assert code == 0
+    assert doc["report"][key] == answer
 
 
 def test_cli_does_not_import_numpy_ma():

@@ -65,9 +65,9 @@ def test_rho_additively_degenerate():
 
 
 def test_kappa_examples():
-    assert kappa(fs2("x*y")) == const(0)
-    assert kappa(fs2("x^2 + x*y")) == simplify(parse("-2*x^2"))
-    assert kappa(fs2("x + y + x*y")) == const(0)
+    assert simplify(kappa(fs2("x*y"))) == const(0)
+    assert simplify(kappa(fs2("x^2 + x*y"))) == simplify(parse("-2*x^2"))
+    assert simplify(kappa(fs2("x + y + x*y"))) == const(0)
 
 
 def test_kappa_wedge_sign_does_not_change_zero_set():
@@ -84,11 +84,12 @@ def test_kappa_wedge_sign_does_not_change_zero_set():
 
 
 def test_aux_trivariate_product():
-    assert aux_trivariate(fs3("x*y*z", ((1, 2),) * 3)) == (const(0), const(0), const(0))
+    gs = aux_trivariate(fs3("x*y*z", ((1, 2),) * 3))
+    assert tuple(map(simplify, gs)) == (const(0), const(0), const(0))
 
 
 def test_aux_trivariate_sharpness_example():
-    g1, g2, g3 = aux_trivariate(fs3("x*(y + z)"))
+    g1, g2, g3 = map(simplify, aux_trivariate(fs3("x*(y + z)")))
     assert g1 == const(0)
     assert g2 == var("x")
     assert g3 == simplify(parse("-x"))
@@ -97,11 +98,19 @@ def test_aux_trivariate_sharpness_example():
 
 
 def test_aux_trivariate_additive():
-    assert aux_trivariate(fs3("x + y + z")) == (const(0), const(0), const(0))
+    assert tuple(map(simplify, aux_trivariate(fs3("x + y + z")))) == (const(0), const(0), const(0))
+
+
+def test_aux_trivariate_of_an_exponential_vanishes_on_the_modular_route():
+    # the certificates are not simplified; exp(x + y^2 + z^3) is one atom
+    f = fs3("exp(x + y^2 + z^3)")
+    for g in aux_trivariate(f):
+        check = is_identically_zero(g, f.box, f.vars)
+        assert check.is_zero and check.route == "modular"
 
 
 def test_aux_trivariate_symmetric_quadratic():
-    g1, _, _ = aux_trivariate(fs3("x*y + y*z + z*x"))
+    g1 = simplify(aux_trivariate(fs3("x*y + y*z + z*x"))[0])
     assert g1 == simplify(parse("y - z"))
     assert evaluate(g1, {"x": 1, "y": 2, "z": 3}) == -1
 
@@ -506,7 +515,7 @@ def _special_form(rng, names, zero_shift):
     return const(p) * inner + const(a) * (inner - const(s)) ** 5 / 5
 
 
-def test_modular_verdicts_match_simplify_then_sample(monkeypatch):
+def test_modular_verdicts_match_sampling(monkeypatch):
     import expandlab.expr as expr_mod
 
     rng = np.random.default_rng(2024)
@@ -516,7 +525,7 @@ def test_modular_verdicts_match_simplify_then_sample(monkeypatch):
         form = _special_form(rng, names, zero_shift)
         for e, special in ((form, True), (form + perturbation, False)):
             f = FunctionSpec(e, names, ((0.0, 1.0),) * len(names))
-            certs = (kappa(f, raw=True),) if len(names) == 2 else aux_trivariate(f, raw=True)
+            certs = (kappa(f),) if len(names) == 2 else aux_trivariate(f)
             cases.append((f, certs, special))
 
     def verdicts():
@@ -524,8 +533,8 @@ def test_modular_verdicts_match_simplify_then_sample(monkeypatch):
 
     modular = verdicts()
     assert all(check.route == "modular" for checks in modular for check in checks)
-    # with the modular test switched off, is_identically_zero is
-    # simplify-then-sample, the route it took before the modular test
+    # with the modular test switched off, float samples alone decide: an
+    # independent oracle for the exact verdicts
     monkeypatch.setattr(expr_mod, "_modular_verdict", lambda prog, seed: None)
     oracle = verdicts()
     assert [[c.is_zero for c in checks] for checks in modular] == [
@@ -569,6 +578,6 @@ def test_certificates_stay_within_a_constant_multiple_of_f(names, zero_shift):
     f = FunctionSpec(_special_form(np.random.default_rng(5), names, zero_shift), names,
                      ((0.0, 1.0),) * len(names))
     size = len(_program(f.expr, f.vars).code)
-    certs = (kappa(f, raw=True),) if len(names) == 2 else aux_trivariate(f, raw=True)
+    certs = (kappa(f),) if len(names) == 2 else aux_trivariate(f)
     for cert in certs:
         assert len(_program(cert, f.vars).code) <= 8 * size

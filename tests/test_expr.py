@@ -2,7 +2,11 @@
 
 import math
 import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,6 @@ from expandlab.expr import (
     domain_notes,
     evaluate,
     free_vars,
-    in_rational_fragment,
     is_identically_zero,
     median,
     parse,
@@ -733,6 +736,31 @@ def test_surrogate_of_a_deep_non_rational_chain():
     assert got == pytest.approx(s_d, rel=1e-12)
 
 
+def _sin_chain(levels):
+    # e_k = e_(k-1)*x + y*sin(x) from e_1 = y, unlike the chain above: a memo
+    # hit on a structurally equal tree would compare the two recursively
+    x, y = var("x"), var("y")
+    e = y
+    for _ in range(levels - 1):
+        e = e * x + y * Expr("sin", (x,))
+    return e
+
+
+def test_zero_test_of_a_deep_non_rational_chain():
+    # 3,000 levels: the zero test runs no recursive simplification, so the
+    # derivative is found nonzero (by sampling: sin is outside the rational
+    # fragment, where a nonzero residue proves nothing)
+    check = is_identically_zero(differentiate(_sin_chain(3_000), "x"), [(0.5, 1.0)] * 2, ("x", "y"))
+    assert not check.is_zero and check.route == "sampled"
+
+
+def test_deep_non_rational_chain_minus_a_copy_is_a_modular_zero():
+    # the copy is built separately, so no node is shared with the chain; the
+    # sin atoms of equal arguments get equal residues
+    check = is_identically_zero(_sin_chain(3_000) - _sin_chain(3_000), [(0.5, 1.0)] * 2, ("x", "y"))
+    assert check.is_zero and check.route == "modular"
+
+
 # ---------------------------------------------------------------------------
 # The modular route: exact evaluation mod p of the rational fragment
 # ---------------------------------------------------------------------------
@@ -787,14 +815,14 @@ def test_modular_zero_denominator_at_a_drawn_point_redraws():
     assert not nonzero.is_zero and nonzero.route == "modular"
 
 
-def test_modular_redraws_are_bounded_then_simplification_decides():
+def test_modular_redraws_are_bounded_then_sampling_decides():
     # a denominator vanishing at the first 9 of the 16 drawn points leaves
     # fewer than 8 usable points: the modular test gives up
     factors = "*".join(f"(x - {c})" for c in _first_modular_points(9))
     e = parse(f"({factors})/({factors}) - 1")
     assert expr_mod._modular_verdict(expr_mod._program(e, ("x",)), 0) is None
     check = is_identically_zero(e, BOX_X, ("x",))
-    assert check.is_zero and check.route == "symbolic"
+    assert check.is_zero and check.route == "sampled" and not check.symbolic
 
 
 def test_modular_identically_zero_denominator_stays_undeterminable():
@@ -802,32 +830,71 @@ def test_modular_identically_zero_denominator_stays_undeterminable():
         is_identically_zero(parse("1/(x - x)"), BOX_X, ("x",))
 
 
-@pytest.mark.parametrize(
-    "text, zero, route",
-    [
-        ("sin(x) - sin(x)", True, "symbolic"),
-        ("exp(x) - 1 - x", False, "sampled"),
-        ("sqrt(x)^2 - x", True, "sampled"),
-        ("x^(1/2)*x^(1/2) - x", True, "sampled"),
-        ("x^(3/2) + x", False, "sampled"),
-    ],
-)
+# Outside the rational fragment every function application (and a general
+# power) is an opaque atom mod p.
+BOX_XY = [(0.5, 1.5), (0.5, 1.5)]
+OUTSIDE_THE_FRAGMENT = [
+    # proven zero: equal arguments, structurally or rationally, give equal
+    # atoms; simplify computes no GCDs and misses the third
+    ("sin(x) - sin(x)", True, "modular"),
+    ("sin(x + y) - sin(y + x)", True, "modular"),
+    ("sin((x^2 - 1)/(x - 1)) - sin(x + 1)", True, "modular"),
+    # zero only through an identity of the functions themselves: the atoms
+    # know none, so the residue is nonzero and proves nothing
+    ("sqrt(x)^2 - x", True, "sampled"),
+    ("x^(1/2)*x^(1/2) - x", True, "sampled"),
+    ("sin(x)^2 + cos(x)^2 - 1", True, "sampled"),
+    ("exp(x)*exp(y) - exp(x + y)", True, "sampled"),
+    ("x^(1 + 1) - x^2", True, "sampled"),
+    ("exp(0)*x - x", True, "sampled"),
+    # different functions, or different exponents, give different atoms
+    ("sin(x) - cos(x)", False, "sampled"),
+    ("x^(1/2) - x^(1/3)", False, "sampled"),
+    # an atom must not be algebraic in its operands: with sin(a) = a + 5 mod
+    # p this would evaluate to 0 everywhere and be "proven" zero
+    ("sin(x) - x - 5", False, "sampled"),
+    ("exp(x) - 1 - x", False, "sampled"),
+    ("x^(3/2) + x", False, "sampled"),
+]
+
+
+@pytest.mark.parametrize("text, zero, route", OUTSIDE_THE_FRAGMENT)
 def test_outside_the_rational_fragment_the_route_is_unchanged(text, zero, route):
     e = parse(text)
-    assert not in_rational_fragment(e, ("x",))
-    check = is_identically_zero(e, BOX_X, ("x",))
+    assert not expr_mod._program(e, ("x", "y")).rational
+    check = is_identically_zero(e, BOX_XY, ("x", "y"))
     assert check.is_zero == zero
     assert check.route == route
-    assert check.symbolic == (route == "symbolic")
+    assert check.symbolic == (route == "modular")
 
 
 def test_rational_fragment_predicate():
-    assert in_rational_fragment(parse("-(x + 2*y)^3/(x - y)^2 - 1/7"), ("x", "y"))
-    assert in_rational_fragment(var("x") ** const(-2), ("x",))
+    rational = lambda e, names: expr_mod._program(e, names).rational
+    assert rational(parse("-(x + 2*y)^3/(x - y)^2 - 1/7"), ("x", "y"))
+    assert rational(var("x") ** const(-2), ("x",))
     # the parser reads x^-2 as x^(const -2), an integer power
-    assert in_rational_fragment(parse("x^-2"), ("x",))
+    assert rational(parse("x^-2"), ("x",))
     for text in ("x^y", "x^(1/2)", "log(x)", "cos(y)*x"):
-        assert not in_rational_fragment(parse(text), ("x", "y"))
+        assert not rational(parse(text), ("x", "y"))
+
+
+def test_function_atoms_do_not_depend_on_the_hash_seed():
+    code = (
+        "from expandlab.expr import _MODP, _OPCODES, is_identically_zero, parse\n"
+        "print(_MODP[_OPCODES.index('sin')](7), _MODP[_OPCODES.index('pow')](7, 3))\n"
+        f"for text, _, _ in {OUTSIDE_THE_FRAGMENT!r}:\n"
+        f"    check = is_identically_zero(parse(text), {BOX_XY!r}, ('x', 'y'))\n"
+        "    print(check.is_zero, check.route)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONHASHSEED": "12345",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    sin, power = (expr_mod._MODP[expr_mod._OPCODES.index(op)] for op in ("sin", "pow"))
+    assert proc.stdout.splitlines() == [
+        f"{sin(7)} {power(7, 3)}", *(f"{zero} {route}" for _, zero, route in OUTSIDE_THE_FRAGMENT)
+    ]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 65])
