@@ -431,69 +431,55 @@ def build_parser() -> argparse.ArgumentParser:
     return _build_parsers()[0]
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
-    """The top-level parser and each subcommand's parser by name."""
-    parser = argparse.ArgumentParser(
-        prog="expandlab",
-        description="Degeneracy certificates, thresholds, fold verification, "
-        "special-form recovery, and dimension-expansion experiments.",
-    )
-    parser.add_argument("--version", action="version", version=f"expandlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    commands: dict[str, _CommandParser] = {}
-
-    def add_command(name, **kw):
-        sp = commands[name] = sub.add_parser(name, **kw)
-        return sp
-
-    def common(p, function=True):
-        if function:
-            p.add_argument("-f", "--function", required=True, help="expression text")
-            p.add_argument(
-                "--vars",
-                help="comma-separated variable names (default: free variables, sorted)",
-            )
-            p.add_argument(
-                "--box",
-                help="lo,hi per variable, comma-separated (default: 0,1 per variable)",
-            )
-        p.add_argument("--config", help="JSON config file; CLI flags override its fields")
-        p.add_argument("--out", help="write the JSON document to a file instead of stdout")
-        p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=64, help="zero-test sample count")
+def _common(p, function=True):
+    if function:
+        p.add_argument("-f", "--function", required=True, help="expression text")
         p.add_argument(
-            "--rel-tol", type=_finite_float, default=1e-9, help="zero-test relative tolerance"
+            "--vars",
+            help="comma-separated variable names (default: free variables, sorted)",
         )
+        p.add_argument(
+            "--box",
+            help="lo,hi per variable, comma-separated (default: 0,1 per variable)",
+        )
+    p.add_argument("--config", help="JSON config file; CLI flags override its fields")
+    p.add_argument("--out", help="write the JSON document to a file instead of stdout")
+    p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=64, help="zero-test sample count")
+    p.add_argument(
+        "--rel-tol", type=_finite_float, default=1e-9, help="zero-test relative tolerance"
+    )
 
-    p = add_command("classify", help="special-form / expanding classification")
-    common(p)
+
+def _classify_options(p):
+    _common(p)
     p.add_argument("--thresholds", choices=THEOREMS, help="append this theorem's thresholds")
     p.add_argument("--param", action="append", help="theorem parameter name=value")
-    p.set_defaults(func=cmd_classify)
 
-    p = add_command("thresholds", help="exact dimensional thresholds")
-    common(p, function=False)
+
+def _thresholds_options(p):
+    _common(p, function=False)
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--param", action="append", help="theorem parameter name=value")
-    p.set_defaults(func=cmd_thresholds)
 
-    p = add_command("recover", help="recover a special-form decomposition")
-    common(p)
+
+def _recover_options(p):
+    _common(p)
     p.add_argument("--base", help="base point coordinates, comma-separated (default: box center)")
     p.add_argument("--grid-n", type=int, default=257)
     p.add_argument("--residual-tol", type=_finite_float, default=1e-6)
     p.add_argument("--out-dir", help="export recovered components as CSV into this directory")
-    p.set_defaults(func=cmd_recover)
 
-    p = add_command("fold", help="verify the fold certificate at a base point")
-    common(p)
+
+def _fold_options(p):
+    _common(p)
     p.add_argument("--base", required=True, help="base point x,y")
     p.add_argument("--theta", type=_finite_float, default=1.0)
-    p.set_defaults(func=cmd_fold)
 
-    p = add_command("expand", help="dimension-expansion experiment")
-    common(p)
+
+def _expand_options(p):
+    _common(p)
     p.add_argument(
         "--inputs",
         "--cantor",
@@ -515,38 +501,93 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]
         action="store_true",
         help="run the classifier and attach its report (warns when inputs leave the witness box)",
     )
-    p.set_defaults(func=cmd_expand)
 
-    p = add_command("surface-distance", help="tangency certificate for distance-to-hypersurface")
-    common(p, function=False)
+
+def _surface_distance_options(p):
+    _common(p, function=False)
     p.add_argument("--psi", required=True, help="semicolon-separated surface components")
     p.add_argument("--uvars", required=True, help="comma-separated parameter names")
     p.add_argument("--x", required=True, help="ambient point coordinates")
     p.add_argument("--u", required=True, help="surface parameter coordinates")
     p.add_argument("--tol", type=_finite_float, default=1e-9)
-    p.set_defaults(func=cmd_surface_distance)
 
-    p = add_command("verify-recovery", help="replay a recovery from exported components")
-    common(p)
+
+def _verify_recovery_options(p):
+    _common(p)
     p.add_argument("--components", required=True, help="directory of component CSV files")
     p.add_argument("--verify-n", type=int, default=50)
     p.add_argument("--residual-tol", type=_finite_float, default=1e-6)
-    p.set_defaults(func=cmd_verify_recovery)
 
-    p = add_command("gen-fractal", help="generate a point set and write it as binary")
-    common(p, function=False)
+
+def _gen_fractal_options(p):
+    _common(p, function=False)
     p.add_argument("--spec", required=True, help="b4d01:12 or m2r1/3:14")
     p.add_argument("--budget", type=int, default=1 << 24)
     p.add_argument("out_file", help="output path")
-    p.set_defaults(func=cmd_gen_fractal)
 
+
+# name -> (help, handler, options), in the order of the top-level help
+_COMMANDS = {
+    "classify": ("special-form / expanding classification", cmd_classify, _classify_options),
+    "thresholds": ("exact dimensional thresholds", cmd_thresholds, _thresholds_options),
+    "recover": ("recover a special-form decomposition", cmd_recover, _recover_options),
+    "fold": ("verify the fold certificate at a base point", cmd_fold, _fold_options),
+    "expand": ("dimension-expansion experiment", cmd_expand, _expand_options),
+    "surface-distance": (
+        "tangency certificate for distance-to-hypersurface",
+        cmd_surface_distance,
+        _surface_distance_options,
+    ),
+    "verify-recovery": (
+        "replay a recovery from exported components",
+        cmd_verify_recovery,
+        _verify_recovery_options,
+    ),
+    "gen-fractal": (
+        "generate a point set and write it as binary",
+        cmd_gen_fractal,
+        _gen_fractal_options,
+    ),
+}
+
+
+def _build_parsers(
+    only: str | None = None,
+) -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
+    """The top-level parser and each subcommand's parser by name; with only,
+    the top level carries that one subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="expandlab",
+        description="Degeneracy certificates, thresholds, fold verification, "
+        "special-form recovery, and dimension-expansion experiments.",
+    )
+    parser.add_argument("--version", action="version", version=f"expandlab {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    commands: dict[str, _CommandParser] = {}
+    for name, (summary, handler, options) in _COMMANDS.items():
+        if only in (None, name):
+            p = commands[name] = sub.add_parser(name, help=summary)
+            options(p)
+            p.set_defaults(func=handler)
     return parser, commands
 
 
+def _parse(argv: list[str]):
+    """Parse argv with a parser that builds only the invoked command's
+    options, named by the first argument.  Top-level help, --version, a
+    missing or unknown command and any unrecognized argument go to the full
+    parser, so help, usage and error text are the same as with it."""
+    parser, commands = _build_parsers(argv[0] if argv and argv[0] in _COMMANDS else None)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        _build_parsers()[0].parse_args(argv)  # exits with the full parser's usage error
+    return parser, commands, args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = _build_parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        parser, commands, args = _parse(argv)
         config = _load_config(getattr(args, "config", None))
         if config:
             args = _apply_config(parser, commands[args.command], argv, config)

@@ -131,13 +131,19 @@ def kappa(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy(), wedge_sign: int = 
     Only the zero set matters for classification; wedge_sign flips the
     orientation and must not change any decision."""
     _require_arity(f, 2)
-    x, y = f.vars
     fx, fy = f.partial(0), f.partial(1)
-    fxy = differentiate(fx, y)
+    fxy = differentiate(fx, f.vars[1])
     if is_identically_zero(fxy, f.box, f.vars, policy).is_zero:
         raise AdditiveDegeneracyError(
             "mixed partial f_xy vanishes identically on the box (additively separable)"
         )
+    return _kappa(f, fx, fy, fxy, wedge_sign)
+
+
+def _kappa(f: FunctionSpec, fx: Expr, fy: Expr, fxy: Expr, wedge_sign: int) -> Expr:
+    """kappa from f's partials f_x, f_y and f_xy, with no zero test of f_xy
+    (the caller has decided it)."""
+    x, y = f.vars
     fxx = differentiate(fx, x)
     fyy = differentiate(fy, y)
     fxxy = differentiate(fxy, x)
@@ -574,7 +580,7 @@ def _classify_bivariate(f: FunctionSpec, policy: ZeroPolicy, wedge_sign: int) ->
                 witness_certificate=name,
                 notes=notes + (f"{name} vanishes identically on the box",),
             )
-    k = kappa(f, policy, wedge_sign)
+    k = _kappa(f, fx, fy, fxy, wedge_sign)  # f_xy is decided nonzero above
     certs["kappa"] = _certificate("kappa", k, f, policy)
     kc = certs["kappa"]
     if kc.status == UNDEFINED or kc.valid_fraction < 0.5:

@@ -8,12 +8,13 @@ is a normal-form utility only: no decision calls it.
 
 One evaluator serves every entry point: an expression is compiled once into
 a straight-line program over its DAG, run with a scalar op table (`evaluate`,
-`compile_scalar`: DomainError off the domain), a numpy one (`compile_batch`)
-or one over the integers mod a prime, where each function application is an
-opaque pseudo-random atom.  The last is the one exact zero test (see
-`is_identically_zero`): all zero at random points proves e zero; a nonzero
-value proves e nonzero only in the rational fragment (`+ - * /`, negation,
-integer powers), and float samples decide the rest.
+`compile_scalar`: DomainError off the domain), a numpy one (`compile_batch`),
+one over the integers mod a prime, where each function application is an
+opaque pseudo-random atom, or the numpy one paired with an absolute-value
+scale.  The last two make the zero test (see `is_identically_zero`): all zero
+at random points mod p proves e zero; a nonzero value proves e nonzero only
+in the rational fragment (`+ - * /`, negation, integer powers), and float
+samples, judged against the paired scale, decide the rest.
 """
 
 from __future__ import annotations
@@ -105,12 +106,13 @@ class _NonCanonical(Exception):
     denominator or size caps exceeded)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expr:
     """Immutable expression node.
 
     op is one of: 'const', 'var', the unary ops, or the binary ops.  Constants
-    carry an exact Fraction payload; variables carry a name.
+    carry an exact Fraction payload; variables carry a name.  Equality is
+    structural.
     """
 
     op: str
@@ -158,6 +160,26 @@ class Expr:
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        # an explicit stack instead of recursion, so a memo hit on an equal
+        # but separately built deep tree cannot exhaust the stack; a pair of
+        # nodes met twice (a shared subtree) is compared once
+        if self is other:
+            return True
+        if type(other) is not Expr:
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if (a._hash != b._hash or a.op != b.op or a.value != b.value or a.name != b.name
+                    or len(a.args) != len(b.args)):
+                return False
+            seen.add((id(a), id(b)))
+            stack.extend(zip(a.args, b.args))
+        return True
 
 
 def const(c) -> Expr:
@@ -456,16 +478,61 @@ def _nan_unless_finite(out, *operands):
 # ... numpy gives non-finite entries instead.  An op that would turn a
 # non-finite operand into a finite entry (x/inf, exp(-inf), nan^0, 2^-inf)
 # gives NaN there, so a point outside the domain stays non-finite to the end.
+def _batch_div(a, b):
+    return _nan_unless_finite(np.true_divide(a, b), b)
+
+
+def _batch_pow(a, b):
+    return _nan_unless_finite(np.power(np.asarray(a, dtype=np.float64), b), a, b)
+
+
+def _batch_powi(a, k: int):
+    if k > 0:
+        return np.power(a, k, dtype=np.float64)
+    return _nan_unless_finite(np.power(a, k, dtype=np.float64), a)
+
+
+_BATCH_FUNCS = (np.sin, np.cos, lambda a: _nan_unless_finite(np.exp(a), a), np.log, np.sqrt)
 _BATCH = (
-    operator.add, operator.sub, operator.mul,
-    lambda a, b: _nan_unless_finite(np.true_divide(a, b), b),
-    lambda a, b: _nan_unless_finite(np.power(np.asarray(a, dtype=np.float64), b), a, b),
-    lambda a, k: (np.power(a, k, dtype=np.float64) if k > 0
-                  else _nan_unless_finite(np.power(a, k, dtype=np.float64), a)),
-    np.negative, np.sin, np.cos,
-    lambda a: _nan_unless_finite(np.exp(a), a),
-    np.log, np.sqrt,
+    operator.add, operator.sub, operator.mul, _batch_div, _batch_pow, _batch_powi,
+    np.negative, *_BATCH_FUNCS,
 )
+
+
+# Paired with an absolute-value scale for the zero test: a register holds
+# (value, scale), the value as _BATCH computes it and the scale the matching
+# sum of |monomial-like subterms| of the expression as written, with |u|
+# taken as sqrt(u^2).  A variable or function value u scales by |u|, a
+# constant by its absolute value, a sum or difference by the sum of the
+# scales, a product, quotient or integer power by the same op on the scales,
+# a negation by its operand's scale, and a general power by its own value
+# (positive where defined).  Every scale is the same float computation, bit
+# for bit, as evaluating the surrogate expression those rules spell.
+def _scaled(v):
+    return v, np.sqrt(_batch_powi(v, 2))
+
+
+def _paired_powi(a, k: int):
+    scale = _batch_powi(a[1], k) if k >= 0 else _batch_div(1.0, _batch_powi(a[1], -k))
+    return _batch_powi(a[0], k), scale
+
+
+def _paired_pow(a, b):
+    v = _batch_pow(a[0], b[0])
+    return v, v
+
+
+_PAIRED = (
+    lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    lambda a, b: (a[0] - b[0], a[1] + b[1]),
+    lambda a, b: (a[0] * b[0], a[1] * b[1]),
+    lambda a, b: (_batch_div(a[0], b[0]), _batch_div(a[1], b[1])),
+    _paired_pow,
+    _paired_powi,
+    lambda a: (np.negative(a[0]), a[1]),
+    *(lambda a, fn=fn: _scaled(fn(a[0])) for fn in _BATCH_FUNCS),
+)
+
 
 def _opaque(op: str) -> Callable[..., int]:
     """op as an uninterpreted function mod _MODULUS: a pseudo-random value of
@@ -619,14 +686,27 @@ def compile_batch(e: Expr, var_order: tuple[str, ...]) -> Callable[..., np.ndarr
 
     def run(*arrays: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
-            out = np.asarray(_execute(prog, _BATCH, list(arrays)), dtype=np.float64)
-        if arrays:
-            shape = np.broadcast(*(np.asarray(a) for a in arrays)).shape
-            if out.shape != shape:
-                out = np.broadcast_to(out, shape).copy()
-        return out
+            return _batch_result(_execute(prog, _BATCH, list(arrays)), arrays)
 
     return run
+
+
+def _batch_result(out, arrays) -> np.ndarray:
+    """out as a float64 array of the inputs' broadcast shape."""
+    out = np.asarray(out, dtype=np.float64)
+    if arrays:
+        shape = np.broadcast(*(np.asarray(a) for a in arrays)).shape
+        if out.shape != shape:
+            out = np.broadcast_to(out, shape).copy()
+    return out
+
+
+def _paired_batch(prog: _Program, arrays) -> tuple[np.ndarray, np.ndarray]:
+    """prog's values and absolute-value scales over arrays (see _PAIRED)."""
+    consts = [(c, abs(c)) if isinstance(c, float) else c for c in prog.consts]
+    with np.errstate(all="ignore"):
+        value, scale = _execute(prog, _PAIRED, [_scaled(a) for a in arrays], consts=consts)
+        return _batch_result(value, arrays), _batch_result(scale, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -1204,35 +1284,6 @@ class ZeroCheck:
         return self.route == MODULAR
 
 
-def _surrogate_node(node: Expr, s: Callable[[Expr], Expr]) -> Expr:
-    """node's surrogate, with s giving the surrogates of its operands."""
-    op = node.op
-    if op == "const":
-        return const(abs(node.value))
-    if op == "neg":
-        return s(node.args[0])
-    if op in ("add", "sub", "mul", "div"):
-        return Expr("add" if op == "sub" else op, tuple(s(a) for a in node.args))
-    if op == "pow":
-        p = node.args[1]
-        if not (p.op == "const" and p.value.denominator == 1):
-            return node  # general power: positive where defined
-        k = p.value.numerator
-        power = Expr("pow", (s(node.args[0]), const(abs(k))))
-        return power if k >= 0 else Expr("div", (_ONE, power))
-    # a variable, or a function application with its original argument
-    return Expr("sqrt", (Expr("pow", (node, const(2))),))
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _surrogate_expr(e: Expr) -> Expr:
-    """Absolute-value surrogate: sums of |monomial-like subterms| of the
-    unsimplified expression; the scale against which 'zero' is judged.
-    Absolute values are encoded as sqrt(u^2) to stay in the grammar.  One
-    walk over e's DAG builds it, so the depth of e does not matter."""
-    return _walk_dag(e, _surrogate_node)
-
-
 def median(values) -> float:
     """np.median of a 1-D array, bit for bit (NaN if any entry is NaN),
     without np.median's lazy import of numpy.ma."""
@@ -1289,8 +1340,12 @@ def is_identically_zero(
     part.  Outside it a nonzero value proves nothing (sin(x)^2 + cos(x)^2 - 1
     is nonzero mod p), so uniform samples decide, as they do when too many
     drawn points hit a zero denominator: the function is declared zero when
-    |e| < rel_tol * scale everywhere, with scale the median of an
-    absolute-value surrogate over auxiliary samples.
+    |e| < rel_tol * max(local scale, scale) at every valid sample.  The
+    scales come from e's own program run with each register paired with an
+    absolute-value scale (see _PAIRED): the sum of |monomial-like subterms|
+    of e as written, at the sample itself (local) and as a median over 64
+    auxiliary samples (scale).  One paired pass over the samples and one
+    over the auxiliary samples give every value and scale.
 
     A nonzero verdict carries a witness: the sample of largest |e| among
     those above their threshold, or among all samples when the modular test
@@ -1308,10 +1363,7 @@ def is_identically_zero(
     cols = [rng.uniform(lo, hi, size=policy.samples) for lo, hi in box]
     aux_cols = [rng.uniform(lo, hi, size=64) for lo, hi in box]
 
-    fn = compile_batch(e, names)
-    surr_fn = compile_batch(_surrogate_expr(e), names)
-    raw_vals = np.atleast_1d(fn(*cols))
-    raw_surr = np.atleast_1d(surr_fn(*cols))
+    raw_vals, raw_surr = map(np.atleast_1d, _paired_batch(prog, cols))
     ok = np.isfinite(raw_vals)
     if not np.any(ok):
         raise UndeterminableOnBox(f"all {policy.samples} samples hit domain errors for `{to_string(e)}`")
@@ -1325,7 +1377,7 @@ def is_identically_zero(
         float(raw_surr[i]) if np.isfinite(raw_surr[i]) else 0.0 for i in idx
     ]
 
-    aux_surr = np.atleast_1d(surr_fn(*aux_cols))
+    aux_surr = np.atleast_1d(_paired_batch(prog, aux_cols)[1])
     aux_ok = aux_surr[np.isfinite(aux_surr)]
     scale = median(aux_ok) if aux_ok.size else 0.0
 

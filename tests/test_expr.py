@@ -605,7 +605,7 @@ def test_expr_memos_are_bounded():
 
     memos = [f for f in vars(expr_module).values() if hasattr(f, "cache_info")]
     assert {f.__name__ for f in memos} >= {
-        "_canonical_or_none", "simplify", "differentiate", "_expr_key", "_surrogate_expr"
+        "_canonical_or_none", "simplify", "differentiate", "_expr_key", "_program"
     }
     for f in memos:
         assert f.cache_info().maxsize is not None, f.__name__
@@ -694,13 +694,32 @@ def _recursive_surrogate(e):
 
 
 def test_surrogate_matches_the_tree_recursion():
+    # the zero test's paired program gives e's batch values and, bit for bit,
+    # the values of the surrogate expression the tree recursion builds; the
+    # second box puts samples outside the domain of the last four
     rng = np.random.default_rng(5)
     exprs = [_random_expr(rng) for _ in range(100)]
-    exprs += [parse(t) for t in ("x^-2 - y^(1/2)/x", "-(x*y)^3/sin(x - 1/3)", "x^y + log(x)")]
+    exprs += [parse(t) for t in (
+        "x^-2 - y^(1/2)/x", "-(x*y)^3/sin(x - 1/3)", "x^y + log(x)",
+        "sqrt(x - y)*log(y)/(x - y)", "x^0 + (x - y)^-3", "exp(1/x) - 2", "x^(-(2))*cos(y)",
+    )]
+    names = ("x", "y")
+    non_finite = 0
     for e in exprs:
-        # derivatives share e's subexpressions, so the walk meets each twice
+        # derivatives share e's subexpressions, so the program meets each twice
         for target in (e, differentiate(e, "x")):
-            assert expr_mod._surrogate_expr(target) == _recursive_surrogate(target), to_string(e)
+            prog = expr_mod._program(target, names)
+            oracle = compile_batch(_recursive_surrogate(target), names)
+            for box in (((0.25, 1.75),) * 2, ((-1.0, 1.0),) * 2):
+                for n in (1, 7, 64):
+                    draw = np.random.default_rng(n)
+                    cols = [draw.uniform(lo, hi, size=n) for lo, hi in box]
+                    value, scale = expr_mod._paired_batch(prog, cols)
+                    want = oracle(*cols)
+                    assert value.tobytes() == compile_batch(target, names)(*cols).tobytes()
+                    assert scale.tobytes() == want.tobytes(), (to_string(target), box, n)
+                    non_finite += int(np.count_nonzero(~np.isfinite(want)))
+    assert non_finite > 0
 
 
 def test_zero_test_of_a_deep_rational_chain():
@@ -727,18 +746,34 @@ def test_surrogate_of_a_deep_non_rational_chain():
     e = x
     for _ in range(2_999):
         e = e * x + y * Expr("sin", (x,))
-    surrogate = expr_mod._surrogate_expr(differentiate(e, "x"))
+    prog = expr_mod._program(differentiate(e, "x"), ("x", "y"))
     xv, yv = -0.5, -0.75
     s_e, s_d = abs(xv), 1.0
     for _ in range(2_999):
         s_e, s_d = s_e * abs(xv) + abs(yv) * abs(math.sin(xv)), s_d * abs(xv) + s_e + abs(yv) * abs(math.cos(xv))
-    got = compile_batch(surrogate, ("x", "y"))(np.array([xv]), np.array([yv]))[0]
+    got = expr_mod._paired_batch(prog, [np.array([xv]), np.array([yv])])[1][0]
     assert got == pytest.approx(s_d, rel=1e-12)
 
 
+def test_equal_deep_trees_compare_without_recursion():
+    # two separately built 3,000-deep chains: the second differentiate call
+    # is a memo hit, which compares the two trees node by node
+    def chain(start):
+        x, y = var("x"), var("y")
+        e = start
+        for _ in range(2_999):
+            e = e * x + y * Expr("sin", (x,))
+        return e
+
+    a, b = chain(var("x")), chain(var("x"))
+    assert a is not b and a == b and not a != b
+    da = differentiate(a, "x")
+    assert differentiate(b, "x") is da
+    assert a != chain(var("y")) and a != var("x") and a != "x"
+
+
 def _sin_chain(levels):
-    # e_k = e_(k-1)*x + y*sin(x) from e_1 = y, unlike the chain above: a memo
-    # hit on a structurally equal tree would compare the two recursively
+    # e_k = e_(k-1)*x + y*sin(x) from e_1 = y
     x, y = var("x"), var("y")
     e = y
     for _ in range(levels - 1):
