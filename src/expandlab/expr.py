@@ -1,7 +1,10 @@
-"""Expression trees: parsing, exact differentiation, simplification, evaluation.
+"""Expression DAGs: parsing, exact differentiation, simplification, evaluation.
 
-Expressions are immutable trees over named real variables with exact rational
-constants.  Simplification normalizes to a rational normal form (polynomial
+Expressions are immutable DAGs over named real variables with exact rational
+constants.  Nodes are hash-consed: building a node equal to a live node
+returns that node, so structural equality is identity, decided once when a
+node is built, and the walks visit each distinct subexpression once.
+Simplification normalizes to a rational normal form (polynomial
 numerator/denominator over "atoms": variables and irreducible function
 applications) with Fraction coefficients; the rewrite system is bounded.  It
 is a normal-form utility only: no decision calls it.
@@ -22,6 +25,8 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -106,19 +111,41 @@ class _NonCanonical(Exception):
     denominator or size caps exceeded)."""
 
 
-@dataclass(frozen=True, eq=False)
+# The live nodes, by op, payload and operand identities.  An operand's id
+# stays valid while the node lives, because the node holds its operands.
+# Nodes are built on one thread only: dimlab's worker threads only evaluate
+# compiled programs.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class Expr:
-    """Immutable expression node.
+    """Immutable, hash-consed expression node.
 
     op is one of: 'const', 'var', the unary ops, or the binary ops.  Constants
-    carry an exact Fraction payload; variables carry a name.  Equality is
-    structural.
+    carry an exact Fraction payload; variables carry a name.  Building a node
+    equal to a live one returns the live one, so an expression is a DAG in
+    which structurally equal subexpressions are one object, and equality and
+    hashing are by identity.
     """
 
-    op: str
-    args: tuple["Expr", ...] = ()
-    value: Fraction | None = None
-    name: str | None = None
+    __slots__ = ("op", "args", "value", "name", "__weakref__")
+
+    def __new__(cls, op: str, args: tuple = (), value: Fraction | None = None, name: str | None = None):
+        key = (op, value, name, *map(id, args))
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            _set_op(node, op)
+            _set_args(node, args)
+            _set_value(node, value)
+            _set_name(node, name)
+            _INTERNED[key] = node
+        return node
+
+    def __setattr__(self, *_):
+        raise AttributeError("Expr nodes are immutable")
+
+    __delattr__ = __setattr__
 
     def __add__(self, other):
         return Expr("add", (self, _wrap(other)))
@@ -153,33 +180,9 @@ class Expr:
     def __repr__(self):
         return f"Expr({to_string(self)!r})"
 
-    def __post_init__(self):
-        # computed once from the children's cached hashes, so hashing never
-        # recurses, however deep the tree; the memo tables hash heavily
-        object.__setattr__(self, "_hash", hash((self.op, self.args, self.value, self.name)))
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        # an explicit stack instead of recursion, so a memo hit on an equal
-        # but separately built deep tree cannot exhaust the stack; a pair of
-        # nodes met twice (a shared subtree) is compared once
-        if self is other:
-            return True
-        if type(other) is not Expr:
-            return NotImplemented
-        stack, seen = [(self, other)], set()
-        while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            if (a._hash != b._hash or a.op != b.op or a.value != b.value or a.name != b.name
-                    or len(a.args) != len(b.args)):
-                return False
-            seen.add((id(a), id(b)))
-            stack.extend(zip(a.args, b.args))
-        return True
+# the slots' own setters, which __new__ calls past Expr.__setattr__
+_set_op, _set_args, _set_value, _set_name = (getattr(Expr, s).__set__ for s in Expr.__slots__[:4])
 
 
 def const(c) -> Expr:
@@ -398,37 +401,60 @@ def _prec(e: Expr) -> int:
     return _PREC[e.op]
 
 
+_SYMBOL = {"add": " + ", "sub": " - ", "mul": "*", "div": "/", "pow": "^"}
+
+
 def to_string(e: Expr) -> str:
-    if e.op == "const":
-        v = e.value
-        if v < 0:
-            return "-" + _frac_str(-v)
-        return _frac_str(v)
-    if e.op == "var":
-        return e.name
-    if e.op == "neg":
-        inner = to_string(e.args[0])
-        if _prec(e.args[0]) < _PREC["neg"]:
-            inner = f"({inner})"
-        return "-" + inner
-    if e.op in CALLABLE_FUNCS:
-        return f"{e.op}({to_string(e.args[0])})"
-    a, b = e.args
-    # render a + (-b) as a - b
-    if e.op == "add" and b.op == "neg":
-        e = Expr("sub", (a, b.args[0]))
-        a, b = e.args
-    sa, sb = to_string(a), to_string(b)
-    p = _PREC[e.op]
-    # left operand: parenthesize strictly lower precedence; pow is
-    # right-associative so an equal-precedence left child needs parens too
-    if _prec(a) < p or (e.op == "pow" and _prec(a) == p):
-        sa = f"({sa})"
-    # right operand of -,/ needs parens at equal precedence
-    if _prec(b) < p or (e.op in ("sub", "div") and _prec(b) == p):
-        sb = f"({sb})"
-    sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/", "pow": "^"}[e.op]
-    return f"{sa}{sym}{sb}"
+    """e as infix text.  One walk over e's DAG gives each node its text as a rope: a string,
+    or a tuple of ropes (its operands' among them).  The rope of a node with
+    more than one parent is flattened to a string there, so a shared
+    subexpression is copied, not walked again, and printing costs the length
+    of the text."""
+    parents: Counter[Expr] = Counter()
+    _walk_dag(e, lambda node, r: parents.update(node.args))
+
+    def step(node: Expr, r: Callable[[Expr], str | tuple]) -> str | tuple:
+        op = node.op
+        if op == "const":
+            v = node.value
+            return "-" + _frac_str(-v) if v < 0 else _frac_str(v)
+        if op == "var":
+            return node.name
+        if op == "neg":
+            a = node.args[0]
+            rope = ("-(", r(a), ")") if _prec(a) < _PREC["neg"] else ("-", r(a))
+        elif op in CALLABLE_FUNCS:
+            rope = (op + "(", r(node.args[0]), ")")
+        else:
+            a, b = node.args
+            # render a + (-b) as a - b
+            if op == "add" and b.op == "neg":
+                op, b = "sub", b.args[0]
+            p = _PREC[op]
+            # left operand: parenthesize strictly lower precedence; pow is
+            # right-associative so an equal-precedence left child needs parens too
+            sa = r(a)
+            if _prec(a) < p or (op == "pow" and _prec(a) == p):
+                sa = ("(", sa, ")")
+            # right operand of -,/ needs parens at equal precedence
+            sb = r(b)
+            if _prec(b) < p or (op in ("sub", "div") and _prec(b) == p):
+                sb = ("(", sb, ")")
+            rope = (sa, _SYMBOL[op], sb)
+        return _flatten(rope) if parents[node] > 1 else rope
+
+    return _flatten(_walk_dag(e, step))
+
+
+def _flatten(rope: str | tuple) -> str:
+    parts, stack = [], [rope]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            parts.append(piece)
+        else:
+            stack.extend(reversed(piece))
+    return "".join(parts)
 
 
 def _frac_str(v: Fraction) -> str:
@@ -579,8 +605,8 @@ class _Program:
 def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
     """Compile e for inputs in var_order (KeyError for a variable outside
     it).  The walk is iterative, so the depth of e does not matter."""
-    number: dict = {}  # structural key -> (value number, node), topologically
-    seen: dict[int, int] = {}  # id(node) -> value number
+    number: dict = {}  # (kind, payload or operand numbers) -> (value number, node), topologically
+    seen: dict[Expr, int] = {}  # node -> value number
     # post-order, left operand first: instructions run in the order a tree
     # walk evaluates them, so the first one to fail is the same
     stack = [e]
@@ -589,7 +615,7 @@ def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
         op, args = node.op, node.args
         if op == "pow" and args[1].op == "const" and args[1].value.denominator == 1:
             op, args = "powi", args[:1]
-        pending = [a for a in reversed(args) if id(a) not in seen]
+        pending = [a for a in reversed(args) if a not in seen]
         if pending:
             stack.extend(pending)
             continue
@@ -598,10 +624,10 @@ def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
             key = (op, node.value if op == "const" else node.name)
         elif op == "powi":
             k = ("int", node.args[1].value.numerator)
-            key = (op, seen[id(args[0])], number.setdefault(k, (len(number), None))[0])
+            key = (op, seen[args[0]], number.setdefault(k, (len(number), None))[0])
         else:
-            key = (op, *(seen[id(a)] for a in args))
-        seen[id(node)] = number.setdefault(key, (len(number), node))[0]
+            key = (op, *(seen[a] for a in args))
+        seen[node] = number.setdefault(key, (len(number), node))[0]
 
     # registers: inputs, constants, then temporaries; a temporary is freed
     # after its last use and taken again by the next instruction
@@ -632,7 +658,7 @@ def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
         b = reg[operands[1]] if len(operands) > 1 else -1
         code.append((_OPCODES.index(kind), reg[n], reg[operands[0]], b, node))
     consts = tuple(float(c) if isinstance(c, Fraction) else c for c in exact)
-    return _Program(var_order, consts, tuple(exact), ntemps, tuple(code), reg[seen[id(e)]])
+    return _Program(var_order, consts, tuple(exact), ntemps, tuple(code), reg[seen[e]])
 
 
 def _execute(prog: _Program, table: tuple, regs: list, point=None, consts=None):
@@ -819,32 +845,25 @@ _T = TypeVar("_T")
 
 
 def _walk_dag(e: Expr, step: Callable[[Expr, Callable[[Expr], _T]], _T]) -> _T:
-    """Build a result for each node of e in post-order: step(node, r) builds
-    node's result, with r giving the results of its operands.  Nodes are
-    value-numbered as in _program (a leaf by itself, any other node by its op
-    and its operands' numbers), so structurally equal nodes share one result
-    and no two trees are ever compared node by node.  The walk is iterative,
-    so the depth of e does not matter."""
-    number: dict[int, int] = {}  # id(node) -> value number
-    table: dict = {}  # structural key -> value number
-    done: list = []  # value number -> result
-    result = lambda a: done[number[id(a)]]
+    """Build a result for each distinct node of e in post-order: step(node, r)
+    builds node's result, with r giving the results of nodes already done (its
+    operands and theirs).  Nodes are hash-consed, so structurally equal
+    subexpressions are one node with one result.  The walk is iterative, so
+    the depth of e does not matter."""
+    done: dict = {}  # node -> result
     stack = [e]
     while stack:
         node = stack[-1]
-        if id(node) in number:
+        if node in done:
             stack.pop()
             continue
-        pending = [a for a in node.args if id(a) not in number]
+        pending = [a for a in node.args if a not in done]
         if pending:
             stack.extend(pending)
             continue
         stack.pop()
-        key = (node.op, *(number[id(a)] for a in node.args)) if node.args else node
-        n = number[id(node)] = table.setdefault(key, len(table))
-        if n == len(done):
-            done.append(step(node, result))
-    return done[number[id(e)]]
+        done[node] = step(node, done.__getitem__)
+    return done[e]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -863,25 +882,26 @@ def differentiate(e: Expr, v: str) -> Expr:
 
 def domain_notes(e: Expr) -> list[str]:
     """Side conditions under which the expression is defined: denominators,
-    log/sqrt arguments, non-integer power bases."""
-    notes: list[str] = []
-
-    def walk(node: Expr):
-        if node.op == "div":
-            notes.append(f"{to_string(node.args[1])} != 0")
-        elif node.op == "log":
-            notes.append(f"{to_string(node.args[0])} > 0")
-        elif node.op == "sqrt":
-            notes.append(f"{to_string(node.args[0])} >= 0")
-        elif node.op == "pow":
-            p = node.args[1]
-            if not (p.op == "const" and p.value.denominator == 1):
-                notes.append(f"{to_string(node.args[0])} > 0")
-        for a in node.args:
-            walk(a)
-
-    walk(e)
-    return list(dict.fromkeys(notes))
+    log/sqrt arguments, non-integer power bases.  Each note is listed once,
+    in the order a pre-order walk of e's tree first meets it.  The walk is
+    iterative and skips a node met before: its subtree adds no new note."""
+    notes: dict[str, None] = {}
+    seen: set[Expr] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        op, args = node.op, node.args
+        if op == "div":
+            notes[f"{to_string(args[1])} != 0"] = None
+        elif op == "log" or (op == "pow" and not (args[1].op == "const" and args[1].value.denominator == 1)):
+            notes[f"{to_string(args[0])} > 0"] = None
+        elif op == "sqrt":
+            notes[f"{to_string(args[0])} >= 0"] = None
+        stack.extend(reversed(args))
+    return list(notes)
 
 
 # ---------------------------------------------------------------------------
@@ -1133,44 +1153,19 @@ def _fallback_simplify(e: Expr) -> Expr:
         return e
     args = tuple(simplify(a) for a in e.args)
     op = e.op
+    # the differentiation constructors make the same local folds
+    if op in ("add", "mul", "div"):
+        return {"add": _add, "mul": _mul, "div": _div}[op](*args)
     if op == "neg":
         (a,) = args
-        if a.op == "const":
-            return const(-a.value)
-        if a.op == "neg":
-            return a.args[0]
-        return Expr("neg", args)
-    if op in ("add", "sub"):
+        return a.args[0] if a.op == "neg" else _neg(a)
+    if op == "sub":
         a, b = args
-        if _is_const(b, 0):
-            return a
+        if a is b:
+            return _ZERO
         if _is_const(a, 0):
-            return b if op == "add" else Expr("neg", (b,))
-        if a == b and op == "sub":
-            return _ZERO
-        if a.op == "const" and b.op == "const":
-            return const(a.value + b.value if op == "add" else a.value - b.value)
-        return Expr(op, args)
-    if op == "mul":
-        a, b = args
-        if _is_const(a, 0) or _is_const(b, 0):
-            return _ZERO
-        if a.op == "const" and a.value == 1:
-            return b
-        if b.op == "const" and b.value == 1:
-            return a
-        if a.op == "const" and b.op == "const":
-            return const(a.value * b.value)
-        return Expr(op, args)
-    if op == "div":
-        a, b = args
-        if _is_const(a, 0) and not _is_const(b, 0):
-            return _ZERO
-        if b.op == "const" and b.value == 1:
-            return a
-        if a.op == "const" and b.op == "const" and b.value != 0:
-            return const(a.value / b.value)
-        return Expr(op, args)
+            return Expr("neg", (b,))
+        return _sub(a, b)
     if op == "pow":
         a, b = args
         if b.op == "const" and b.value == 0:

@@ -259,11 +259,11 @@ def _hash_spec(description: str, interval: tuple[float, float]) -> str:
 # ---------------------------------------------------------------------------
 # Binary export/import: one JSON header line, then the little-endian float64
 # values and, in v2 when the set carries them, the little-endian int64 exact
-# numerators over the header's "exact_den".  v1 files (values only) still load.
+# numerators over the header's "exact_den".  A v1 file holds the floats only,
+# which misplace points on cell boundaries, so it is refused: regenerate it.
 # ---------------------------------------------------------------------------
 
 _MAGIC = "expandlab-pointset-v2"
-_MAGIC_V1 = "expandlab-pointset-v1"
 
 
 def save_points(ps: PointSet1D, path: str | Path):
@@ -289,8 +289,11 @@ def load_points(path: str | Path) -> PointSet1D:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         header = json.loads(header_line.decode("utf-8"))
-        if header.get("format") not in (_MAGIC, _MAGIC_V1):
-            raise ValueError(f"{path} is not a {_MAGIC} or {_MAGIC_V1} file")
+        if header.get("format") == "expandlab-pointset-v1":
+            raise ValueError(f"{path} is a v1 point file (floats only: inexact box counts); "
+                             f"regenerate it with gen-fractal from its spec, {header.get('spec')}")
+        if header.get("format") != _MAGIC:
+            raise ValueError(f"{path} is not a {_MAGIC} file")
         body = fh.read()
     count = header["count"]
     exact_den = header.get("exact_den")

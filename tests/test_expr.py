@@ -756,8 +756,8 @@ def test_surrogate_of_a_deep_non_rational_chain():
 
 
 def test_equal_deep_trees_compare_without_recursion():
-    # two separately built 3,000-deep chains: the second differentiate call
-    # is a memo hit, which compares the two trees node by node
+    # two separately built 3,000-deep chains are one hash-consed node, so the
+    # second differentiate call is a memo hit on that node
     def chain(start):
         x, y = var("x"), var("y")
         e = start
@@ -766,7 +766,7 @@ def test_equal_deep_trees_compare_without_recursion():
         return e
 
     a, b = chain(var("x")), chain(var("x"))
-    assert a is not b and a == b and not a != b
+    assert a is b and a == b and not a != b
     da = differentiate(a, "x")
     assert differentiate(b, "x") is da
     assert a != chain(var("y")) and a != var("x") and a != "x"
@@ -790,10 +790,73 @@ def test_zero_test_of_a_deep_non_rational_chain():
 
 
 def test_deep_non_rational_chain_minus_a_copy_is_a_modular_zero():
-    # the copy is built separately, so no node is shared with the chain; the
-    # sin atoms of equal arguments get equal residues
+    # the copy is built separately but hash-consing makes it the chain itself,
+    # so the difference is one sub node over a shared operand; the sin atoms
+    # of equal arguments get equal residues
     check = is_identically_zero(_sin_chain(3_000) - _sin_chain(3_000), [(0.5, 1.0)] * 2, ("x", "y"))
     assert check.is_zero and check.route == "modular"
+
+
+def test_printing_a_deep_chain_and_its_derivative():
+    # the chain is 3,000 operator-built levels deep; its derivative's text is
+    # quadratic in the depth (67 MB) because every level repeats e_(k-1)
+    e = _sin_chain(3_000)
+    d = differentiate(e, "x")
+    text = to_string(e)
+    assert len(text) == 15 * 3_000 - 16 and text.endswith(")*x + y*sin(x)")
+    assert repr(e) == f"Expr({text!r})"
+    assert domain_notes(e) == []
+    text = to_string(d)
+    assert len(text) == 67_483_493 and text.endswith(")*x + y*sin(x) + y*cos(x)")
+    assert repr(d) == f"Expr({text!r})"
+    del text
+    assert domain_notes(d) == []
+
+
+def test_deep_domain_notes_come_in_tree_pre_order():
+    # e_k = e_(k-1)/(x + k) + log(y + k): a pre-order walk meets the
+    # denominators top down, then the log arguments bottom up
+    e = var("y")
+    for k in range(1, 3_001):
+        e = e / (var("x") + k) + Expr("log", (var("y") + k,))
+    notes = domain_notes(e)
+    assert notes[:3] == ["x + 3000 != 0", "x + 2999 != 0", "x + 2998 != 0"]
+    assert notes[2_999:3_001] == ["x + 1 != 0", "y + 1 > 0"]
+    assert len(notes) == 6_000 and notes[-1] == "y + 3000 > 0"
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing: a node equal to a live node is that node
+# ---------------------------------------------------------------------------
+
+
+def test_equal_nodes_are_one_object():
+    assert parse("x*y + sin(x)") is parse("x*y + sin(x)")
+    assert const(2) is const(Fraction(4, 2))
+    assert var("x") is var("x")
+    assert parse("x + y") is not parse("y + x")
+
+
+def test_nodes_are_immutable():
+    e = parse("x + 1")
+    with pytest.raises(AttributeError):
+        e.op = "sub"
+    with pytest.raises(AttributeError):
+        e.extra = 1
+    with pytest.raises(AttributeError):
+        del e.name
+    assert to_string(e) == "x + 1"
+
+
+def test_intern_table_forgets_dropped_nodes():
+    # memory stays bounded in a long-lived process: 100k distinct nodes that
+    # no memo holds leave the table once they are dropped
+    x = var("x")
+    baseline = len(expr_mod._INTERNED)
+    nodes = [x * var(f"t{k}") for k in range(50_000)]
+    assert len(expr_mod._INTERNED) >= baseline + 100_000
+    del nodes
+    assert len(expr_mod._INTERNED) == baseline
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,11 @@ def test_binary_round_trip_keeps_exact_box_counts(tmp_path):
     assert [n for _, n in box_counts(back, ladder)] == [2**k for k in range(1, 11)]
 
 
-def test_load_reads_v1_files(tmp_path):
+def test_load_rejects_v1_files(tmp_path):
+    # a v1 file holds floats only, whose box counts can be wrong; the CLI
+    # exits 2 on it
+    from expandlab.cli import main
+
     ps = digit_points(4, [0, 1], 6)
     header = {
         "format": "expandlab-pointset-v1",
@@ -149,10 +153,11 @@ def test_load_reads_v1_files(tmp_path):
     }
     path = tmp_path / "points-v1.bin"
     path.write_bytes(json.dumps(header).encode() + b"\n" + ps.values.astype("<f8").tobytes())
-    back = load_points(path)
-    assert np.array_equal(back.values, ps.values)
-    assert not back.has_exact
-    assert back.provenance == ps.provenance
+    with pytest.raises(ValueError, match="gen-fractal"):
+        load_points(path)
+    argv = ["expand", "-f", "x + y", "--vars", "x,y", "--box", "0,1,0,1", "--inputs", f"file:{path}",
+            "--ladder", "2^-2..2^-4", "--theorem", "bivariate-analytic", "--no-timestamp"]
+    assert main(argv) == 2
 
 
 def test_load_rejects_truncated_or_inconsistent_files(tmp_path):
