@@ -7,9 +7,12 @@ into one shared byte map at each cell it hits; since every write stores the
 same value, the map, and the bitset of uint64 words packed from it, is
 bit-identical for any thread count, shard order or block size.  Box counts at
 coarser scales merge cells exactly (delta must be an integer multiple of
-delta_min) by counting runs in the sorted occupied cells, with no sort or
-hash, and the box-counting dimension is the least-squares slope of log N
-against log(1/delta) over a fit window.
+delta_min): one walk over the ladder, finest rung first, builds each rung's
+map of one byte per coarse cell by OR-ing strided slices of the previous
+rung's map, so a ladder whose multiples of delta_min each divide the next
+costs about two passes over the cell map in all, however many rungs it has
+(Liebovitch & Toth, Phys. Lett. A 141, 1989).  The box-counting dimension is
+the least-squares slope of log N against log(1/delta) over a fit window.
 
 Box dimension dominates Hausdorff dimension, so the theorems' lower bounds
 remain valid one-sided predicates for these estimates (up to estimator
@@ -70,9 +73,20 @@ class _Bitset:
     def count(self) -> int:
         return int(np.bitwise_count(self.words).sum())
 
+    def bytemap(self) -> np.ndarray:
+        """One 0/1 byte per bit, nbits bytes."""
+        return np.unpackbits(self.words.view(np.uint8), bitorder="little", count=self.nbits)
+
     def occupied(self) -> np.ndarray:
-        bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")
-        return np.flatnonzero(bits).astype(np.int64)
+        return np.flatnonzero(self.bytemap()).astype(np.int64)
+
+    def last(self) -> int:
+        """Index of the highest set bit, or -1 when no bit is set."""
+        nonzero = np.flatnonzero(self.words)
+        if not nonzero.size:
+            return -1
+        i = int(nonzero[-1])
+        return 64 * i + int(self.words[i]).bit_length() - 1
 
     def equal(self, other: "_Bitset") -> bool:
         return self.nbits == other.nbits and bool(np.array_equal(self.words, other.words))
@@ -104,7 +118,6 @@ class QuantizedSet:
     declared_range: tuple[float, float] | None = None
     widened: bool = False
     out_of_declared_count: int = 0
-    _occupied: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.hi > self.lo:
@@ -117,22 +130,11 @@ class QuantizedSet:
         return self.bits.nbits
 
     def occupied_cells(self) -> np.ndarray:
-        if self._occupied is None:
-            self._occupied = self.bits.occupied()
-        return self._occupied
-
-    def _coarse(self, delta) -> np.ndarray:
-        # occupied_cells() comes from np.flatnonzero, so it is strictly
-        # increasing, and floor division by k > 0 keeps it sorted: equal
-        # coarse cells form runs
-        return self.occupied_cells() // _delta_multiple(delta, self.delta_min)
-
-    def cells_at(self, delta) -> np.ndarray:
-        c = self._coarse(delta)
-        return c[_run_starts(c)]
+        return self.bits.occupied()
 
     def box_count(self, delta) -> int:
-        return int(np.count_nonzero(_run_starts(self._coarse(delta))))
+        k = _delta_multiple(delta, self.delta_min)
+        return _ladder_counts(self.bits, [k])[k]
 
     def bit_identical(self, other: "QuantizedSet") -> bool:
         return (
@@ -149,6 +151,36 @@ def _delta_multiple(delta, delta_min: float) -> int:
     if k < 1 or abs(ratio - k) > 1e-9 * max(ratio, 1.0):
         raise ValueError(f"delta={delta} is not an integer multiple of delta_min={delta_min}")
     return int(k)
+
+
+def _coarsen(m: np.ndarray, r: int) -> np.ndarray:
+    """Map of one 0/1 byte per r consecutive bytes of m (the last group is
+    short when r does not divide m.size): the OR of the r strided slices.
+    m itself when r = 1, so the finest rung costs no copy of the map."""
+    if r == 1:
+        return m
+    out = m[::r].copy()
+    for j in range(1, r):
+        s = m[j::r]
+        out[: s.size] |= s
+    return out
+
+
+def _ladder_counts(bits: _Bitset, ks: Sequence[int]) -> dict[int, int]:
+    """N at every multiple k of delta_min in ks, by one walk in ascending k:
+    a rung whose k is a multiple of the previous rung's is coarsened from
+    that rung's map, any other from the finest map.  The finest map is
+    unpacked again for such a rung rather than kept, so at most one map and
+    its coarsening are alive: 1.5 bytes per cell at the peak."""
+    counts = {}
+    k_prev, m = 1, None
+    for k in sorted(set(ks)):
+        if m is None or k % k_prev:
+            k_prev, m = 1, bits.bytemap()
+        m = _coarsen(m, k // k_prev)
+        counts[k] = int(np.count_nonzero(m))
+        k_prev = k
+    return counts
 
 
 def _tuple_blocks(sets: Sequence[PointSet1D], shard: np.ndarray, block: int):
@@ -180,7 +212,9 @@ def image_quantize(
     the evaluator's temporaries stay in cache, and each tuple is evaluated
     twice.  A first pass resolves the value range: a declared range is
     widened when values fall outside it (with the overflow count reported),
-    never clamped.  The second pass quantizes.  The values are not kept
+    never clamped.  The second pass quantizes: the cell index of a value v
+    is (v - lo) / delta_min truncated to an integer, which is its floor
+    because the scan puts every v in [lo, hi].  The values are not kept
     between the passes because the grid origin is the exact minimum of the
     image, which is known only after the first pass has seen every tuple.
     The occupancy bitset is identical for any thread count and block size."""
@@ -233,8 +267,13 @@ def image_quantize(
         raise BudgetError(f"{ncells} cells exceed the bitset budget of {_MAX_CELLS}")
 
     # one map shared by every shard; a write never reads, and every write
-    # stores 1, so concurrent shards cannot lose a hit
-    hit = np.zeros(_nwords(ncells) * 64, dtype=np.uint8)
+    # stores 1, so concurrent shards cannot lose a hit.  Every value v lies in
+    # [lo, hi], so (v - lo) / delta_min lies in [0, ncells] (rounding is
+    # monotone): it reaches ncells only at v = hi when delta_min divides
+    # hi - lo.  That index lands in a padding byte past the words, which
+    # exists even when 64 divides ncells, and is folded into the last cell.
+    nbytes = _nwords(ncells) * 64
+    hit = np.zeros(nbytes + 1, dtype=np.uint8)
 
     def quantize(shard: np.ndarray):
         for arrays in _tuple_blocks(sets, shard, block):
@@ -245,12 +284,12 @@ def image_quantize(
             aliased = any(np.may_share_memory(vals, a) for a in arrays)
             vals = np.subtract(vals, lo, out=None if aliased else vals)
             np.divide(vals, delta_min, out=vals)
-            np.floor(vals, out=vals)
-            np.clip(vals, 0, ncells - 1, out=vals)
             hit[vals.astype(np.intp)] = 1
 
     _run_sharded(quantize, shards, threads)
-    bits = _Bitset.from_bytemap(hit, ncells)
+    hit[ncells - 1] |= hit[ncells]
+    hit[ncells] = 0
+    bits = _Bitset.from_bytemap(hit[:nbytes], ncells)
     return QuantizedSet(
         lo=lo,
         hi=hi,
@@ -307,17 +346,19 @@ def naive_quantize_cells(
 def box_counts(
     data: QuantizedSet | PointSet1D, deltas: Sequence[float | Fraction]
 ) -> list[tuple[float, int]]:
-    """Exact occupied-cell counts N(delta) for each delta in the ladder."""
-    out = []
+    """Exact occupied-cell counts N(delta) for each delta in the ladder, in
+    the ladder's order."""
     if isinstance(data, QuantizedSet):
-        for d in deltas:
-            out.append((float(d), data.box_count(d)))
-        return out
+        # every delta is checked before any counting
+        ks = [_delta_multiple(d, data.delta_min) for d in deltas]
+        counts = _ladder_counts(data.bits, ks)
+        return [(float(d), counts[k]) for d, k in zip(deltas, ks)]
     if not isinstance(data, PointSet1D):
         raise TypeError("expected a QuantizedSet or PointSet1D")
+    out = []
     lo, hi = data.interval
+    width = Fraction(hi) - Fraction(lo)
     for d in deltas:
-        width = Fraction(hi) - Fraction(lo)
         ncells = max(1, -((-width) // Fraction(d)) if isinstance(d, Fraction) else math.ceil(float(width) / float(d)))
         if isinstance(d, Fraction) and data.has_exact:
             # cell index = floor(num * (hi-lo) / (den * delta)); exact when
@@ -341,12 +382,15 @@ def covered_fraction(q: QuantizedSet, delta) -> float:
     """N(delta)*delta normalized by the value range: the resolution-delta
     stand-in for positive measure of the image.  The final cell is trimmed
     to its intersection with the range, so the fraction stays in (0, 1]."""
+    return _covered_fraction(q, delta, q.box_count(delta))
+
+
+def _covered_fraction(q: QuantizedSet, delta, n: int) -> float:
+    """covered_fraction with N(delta) = n already counted."""
     k = _delta_multiple(delta, q.delta_min)
-    n = q.box_count(delta)
     covered = n * float(delta)
     ncoarse = -(-q.ncells // k)
-    occ = q.occupied_cells()
-    if occ.size and int(occ[-1]) // k == ncoarse - 1:
+    if q.bits.last() // k == ncoarse - 1:
         covered -= max(0.0, ncoarse * float(delta) - (q.hi - q.lo))
     return covered / (q.hi - q.lo)
 
@@ -527,7 +571,9 @@ def expansion_experiment(
     dims = [ps.dimension for ps in inputs]
     bound = report.dim_lower_bound(dims)
     total = sum(Fraction(d).limit_denominator(10**9) for d in dims)
-    covered = tuple((float(d), covered_fraction(q, d)) for d in image_ladder)
+    covered = tuple(
+        (dv, _covered_fraction(q, d, n)) for d, (dv, n) in zip(image_ladder, image_counts)
+    )
     return ExperimentReport(
         function=to_string(f.expr),
         declared_dims=tuple(float(d) for d in dims),

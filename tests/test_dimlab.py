@@ -10,6 +10,7 @@ import pytest
 from expandlab.dimlab import (
     QuantizedSet,
     _Bitset,
+    _coarsen,
     _nwords,
     box_counts,
     covered_fraction,
@@ -100,6 +101,19 @@ def test_shared_scatter_is_thread_invariant_and_matches_naive(f, sets):
     assert qs[0].population == len(naive)
 
 
+@pytest.mark.parametrize("threads", [1, 4])
+def test_image_quantize_folds_the_top_boundary_when_64_divides_ncells(threads):
+    # values {0, 1, 2} on cells of 1/32: 64 cells, one whole word, and the
+    # maximum 2 lies exactly on the top boundary, at index 64
+    A = PointSet1D.from_values([0.0, 1.0])
+    q = image_quantize(F_SUM, [A, A], delta_min=1 / 32, threads=threads)
+    assert q.ncells == 64 and q.bits.words.size == 1
+    naive = naive_quantize_cells(F_SUM, [A, A], q.lo, q.delta_min, q.ncells)
+    assert naive == [0, 32, 63]
+    assert q.occupied_cells().tolist() == naive
+    assert q.population == 3
+
+
 _MT5 = digit_points(3, [0, 2], 5)  # 32 points, 1024 pairs
 _B4 = digit_points(2, [0, 1], 4)  # 16 points, 4096 triples
 _D16 = PointSet1D.from_values([i / 16 for i in range(17)])
@@ -110,7 +124,7 @@ _D16 = PointSet1D.from_values([i / 16 for i in range(17)])
     [
         ("x^2 + x*y", [_MT5, _MT5]),
         # the maximum 2 is 2000 cells of 1e-3 from the minimum 0, so it is
-        # clipped into the last cell, 1999
+        # folded into the last cell, 1999
         ("x + y", [_D16, _D16]),
         # (2.001 - 0)/1e-3 rounds to just below 2001, while 2.001*(1/1e-3)
         # is 2001: the cell index must divide
@@ -217,9 +231,12 @@ def test_box_counts_quantized_monotone_and_multiple_check():
         box_counts(q, [delta_min * 2.5])
 
 
-def _random_quantized(rng, ncells: int, density: float) -> tuple[QuantizedSet, np.ndarray]:
-    occ = np.flatnonzero(rng.random(ncells) < density)
-    occ = np.union1d(occ, [ncells - 1])  # the last cell, so the last coarse cell is trimmed
+def _random_quantized(
+    rng, ncells: int, density: float, empty_top: int = 0
+) -> tuple[QuantizedSet, np.ndarray]:
+    occ = np.flatnonzero(rng.random(ncells - empty_top) < density)
+    if not empty_top:
+        occ = np.union1d(occ, [ncells - 1])  # the last cell, so the last coarse cell is trimmed
     hit = np.zeros(_nwords(ncells) * 64, dtype=np.uint8)
     hit[occ] = 1
     delta_min = 2.0**-10
@@ -237,13 +254,36 @@ def _random_quantized(rng, ncells: int, density: float) -> tuple[QuantizedSet, n
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_box_counts_match_unique_oracle_on_random_sets(seed):
     rng = np.random.default_rng(seed)
-    for ncells, density in ((1, 1.0), (1000, 0.5), (100_003, 0.01), (5_000, 0.002)):
-        q, occ = _random_quantized(rng, ncells, density)
+    # the last case leaves the top 300 cells empty, so for every k below the
+    # last coarse cell is empty and not trimmed
+    for ncells, density, empty_top in (
+        (1, 1.0, 0),
+        (1000, 0.5, 0),
+        (100_003, 0.01, 0),
+        (5_000, 0.002, 0),
+        (5_000, 0.05, 300),
+    ):
+        q, occ = _random_quantized(rng, ncells, density, empty_top)
         assert q.occupied_cells().tolist() == occ.tolist()
+        # one walk over a shuffled ladder with repeats: 6 and 24 are coarsened
+        # from the maps of 3 and 12, the others from the finest map
+        ks = [1, 2, 3, 6, 7, 12, 24, 64, 3**5, 6, 1]
+        rng.shuffle(ks)
+        ladder = [k * q.delta_min for k in ks]
+        assert box_counts(q, ladder) == [
+            (k * q.delta_min, np.unique(occ // k).size) for k in ks
+        ]
+        with pytest.raises(ValueError):
+            box_counts(q, ladder[:3] + [2.5 * q.delta_min] + ladder[3:])
+        finest = q.bits.bytemap()
+        # the coarse cells themselves, from the finest map and along a chain
+        assert np.flatnonzero(_coarsen(_coarsen(finest, 3), 4)).tolist() == (
+            np.unique(occ // 12).tolist()
+        )
         for k in (1, 2, 3, 7, 64, 3**5):
             delta = k * q.delta_min
             cells = np.unique(occ // k)
-            assert q.cells_at(delta).tolist() == cells.tolist()
+            assert np.flatnonzero(_coarsen(finest, k)).tolist() == cells.tolist()
             assert q.box_count(delta) == cells.size
             assert box_counts(q, [delta]) == [(delta, cells.size)]
             ncoarse = -(-ncells // k)
@@ -266,6 +306,31 @@ def test_point_set_box_counts_match_unique_oracle():
         d = Fraction(1, 4**k)
         exact = {min(int(n * 4**k) // mid.exact_den, 4**k - 1) for n in mid.exact_num.tolist()}
         assert box_counts(mid, [d]) == [(float(d), len(exact))]
+
+
+def test_point_set_box_counts_exact_beyond_int64():
+    ps = digit_points(3, [0, 2], 10)
+    # in the first two extra rungs p = 3^35 fits int64 but num * p reaches
+    # 3^45 > 2^63, in the third p = 3^45 itself does not fit; the first and
+    # third merge points, so a wrapped product would change their counts
+    ladder = power_ladder(3, 1, 10) + [
+        Fraction(3**36 + 1, 3**45),
+        Fraction(1, 3**45),
+        Fraction(3**46 + 1, 3**55),
+    ]
+    counts = box_counts(ps, ladder)
+    for d, (_, n) in zip(ladder, counts):
+        ratio = 1 / (ps.exact_den * d)
+        p, q = ratio.numerator, ratio.denominator
+        cells = {min(x * p // q, math.ceil(1 / d) - 1) for x in ps.exact_num.tolist()}
+        assert n == len(cells)
+    assert [n for _, n in counts[:10]] == [2**k for k in range(1, 11)]
+    assert counts[10][1] < len(ps) and counts[12][1] < len(ps)
+    # p = 2^54 and max(num) * p < 2^63, but the rung has 2^64 cells, so its
+    # last cell index does not fit int64 either
+    small = digit_points(4, [0, 1], 5)
+    d = Fraction(1, 2**64)
+    assert box_counts(small, [d]) == [(float(d), 32)]
 
 
 def test_covered_fraction_basics():
