@@ -36,7 +36,7 @@ from .degeneracy import (
 )
 from .dimlab import expansion_experiment
 from .errors import NumericalError, PreconditionError, BudgetError
-from .expr import DomainError, ExprError, FunctionSpec, ParseError, UndeterminableOnBox, parse
+from .expr import DomainError, ExprError, FunctionSpec, UndeterminableOnBox, parse
 from .foldgeom import fold_verify
 from .fractal import CantorSpec, cantor_points, digit_points, load_points, save_points
 from .jsonutil import jsonable
@@ -157,64 +157,39 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser; it keeps its options by destination, so a
-    config value goes through the same conversion as the flag."""
-
-    def __init__(self, *args, **kwargs):
-        self.options: dict[str, argparse.Action] = {}
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.options[action.dest] = action
-        return action
-
-    def config_defaults(self, config: dict) -> dict:
-        """The config values by destination, converted by each option's type
-        from their JSON text and checked against its choices."""
-        out = {}
-        for key, value in config.items():
-            action = self.options.get(key.replace("-", "_"))
-            if action is None or action.dest == "help":
-                raise ValueError(f"config key {key!r} does not match any option")
-            if action.type is not None:
-                text = value if isinstance(value, str) else json.dumps(value)
-                try:
-                    value = action.type(text)
-                except (TypeError, ValueError) as err:
-                    raise ValueError(f"config key {key!r}: {err}") from None
-            if action.choices is not None and value not in action.choices:
-                raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
-            out[action.dest] = value
-        return out
-
-
-def _apply_config(parser: argparse.ArgumentParser, command: _CommandParser, argv, config: dict):
-    """Re-parse with config values as the subcommand's defaults; explicit
-    flags keep priority."""
-    command.set_defaults(**command.config_defaults(config))
-    return parser.parse_args(argv)
+def _apply_config(options: dict[str, argparse.Action], config: dict):
+    """Make each config value its option's default, converted by the
+    option's type from its JSON text and checked against its choices."""
+    for key, value in config.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"config key {key!r} does not match any option")
+        if action.type is not None:
+            text = value if isinstance(value, str) else json.dumps(value)
+            try:
+                value = action.type(text)
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"config key {key!r}: {err}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+        action.default = value
 
 
 def _emit(document: dict, args: argparse.Namespace):
-    if not getattr(args, "no_timestamp", False):
+    if not args.no_timestamp:
         document["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     text = json.dumps(jsonable(document), indent=2, sort_keys=True, allow_nan=False)
-    out = getattr(args, "out", None)
+    out = getattr(args, "out", None)  # a namespace without out prints
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
 
 
-def _echo_config(args: argparse.Namespace, command: str) -> dict:
-    skip = {"out", "func"}
-    options = {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and not k.startswith("_")
-    }
+def _echo_config(args: argparse.Namespace) -> dict:
+    options = {k: v for k, v in sorted(vars(args).items()) if k != "out"}
     return {
-        "command": command,
+        "command": args.command,
         "options": jsonable(options),
         "version": __version__,
         "schema_version": 1,
@@ -236,22 +211,19 @@ def _function_from_args(args) -> FunctionSpec:
 
 
 def _policy(args) -> ZeroPolicy:
-    return ZeroPolicy(
-        samples=getattr(args, "samples", 64),
-        rel_tol=getattr(args, "rel_tol", 1e-9),
-        seed=getattr(args, "seed", 0),
-    )
+    return ZeroPolicy(samples=args.samples, rel_tol=args.rel_tol, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its JSON document, without the config, and its exit
+# code; main adds the config and emits the document.
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[dict, int]:
     f = _function_from_args(args)
     report = classify(f, _policy(args))
-    doc = {"config": _echo_config(args, "classify"), "report": report.to_json_dict()}
+    doc = {"report": report.to_json_dict()}
     if args.thresholds:
         doc["thresholds"] = thresholds(args.thresholds, **_parse_params(args.param)).to_json_dict()
     print(f"classification: {report.classification}", file=sys.stderr)
@@ -261,53 +233,44 @@ def cmd_classify(args) -> int:
             f"at {report.witness_point}",
             file=sys.stderr,
         )
-    _emit(doc, args)
-    return EXIT_INCONCLUSIVE if report.classification == INCONCLUSIVE else EXIT_OK
+    return doc, EXIT_INCONCLUSIVE if report.classification == INCONCLUSIVE else EXIT_OK
 
 
-def cmd_thresholds(args) -> int:
+def cmd_thresholds(args) -> tuple[dict, int]:
     report = thresholds(args.theorem, **_parse_params(args.param))
-    doc = {"config": _echo_config(args, "thresholds"), "report": report.to_json_dict()}
-    _emit(doc, args)
-    return EXIT_OK
+    return {"report": report.to_json_dict()}, EXIT_OK
 
 
-def cmd_recover(args) -> int:
+def cmd_recover(args) -> tuple[dict, int]:
     f = _function_from_args(args)
     base = _parse_point(args.base, f.arity) if args.base else None
     kwargs = dict(base=base, grid_n=args.grid_n, residual_tol=args.residual_tol, policy=_policy(args))
     result = recover_bivariate(f, **kwargs) if f.arity == 2 else recover_trivariate(f, **kwargs)
-    doc = {"config": _echo_config(args, "recover"), "report": result.to_json_dict()}
+    doc = {"report": result.to_json_dict()}
     if args.out_dir:
         _export_components(result.components, args.out_dir, result.to_json_dict())
         doc["components_dir"] = args.out_dir
     print(f"recovery: {result.verdict} (residual {result.residual:.3e})", file=sys.stderr)
-    _emit(doc, args)
-    return EXIT_OK if result.success else EXIT_NUMERICAL
+    return doc, EXIT_OK if result.success else EXIT_NUMERICAL
 
 
-def cmd_fold(args) -> int:
+def cmd_fold(args) -> tuple[dict, int]:
     f = _function_from_args(args)
     base = _parse_point(args.base, 2)
     report = fold_verify(f, base, theta=args.theta, policy=_policy(args), seed=args.seed)
-    doc = {"config": _echo_config(args, "fold"), "report": report.to_json_dict()}
     verdict = report.verdict if report.reason is None else f"{report.verdict} ({report.reason})"
     print(f"fold check at {base}: {verdict}", file=sys.stderr)
-    _emit(doc, args)
-    return EXIT_OK if report.verified else EXIT_INCONCLUSIVE
+    return {"report": report.to_json_dict()}, EXIT_OK if report.verified else EXIT_INCONCLUSIVE
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> tuple[dict, int]:
     f = _function_from_args(args)
     specs = [s for s in args.inputs.split(",") if s.strip()]
     if len(specs) == 1:
         specs = specs * f.arity
     inputs = [_parse_set_spec(s, args.budget) for s in specs]
     ladder = _parse_ladder(args.ladder)
-    value_range = None
-    if args.value_range:
-        lo, hi = _parse_point(args.value_range, 2)
-        value_range = (lo, hi)
+    value_range = _parse_point(args.value_range, 2) if args.value_range else None
     deg = classify(f, _policy(args)) if args.classify_first else None
     report = expansion_experiment(
         f,
@@ -321,7 +284,7 @@ def cmd_expand(args) -> int:
         threads=args.threads,
         degeneracy_report=deg,
     )
-    doc = {"config": _echo_config(args, "expand"), "report": report.to_json_dict()}
+    doc = {"report": report.to_json_dict()}
     if deg is not None:
         doc["classification"] = deg.to_json_dict()
     if args.ladder_csv:
@@ -332,53 +295,42 @@ def cmd_expand(args) -> int:
         f"{float(report.bound):.4f} - {report.slack} -> {status}",
         file=sys.stderr,
     )
-    _emit(doc, args)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_surface_distance(args) -> int:
+def cmd_surface_distance(args) -> tuple[dict, int]:
     components = [parse(c) for c in args.psi.split(";")]
     uvars = tuple(v.strip() for v in args.uvars.split(","))
     x = _parse_point(args.x)
     u = _parse_point(args.u)
     check = surface_distance_check(components, uvars, x, u, tol=args.tol)
-    doc = {"config": _echo_config(args, "surface-distance"), "report": check.to_json_dict()}
-    _emit(doc, args)
-    return EXIT_OK
+    return {"report": check.to_json_dict()}, EXIT_OK
 
 
-def cmd_verify_recovery(args) -> int:
+def cmd_verify_recovery(args) -> tuple[dict, int]:
     f = _function_from_args(args)
     components = _load_components(args.components)
     residual = reconstruction_residual(f, components, args.verify_n)
     ok = residual < args.residual_tol
-    doc = {
-        "config": _echo_config(args, "verify-recovery"),
-        "report": {
-            "residual": residual,
-            "residual_tol": args.residual_tol,
-            "verdict": "success" if ok else "failure",
-        },
+    report = {
+        "residual": residual,
+        "residual_tol": args.residual_tol,
+        "verdict": "success" if ok else "failure",
     }
     print(f"replayed residual: {residual:.3e}", file=sys.stderr)
-    _emit(doc, args)
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return {"report": report}, EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def cmd_gen_fractal(args) -> int:
+def cmd_gen_fractal(args) -> tuple[dict, int]:
     ps = _parse_set_spec(args.spec, args.budget)
     save_points(ps, args.out_file)
-    doc = {
-        "config": _echo_config(args, "gen-fractal"),
-        "report": {
-            "count": len(ps),
-            "dimension": ps.dimension,
-            "interval": list(ps.interval),
-            "path": args.out_file,
-        },
+    report = {
+        "count": len(ps),
+        "dimension": ps.dimension,
+        "interval": list(ps.interval),
+        "path": args.out_file,
     }
-    _emit(doc, args)
-    return EXIT_OK
+    return {"report": report}, EXIT_OK
 
 
 def _export_components(components: dict, directory: str, meta: dict):
@@ -427,149 +379,142 @@ def _write_ladder_csv(report, path: str):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
-def _common(p, function=True):
-    if function:
-        p.add_argument("-f", "--function", required=True, help="expression text")
-        p.add_argument(
-            "--vars",
-            help="comma-separated variable names (default: free variables, sorted)",
-        )
-        p.add_argument(
-            "--box",
-            help="lo,hi per variable, comma-separated (default: 0,1 per variable)",
-        )
-    p.add_argument("--config", help="JSON config file; CLI flags override its fields")
-    p.add_argument("--out", help="write the JSON document to a file instead of stdout")
-    p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=64, help="zero-test sample count")
-    p.add_argument(
-        "--rel-tol", type=_finite_float, default=1e-9, help="zero-test relative tolerance"
-    )
-
-
-def _classify_options(p):
-    _common(p)
-    p.add_argument("--thresholds", choices=THEOREMS, help="append this theorem's thresholds")
-    p.add_argument("--param", action="append", help="theorem parameter name=value")
-
-
-def _thresholds_options(p):
-    _common(p, function=False)
-    p.add_argument("--theorem", required=True, choices=THEOREMS)
-    p.add_argument("--param", action="append", help="theorem parameter name=value")
-
-
-def _recover_options(p):
-    _common(p)
-    p.add_argument("--base", help="base point coordinates, comma-separated (default: box center)")
-    p.add_argument("--grid-n", type=int, default=257)
-    p.add_argument("--residual-tol", type=_finite_float, default=1e-6)
-    p.add_argument("--out-dir", help="export recovered components as CSV into this directory")
-
-
-def _fold_options(p):
-    _common(p)
-    p.add_argument("--base", required=True, help="base point x,y")
-    p.add_argument("--theta", type=_finite_float, default=1.0)
-
-
-def _expand_options(p):
-    _common(p)
-    p.add_argument(
-        "--inputs",
-        "--cantor",
-        dest="inputs",
-        required=True,
-        help="set specs, one per variable or one shared: b4d01:12, m2r1/3:14, file:pts.bin",
-    )
-    p.add_argument("--ladder", required=True, help="e.g. 2^-6..2^-20 or comma-separated deltas")
-    p.add_argument("--theorem", required=True, choices=THEOREMS)
-    p.add_argument("--param", action="append", help="theorem parameter name=value")
-    p.add_argument("--slack", type=_finite_float, default=0.05)
-    p.add_argument("--delta-min", type=_finite_float, default=None)
-    p.add_argument("--value-range", help="declared image range lo,hi")
-    p.add_argument("--threads", type=int, default=_default_threads())
-    p.add_argument("--budget", type=int, default=1 << 24)
-    p.add_argument("--ladder-csv", help="write the (delta, N) ladder as CSV")
-    p.add_argument(
-        "--classify-first",
-        action="store_true",
-        help="run the classifier and attach its report (warns when inputs leave the witness box)",
-    )
-
-
-def _surface_distance_options(p):
-    _common(p, function=False)
-    p.add_argument("--psi", required=True, help="semicolon-separated surface components")
-    p.add_argument("--uvars", required=True, help="comma-separated parameter names")
-    p.add_argument("--x", required=True, help="ambient point coordinates")
-    p.add_argument("--u", required=True, help="surface parameter coordinates")
-    p.add_argument("--tol", type=_finite_float, default=1e-9)
-
-
-def _verify_recovery_options(p):
-    _common(p)
-    p.add_argument("--components", required=True, help="directory of component CSV files")
-    p.add_argument("--verify-n", type=int, default=50)
-    p.add_argument("--residual-tol", type=_finite_float, default=1e-6)
-
-
-def _gen_fractal_options(p):
-    _common(p, function=False)
-    p.add_argument("--spec", required=True, help="b4d01:12 or m2r1/3:14")
-    p.add_argument("--budget", type=int, default=1 << 24)
-    p.add_argument("out_file", help="output path")
-
+# Options are (flags, argparse keywords), in the order of each command's help.
+_FUNCTION_OPTIONS = (
+    (("-f", "--function"), dict(required=True, help="expression text")),
+    (("--vars",), dict(help="comma-separated variable names (default: free variables, sorted)")),
+    (("--box",), dict(help="lo,hi per variable, comma-separated (default: 0,1 per variable)")),
+)
+_RUN_OPTIONS = (
+    (("--config",), dict(help="JSON config file; CLI flags override its fields")),
+    (("--out",), dict(help="write the JSON document to a file instead of stdout")),
+    (("--no-timestamp",), dict(action="store_true", help="omit the timestamp field")),
+    (("--seed",), dict(type=int, default=0)),
+    (("--samples",), dict(type=int, default=64, help="zero-test sample count")),
+    (("--rel-tol",), dict(type=_finite_float, default=1e-9, help="zero-test relative tolerance")),
+)
+_THEOREM = (("--theorem",), dict(required=True, choices=THEOREMS))
+_PARAM = (("--param",), dict(action="append", help="theorem parameter name=value"))
+_RESIDUAL_TOL = (("--residual-tol",), dict(type=_finite_float, default=1e-6))
+_BUDGET = (("--budget",), dict(type=int, default=1 << 24))
 
 # name -> (help, handler, options), in the order of the top-level help
 _COMMANDS = {
-    "classify": ("special-form / expanding classification", cmd_classify, _classify_options),
-    "thresholds": ("exact dimensional thresholds", cmd_thresholds, _thresholds_options),
-    "recover": ("recover a special-form decomposition", cmd_recover, _recover_options),
-    "fold": ("verify the fold certificate at a base point", cmd_fold, _fold_options),
-    "expand": ("dimension-expansion experiment", cmd_expand, _expand_options),
+    "classify": (
+        "special-form / expanding classification",
+        cmd_classify,
+        (
+            *_FUNCTION_OPTIONS,
+            *_RUN_OPTIONS,
+            (("--thresholds",), dict(choices=THEOREMS, help="append this theorem's thresholds")),
+            _PARAM,
+        ),
+    ),
+    "thresholds": ("exact dimensional thresholds", cmd_thresholds, (*_RUN_OPTIONS, _THEOREM, _PARAM)),
+    "recover": (
+        "recover a special-form decomposition",
+        cmd_recover,
+        (
+            *_FUNCTION_OPTIONS,
+            *_RUN_OPTIONS,
+            (("--base",), dict(help="base point coordinates, comma-separated (default: box center)")),
+            (("--grid-n",), dict(type=int, default=257)),
+            _RESIDUAL_TOL,
+            (("--out-dir",), dict(help="export recovered components as CSV into this directory")),
+        ),
+    ),
+    "fold": (
+        "verify the fold certificate at a base point",
+        cmd_fold,
+        (
+            *_FUNCTION_OPTIONS,
+            *_RUN_OPTIONS,
+            (("--base",), dict(required=True, help="base point x,y")),
+            (("--theta",), dict(type=_finite_float, default=1.0)),
+        ),
+    ),
+    "expand": (
+        "dimension-expansion experiment",
+        cmd_expand,
+        (
+            *_FUNCTION_OPTIONS,
+            *_RUN_OPTIONS,
+            (
+                ("--inputs", "--cantor"),
+                dict(dest="inputs", required=True, help="set specs, one per variable or one shared: "
+                     "b4d01:12, m2r1/3:14, file:pts.bin"),
+            ),
+            (("--ladder",), dict(required=True, help="e.g. 2^-6..2^-20 or comma-separated deltas")),
+            _THEOREM,
+            _PARAM,
+            (("--slack",), dict(type=_finite_float, default=0.05)),
+            (("--delta-min",), dict(type=_finite_float, default=None)),
+            (("--value-range",), dict(help="declared image range lo,hi")),
+            (("--threads",), dict(type=int, default=_default_threads())),
+            _BUDGET,
+            (("--ladder-csv",), dict(help="write the (delta, N) ladder as CSV")),
+            (
+                ("--classify-first",),
+                dict(action="store_true", help="run the classifier and attach its report "
+                     "(warns when inputs leave the witness box)"),
+            ),
+        ),
+    ),
     "surface-distance": (
         "tangency certificate for distance-to-hypersurface",
         cmd_surface_distance,
-        _surface_distance_options,
+        (
+            *_RUN_OPTIONS,
+            (("--psi",), dict(required=True, help="semicolon-separated surface components")),
+            (("--uvars",), dict(required=True, help="comma-separated parameter names")),
+            (("--x",), dict(required=True, help="ambient point coordinates")),
+            (("--u",), dict(required=True, help="surface parameter coordinates")),
+            (("--tol",), dict(type=_finite_float, default=1e-9)),
+        ),
     ),
     "verify-recovery": (
         "replay a recovery from exported components",
         cmd_verify_recovery,
-        _verify_recovery_options,
+        (
+            *_FUNCTION_OPTIONS,
+            *_RUN_OPTIONS,
+            (("--components",), dict(required=True, help="directory of component CSV files")),
+            (("--verify-n",), dict(type=int, default=50)),
+            _RESIDUAL_TOL,
+        ),
     ),
     "gen-fractal": (
         "generate a point set and write it as binary",
         cmd_gen_fractal,
-        _gen_fractal_options,
+        (
+            *_RUN_OPTIONS,
+            (("--spec",), dict(required=True, help="b4d01:12 or m2r1/3:14")),
+            _BUDGET,
+            (("out_file",), dict(help="output path")),
+        ),
     ),
 }
 
 
 def _build_parsers(
     only: str | None = None,
-) -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
-    """The top-level parser and each subcommand's parser by name; with only,
-    the top level carries that one subcommand."""
+) -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The top-level parser and each subcommand's options by destination;
+    with only, the top level carries that one subcommand."""
     parser = argparse.ArgumentParser(
         prog="expandlab",
         description="Degeneracy certificates, thresholds, fold verification, "
         "special-form recovery, and dimension-expansion experiments.",
     )
     parser.add_argument("--version", action="version", version=f"expandlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    commands: dict[str, _CommandParser] = {}
-    for name, (summary, handler, options) in _COMMANDS.items():
+    sub = parser.add_subparsers(dest="command", required=True)
+    options = {}
+    for name, (summary, _, table) in _COMMANDS.items():
         if only in (None, name):
-            p = commands[name] = sub.add_parser(name, help=summary)
-            options(p)
-            p.set_defaults(func=handler)
-    return parser, commands
+            p = sub.add_parser(name, help=summary)
+            actions = (p.add_argument(*flags, **kwargs) for flags, kwargs in table)
+            options[name] = {action.dest: action for action in actions}
+    return parser, options
 
 
 def _parse(argv: list[str]):
@@ -577,25 +522,26 @@ def _parse(argv: list[str]):
     options, named by the first argument.  Top-level help, --version, a
     missing or unknown command and any unrecognized argument go to the full
     parser, so help, usage and error text are the same as with it."""
-    parser, commands = _build_parsers(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser, options = _build_parsers(argv[0] if argv and argv[0] in _COMMANDS else None)
     args, extra = parser.parse_known_args(argv)
     if extra:
         _build_parsers()[0].parse_args(argv)  # exits with the full parser's usage error
-    return parser, commands, args
+    return parser, options, args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser, commands, args = _parse(argv)
-        config = _load_config(getattr(args, "config", None))
+        parser, options, args = _parse(argv)
+        config = _load_config(args.config)
         if config:
-            args = _apply_config(parser, commands[args.command], argv, config)
-        return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, BudgetError, OSError, json.JSONDecodeError) as err:
+            _apply_config(options[args.command], config)
+            args = parser.parse_args(argv)  # explicit flags win over config values
+        doc, code = _COMMANDS[args.command][1](args)
+        doc["config"] = _echo_config(args)
+        _emit(doc, args)
+        return code
+    except (ValueError, BudgetError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except PreconditionError as err:

@@ -474,7 +474,7 @@ def _certificate(name: str, e: Expr, f: FunctionSpec, policy: ZeroPolicy) -> Cer
 
 def _sign_stable_box(
     f: FunctionSpec,
-    certs: Sequence[tuple[Expr, dict, float]],
+    certs: Sequence[tuple[Expr, float]],
     center: Sequence[float],
     seed: int,
     margin: float = 0.1,
@@ -482,6 +482,7 @@ def _sign_stable_box(
 ) -> tuple[tuple[float, float], ...]:
     """Grow the largest axis-aligned box around `center` on which every
     certificate keeps the sign it has at the center with relative margin.
+    `certs` pairs each certificate with its value at the center.
 
     Doubles one axis half-width at a time (round-robin); an axis freezes on
     the first failed expansion or when it reaches the enclosing box."""
@@ -489,6 +490,7 @@ def _sign_stable_box(
     widths = f.widths()
     half = [1e-3 * w for w in widths]
     frozen = [False] * f.arity
+    programs = [(compile_batch(e, f.vars), v0) for e, v0 in certs]
 
     def box_of(hw):
         return tuple(
@@ -498,8 +500,8 @@ def _sign_stable_box(
 
     def stable(candidate) -> bool:
         pts = [rng.uniform(lo, hi, size=grid) for lo, hi in candidate]
-        for e, _, v0 in certs:
-            vals = np.atleast_1d(compile_batch(e, f.vars)(*pts))
+        for program, v0 in programs:
+            vals = np.atleast_1d(program(*pts))
             if not np.all(np.isfinite(vals)):
                 return False
             if not np.all(np.sign(vals) == np.sign(v0)):
@@ -595,11 +597,8 @@ def _classify_bivariate(f: FunctionSpec, policy: ZeroPolicy, wedge_sign: int) ->
         )
     witness = kc.witness_point
     center = tuple(witness[v] for v in f.vars)
-    cert_exprs = []
-    for name, e in (("f_x", fx), ("f_y", fy), ("f_xy", fxy), ("kappa", k)):
-        v0 = evaluate(e, witness)
-        cert_exprs.append((e, witness, v0))
-    wbox = _sign_stable_box(f, cert_exprs, center, policy.seed)
+    cert_values = [(e, evaluate(e, witness)) for e in (fx, fy, fxy, k)]
+    wbox = _sign_stable_box(f, cert_values, center, policy.seed)
     return DegeneracyReport(
         arity=2,
         classification=EXPANDING,
@@ -648,7 +647,7 @@ def _classify_trivariate(f: FunctionSpec, policy: ZeroPolicy) -> DegeneracyRepor
     witness = c0.witness_point
     center = tuple(witness[v] for v in f.vars)
     g = gs[i0 - 1]
-    wbox = _sign_stable_box(f, [(g, witness, evaluate(g, witness))], center, policy.seed)
+    wbox = _sign_stable_box(f, [(g, evaluate(g, witness))], center, policy.seed)
     return DegeneracyReport(
         arity=3,
         classification=EXPANDING,
@@ -752,11 +751,11 @@ def thresholds(theorem: str, **params) -> ThresholdReport:
     if t not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; choose from {', '.join(THEOREMS)}")
 
-    def need(*names):
+    def need(*names, optional=()):
         missing = [n for n in names if n not in params]
         if missing:
             raise ValueError(f"theorem {t!r} requires parameters: {', '.join(missing)}")
-        extra = set(params) - set(names)
+        extra = set(params) - set(names) - set(optional)
         if extra:
             raise ValueError(f"theorem {t!r} does not take: {', '.join(sorted(extra))}")
 
@@ -815,13 +814,7 @@ def thresholds(theorem: str, **params) -> ThresholdReport:
         alpha, beta, p = d + (d - 1), Fraction(0), 1
         derivation = f"two-copy bounds for ambient points (d_X={d}) against a hypersurface (d_Y={d - 1}), m=0"
     else:  # general
-        need_named = ["alpha", "beta", "p", "k"]
-        missing = [n for n in ("alpha", "beta", "p") if n not in params]
-        if missing:
-            raise ValueError(f"theorem 'general' requires parameters: {', '.join(missing)}")
-        extra = set(params) - set(need_named)
-        if extra:
-            raise ValueError(f"theorem 'general' does not take: {', '.join(sorted(extra))}")
+        need("alpha", "beta", "p", optional=("k",))
         alpha, beta = _frac(params["alpha"]), _frac(params["beta"])
         p = int(params["p"])
         kk = int(params.get("k", 2))

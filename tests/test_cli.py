@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from expandlab import cli
 from expandlab.cli import main
 from expandlab.fractal import load_points
 
@@ -462,3 +463,72 @@ def test_config_value_goes_through_the_option_type(capsys, tmp_path):
     config.write_text('{"schema_version": 1, "thresholds": "no-such-theorem"}')
     code, out, err = run(capsys, "classify", "-f", "x*y", "--config", str(config), "--no-timestamp")
     assert code == 2 and out == "" and err.count("\n") == 1
+
+
+# a valid command line per command, without --config
+_MINIMAL_ARGV = {
+    "classify": ["-f", "x*y"],
+    "thresholds": ["--theorem", "bivariate-analytic"],
+    "recover": ["-f", "x*y"],
+    "fold": ["-f", "x*y", "--base", "0.5,0.5"],
+    "expand": ["-f", "x*y", "--inputs", "b4d01:4", "--ladder", "2^-2..2^-4", "--theorem", "bivariate-analytic"],
+    "surface-distance": ["--psi", "u;0", "--uvars", "u", "--x", "0,1", "--u", "0"],
+    "verify-recovery": ["-f", "x*y", "--components", "comps"],
+    "gen-fractal": ["--spec", "b4d01:4", "pts.bin"],
+}
+
+
+def _command_options(name):
+    parser = cli._build_parsers()[0]
+    command = parser._subparsers._group_actions[0].choices[name]
+    return [a for a in command._actions if a.option_strings and a.dest != "help"]
+
+
+def test_every_command_has_a_minimal_argv():
+    assert set(_MINIMAL_ARGV) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(_MINIMAL_ARGV))
+def test_config_value_the_flag_refuses_exits_2(capsys, tmp_path, name):
+    config = tmp_path / "run.json"
+    argv = [name, *_MINIMAL_ARGV[name], "--config", str(config), "--no-timestamp"]
+    checked = 0
+    for action in _command_options(name):
+        if action.type is None and action.choices is None:
+            continue
+        bad = "no-such-choice" if action.choices is not None else "many"
+        # the flag refuses the value ...
+        with pytest.raises(SystemExit) as exc:
+            main([name, *_MINIMAL_ARGV[name], action.option_strings[-1], bad])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        # ... and so does the config, under the dest and the dashed key
+        for key in dict.fromkeys([action.dest, action.dest.replace("_", "-")]):
+            config.write_text(json.dumps({"schema_version": 1, key: bad}))
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: config key {key!r}") and err.count("\n") == 1
+            checked += 1
+    assert checked >= 4  # --seed, --samples, --rel-tol (both keys) at least
+
+
+@pytest.mark.parametrize("name", sorted(_MINIMAL_ARGV))
+@pytest.mark.parametrize("key", ["bogus", "help"])
+def test_config_key_without_an_option_exits_2(capsys, tmp_path, name, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"schema_version": 1, key: 1}))
+    code, out, err = run(capsys, name, *_MINIMAL_ARGV[name], "--config", str(config), "--no-timestamp")
+    assert code == 2 and out == ""
+    assert err == f"error: config key {key!r} does not match any option\n"
+
+
+def test_config_cannot_supply_a_required_option(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text('{"schema_version": 1, "function": "x*y"}')
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--config", str(config), "--no-timestamp"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: expandlab classify")
+    assert captured.err.endswith("error: the following arguments are required: -f/--function\n")

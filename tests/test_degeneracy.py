@@ -383,6 +383,23 @@ def test_thresholds_general_consistency_with_bivariate():
     assert r.measure_bound == thresholds("bivariate-smooth").measure_bound
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"k": 2}, "theorem 'general' requires parameters: alpha, beta, p"),
+        ({"beta": 0, "q": 1}, "theorem 'general' requires parameters: alpha, p"),
+        ({"alpha": 2, "beta": 0, "p": 1, "q": 1, "m": 0}, "theorem 'general' does not take: m, q"),
+        ({"alpha": 2, "beta": 0, "p": 1, "d": 1}, "theorem 'general' does not take: d"),
+    ],
+)
+def test_thresholds_general_missing_and_extra_parameters(params, message):
+    with pytest.raises(ValueError) as exc:
+        thresholds("general", **params)
+    assert str(exc.value) == message
+    # k is optional: the three required parameters alone are enough
+    assert thresholds("general", alpha=2, beta=0, p=1).p == 1
+
+
 def test_thresholds_trivariate_and_k_point():
     r = thresholds("trivariate-analytic")
     assert r.measure_bound == Fraction(2)
