@@ -151,6 +151,8 @@ def _load_config(path: str | None) -> dict:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+    if not isinstance(doc, dict):
+        raise ValueError("config file must hold a JSON object")
     version = doc.pop("schema_version", 1)
     if version != 1:
         raise ValueError(f"unsupported config schema_version {version}")
@@ -158,8 +160,11 @@ def _load_config(path: str | None) -> dict:
 
 
 def _apply_config(options: dict[str, argparse.Action], config: dict):
-    """Make each config value its option's default, converted by the
-    option's type from its JSON text and checked against its choices."""
+    """Make each config value its option's default.  An option with a type
+    converts the value's JSON text by it; a flag takes true or false; an
+    option that may repeat takes a list of strings, or one string; any
+    other option takes a string.  The value must be one of the option's
+    choices."""
     for key, value in config.items():
         action = options.get(key.replace("-", "_"))
         if action is None:
@@ -170,6 +175,15 @@ def _apply_config(options: dict[str, argparse.Action], config: dict):
                 value = action.type(text)
             except (TypeError, ValueError) as err:
                 raise ValueError(f"config key {key!r}: {err}") from None
+        elif action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r}: expected true or false, got {json.dumps(value)}")
+        elif isinstance(action, argparse._AppendAction):
+            value = [value] if isinstance(value, str) else value
+            if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
+                raise ValueError(f"config key {key!r}: expected a list of strings, got {json.dumps(value)}")
+        elif not isinstance(value, str):
+            raise ValueError(f"config key {key!r}: expected a string, got {json.dumps(value)}")
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
         action.default = value

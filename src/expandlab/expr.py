@@ -66,9 +66,9 @@ _MAX_TERMS = 600
 _MAX_POW = 64
 _MAX_MUL_WORK = 8_000
 
-# Entries per memo of the symbolic layer (simplify, differentiate, the
-# canonical form, ...): bounded, so a long-lived process stays bounded, and
-# far above what one CLI command fills (no command simplifies; a certify
+# Entries per memo of the symbolic layer (simplify, differentiate, the sort
+# keys, ...): bounded, so a long-lived process stays bounded, and far above
+# what one CLI command fills (no command simplifies; a certify
 # command makes about 25 differentiate calls on average).
 _MEMO_SIZE = 1 << 16
 
@@ -278,109 +278,86 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        if not text.isascii():
-            raise ParseError("input must be ASCII", 0)
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.peek()
-        if tok is None or tok[0] != kind:
-            off = tok[2] if tok else len(self.text)
-            raise ParseError(f"expected {kind!r}", off)
-        return self.next()
-
-    def parse(self) -> Expr:
-        if not self.tokens:
-            raise ParseError("empty input", 0)
-        e = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while (tok := self.peek()) and tok[0] in "+-":
-            self.next()
-            rhs = self.term()
-            e = Expr("add" if tok[0] == "+" else "sub", (e, rhs))
-        return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while (tok := self.peek()) and tok[0] in "*/":
-            self.next()
-            rhs = self.unary()
-            e = Expr("mul" if tok[0] == "*" else "div", (e, rhs))
-        return e
-
-    def unary(self) -> Expr:
-        tok = self.peek()
-        if tok and tok[0] == "-":
-            self.next()
-            # a minus directly on a numeric literal that is not a power base
-            # belongs to the constant, so x^-2 has an integer exponent
-            num = self.peek()
-            after = self.tokens[self.pos + 1][0] if self.pos + 1 < len(self.tokens) else None
-            if num and num[0] == "num" and after != "^":
-                self.next()
-                return const(-Fraction(num[1]))
-            return Expr("neg", (self.unary(),))
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "^":
-            self.next()
-            exponent = self.unary()
-            return Expr("pow", (base, exponent))
-        return base
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected operand", len(self.text))
-        kind, textval, off = tok
-        if kind == "num":
-            self.next()
-            return const(Fraction(textval))
-        if kind == "ident":
-            self.next()
-            nxt = self.peek()
-            if nxt and nxt[0] == "(":
-                if textval not in CALLABLE_FUNCS:
-                    raise ParseError(f"unknown function {textval!r}", off)
-                self.next()
-                arg = self.expr()
-                self.expect(")")
-                return Expr(textval, (arg,))
-            return var(textval)
-        if kind == "(":
-            self.next()
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise ParseError(f"expected operand, found {textval!r}", off)
+# binary operators by token: node op and precedence; '^' is right-associative
+_BINARY = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2), "/": ("div", 2), "^": ("pow", 4)}
 
 
 def parse(text: str) -> Expr:
-    """Parse an infix expression.  Raises ParseError with a byte offset."""
-    return _Parser(text).parse()
+    """Parse an infix expression.  Raises ParseError with a byte offset.
+
+    One left-to-right pass of operator precedence (Dijkstra's shunting-yard):
+    `ops` holds the pending operators, open parentheses and function calls,
+    and `out` the operands built so far, so nesting is limited only by
+    memory."""
+    if not text.isascii():
+        raise ParseError("input must be ASCII", 0)
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty input", 0)
+    tokens.append(("end", "", len(text)))
+    out: list[Expr] = []
+    ops: list[tuple[str, int]] = []  # (op, precedence); "(" or a function name at 0
+
+    def reduce(prec: int):
+        """Apply the pending operators that bind at least as tightly as prec."""
+        while ops and ops[-1][1] >= prec:
+            op = ops.pop()[0]
+            operands = (out.pop(),) if op == "neg" else (out.pop(-2), out.pop())
+            out.append(Expr(op, operands))
+
+    i = 0
+    while True:
+        # an operand: prefix minuses, open parentheses and calls, then an atom
+        kind, value, off = tokens[i]
+        i += 1
+        if kind == "-":
+            # a minus directly on a numeric literal that is not a power base
+            # belongs to the constant, so x^-2 has an integer exponent
+            if tokens[i][0] == "num" and tokens[i + 1][0] != "^":
+                out.append(const(-Fraction(tokens[i][1])))
+                i += 1
+            else:
+                ops.append(("neg", 3))  # binds below '^', above '*' and '/'
+                continue
+        elif kind == "(":
+            ops.append(("(", 0))
+            continue
+        elif kind == "ident" and tokens[i][0] == "(":
+            if value not in CALLABLE_FUNCS:
+                raise ParseError(f"unknown function {value!r}", off)
+            ops.append((value, 0))
+            i += 1
+            continue
+        elif kind == "ident":
+            out.append(var(value))
+        elif kind == "num":
+            out.append(const(Fraction(value)))
+        elif kind == "end":
+            raise ParseError("expected operand", off)
+        else:
+            raise ParseError(f"expected operand, found {value!r}", off)
+        # after an operand: closing parentheses, then a binary operator or the end
+        while (token := tokens[i])[0] == ")":
+            i += 1
+            reduce(1)
+            if not ops:
+                raise ParseError("unexpected token ')'", token[2])
+            opener = ops.pop()[0]
+            if opener != "(":
+                out.append(Expr(opener, (out.pop(),)))
+        kind, value, off = token
+        i += 1
+        if kind in _BINARY:
+            op, prec = _BINARY[kind]
+            reduce(prec + 1 if op == "pow" else prec)
+            ops.append((op, prec))
+            continue
+        reduce(1)
+        if ops:
+            raise ParseError("expected ')'", off)
+        if kind != "end":
+            raise ParseError(f"unexpected token {value!r}", off)
+        return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -918,13 +895,18 @@ _Poly = dict
 _POLY_ONE = {(): Fraction(1)}
 
 
+def _key_step(node: Expr, key: Callable[[Expr], tuple]) -> tuple:
+    if node.op == "const":
+        return ("const", str(node.value), ())
+    if node.op == "var":
+        return ("var", node.name, ())
+    return (node.op, "", tuple(map(key, node.args)))
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
-def _expr_key(e: Expr):
-    if e.op == "const":
-        return ("const", str(e.value), ())
-    if e.op == "var":
-        return ("var", e.name, ())
-    return (e.op, "", tuple(_expr_key(a) for a in e.args))
+def _expr_key(e: Expr) -> tuple:
+    """e's sort key: nested tuples (op, payload, operand keys)."""
+    return _walk_dag(e, _key_step)
 
 
 def _mono_mul(m1, m2):
@@ -958,11 +940,13 @@ def _poly_mul(p1, p2):
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
             m = _mono_mul(m1, m2)
-            nc = out.get(m, Fraction(0)) + c1 * c2
-            if nc == 0:
-                out.pop(m, None)
-            else:
-                out[m] = nc
+            c = c1 * c2  # nonzero: so are c1 and c2
+            if m in out:
+                c += out[m]
+                if not c:
+                    del out[m]
+                    continue
+            out[m] = c
     if len(out) > _MAX_TERMS:
         raise _NonCanonical
     return out
@@ -995,75 +979,66 @@ def _poly_const(p):
     return None
 
 
-def _canonical(e: Expr):
-    """Memoized rational normal form; failures are cached too."""
-    res = _canonical_or_none(e)
-    if res is None:
-        raise _NonCanonical
-    return res
+def _const_form(c: Fraction):
+    return {(): c} if c != 0 else {}, dict(_POLY_ONE)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _canonical_or_none(e: Expr):
-    try:
-        return _canonical_impl(e)
-    except _NonCanonical:
-        return None
+def _atom_form(atom: Expr):
+    return {((atom, 1),): Fraction(1)}, dict(_POLY_ONE)
 
 
-def _canonical_impl(e: Expr):
-    """Return (num, den) polynomial pair.  Raises _NonCanonical on caps or a
-    symbolically zero denominator."""
-    op = e.op
+def _rational_form(node: Expr, form: Callable, simplified: Callable[[Expr], Expr]):
+    """node's rational normal form, a (numerator, denominator) pair of
+    polynomials, from its operands' forms (form(a), None for an operand
+    without one) and simplified nodes (simplified(a)).  Raises _NonCanonical
+    where node has none: past a cap, on a symbolically zero denominator or
+    on an operand without a form."""
+    op, args = node.op, node.args
     if op == "const":
-        return {(): e.value} if e.value != 0 else {}, dict(_POLY_ONE)
+        return _const_form(node.value)
     if op == "var":
-        return {((e, 1),): Fraction(1)}, dict(_POLY_ONE)
+        return _atom_form(node)
+    if op in CALLABLE_FUNCS:
+        arg = simplified(args[0])
+        folded = _fold_func(op, arg)
+        if folded is not None:
+            return _const_form(folded.value)
+        return _atom_form(Expr(op, (arg,)))
+    if op == "pow":
+        p = simplified(args[1])
+        if not (p.op == "const" and p.value.denominator == 1):
+            return _atom_form(Expr("pow", (simplified(args[0]), p)))
+        k = p.value.numerator
+        if abs(k) > _MAX_POW:
+            raise _NonCanonical
+        args = args[:1]
+    forms = tuple(map(form, args))
+    if None in forms:
+        raise _NonCanonical
     if op == "neg":
-        n, d = _canonical(e.args[0])
+        n, d = forms[0]
         return _poly_scale(n, Fraction(-1)), d
+    if op == "pow":
+        n, d = forms[0]
+        if k == 0:
+            return dict(_POLY_ONE), dict(_POLY_ONE)
+        if k > 0:
+            return _poly_pow(n, k), _poly_pow(d, k)
+        if not n:
+            raise _NonCanonical
+        return _poly_pow(d, -k), _poly_pow(n, -k)
+    (n1, d1), (n2, d2) = forms
     if op in ("add", "sub"):
-        n1, d1 = _canonical(e.args[0])
-        n2, d2 = _canonical(e.args[1])
         sign = 1 if op == "add" else -1
         if d1 == d2:
             return _poly_add(n1, n2, sign), d1
         return _poly_add(_poly_mul(n1, d2), _poly_mul(n2, d1), sign), _poly_mul(d1, d2)
     if op == "mul":
-        n1, d1 = _canonical(e.args[0])
-        n2, d2 = _canonical(e.args[1])
         return _poly_mul(n1, n2), _poly_mul(d1, d2)
     if op == "div":
-        n1, d1 = _canonical(e.args[0])
-        n2, d2 = _canonical(e.args[1])
         if not n2:
             raise _NonCanonical  # division by symbolic zero
         return _poly_mul(n1, d2), _poly_mul(d1, n2)
-    if op == "pow":
-        base, p = e.args
-        if p.op != "const":
-            p = simplify(p)
-        if p.op == "const" and p.value.denominator == 1:
-            k = p.value.numerator
-            if abs(k) > _MAX_POW:
-                raise _NonCanonical
-            n, d = _canonical(base)
-            if k == 0:
-                return dict(_POLY_ONE), dict(_POLY_ONE)
-            if k > 0:
-                return _poly_pow(n, k), _poly_pow(d, k)
-            if not n:
-                raise _NonCanonical
-            return _poly_pow(d, -k), _poly_pow(n, -k)
-        atom = Expr("pow", (simplify(base), p))
-        return {((atom, 1),): Fraction(1)}, dict(_POLY_ONE)
-    if op in CALLABLE_FUNCS:
-        arg = simplify(e.args[0])
-        folded = _fold_func(op, arg)
-        if folded is not None:
-            return _canonical(folded)
-        atom = Expr(op, (arg,))
-        return {((atom, 1),): Fraction(1)}, dict(_POLY_ONE)
     raise ExprError(f"unknown op {op!r}")
 
 
@@ -1097,7 +1072,8 @@ def _poly_to_expr(p) -> Expr:
         return _ZERO
     if len(p) == 1 and () in p:
         return const(p[()])
-    terms = sorted(p.items(), key=lambda mc: _mono_sort_key(mc[0]))
+    # one term needs no order, and a deep atom's key is a walk over it
+    terms = sorted(p.items(), key=lambda mc: _mono_sort_key(mc[0])) if len(p) > 1 else p.items()
     signed: list[Expr] = []
     for m, c in terms:
         factors: list[Expr] = []
@@ -1123,8 +1099,6 @@ def _poly_to_expr(p) -> Expr:
 def _rebuild(n, d) -> Expr:
     dc = _poly_const(d)
     if dc is not None:
-        if dc == 0:
-            raise _NonCanonical
         return _poly_to_expr(_poly_scale(n, Fraction(1) / dc))
     # normalize so the denominator's leading coefficient is 1
     lead = min(d.items(), key=lambda mc: _mono_sort_key(mc[0]))[1]
@@ -1140,20 +1114,33 @@ def simplify(e: Expr) -> Expr:
     """Bounded rewriting to a canonical rational form.
 
     Idempotent; simplify(a - b) is the zero constant whenever a and b
-    canonicalize identically.  Falls back to local folds when caps are hit."""
-    try:
-        n, d = _canonical(e)
-        return _rebuild(n, d)
-    except _NonCanonical:
-        return _fallback_simplify(e)
+    canonicalize identically.  One walk over e's DAG gives each node its
+    rational form, or None past the caps; a node without one takes local
+    folds of its operands' simplified nodes instead.  A node's simplified
+    node is built from its form only when asked for: by a power, a function
+    application, a node without a form, or at e."""
+    nodes: dict[Expr, Expr] = {}  # simplified nodes built so far
+
+    def step(node: Expr, form: Callable):
+        def simplified(a: Expr) -> Expr:
+            if a not in nodes:
+                nodes[a] = _rebuild(*form(a))
+            return nodes[a]
+
+        try:
+            return _rational_form(node, form, simplified)
+        except _NonCanonical:
+            nodes[node] = _local_fold(node.op, tuple(map(simplified, node.args)))
+            return None
+
+    form = _walk_dag(e, step)
+    return nodes[e] if form is None else _rebuild(*form)
 
 
-def _fallback_simplify(e: Expr) -> Expr:
-    if e.op in ("const", "var"):
-        return e
-    args = tuple(simplify(a) for a in e.args)
-    op = e.op
-    # the differentiation constructors make the same local folds
+def _local_fold(op: str, args: tuple[Expr, ...]) -> Expr:
+    """A node without a rational form, with its simplified operands args:
+    the same local folds as the differentiation constructors, and a few
+    more."""
     if op in ("add", "mul", "div"):
         return {"add": _add, "mul": _mul, "div": _div}[op](*args)
     if op == "neg":
@@ -1166,18 +1153,12 @@ def _fallback_simplify(e: Expr) -> Expr:
         if _is_const(a, 0):
             return Expr("neg", (b,))
         return _sub(a, b)
-    if op == "pow":
-        a, b = args
-        if b.op == "const" and b.value == 0:
-            return _ONE
-        if b.op == "const" and b.value == 1:
-            return a
-        return Expr(op, args)
-    if op in CALLABLE_FUNCS:
-        folded = _fold_func(op, args[0])
-        if folded is not None:
-            return folded
-        return Expr(op, args)
+    # a power: a function application always has a form
+    a, b = args
+    if _is_const(b, 0):
+        return _ONE
+    if _is_const(b, 1):
+        return a
     return Expr(op, args)
 
 

@@ -54,13 +54,26 @@ def test_classify_parse_error_exit_2(capsys):
     assert "offset 2" in err
 
 
-@pytest.mark.parametrize("text", ["(" * 1500 + "x*y" + ")" * 1500], ids=["1500-nested-parentheses"])
-def test_deep_or_large_expression_exit_2(capsys, text):
-    code, out, err = run(capsys, "classify", "-f", text, "--vars", "x,y")
+def test_1500_nested_parentheses_are_classified(capsys):
+    # the parser keeps its pending parentheses on an explicit stack, so
+    # nesting depth is no limit
+    text = "(" * 1500 + "x*y" + ")" * 1500
+    code, doc, _ = run_json(capsys, "classify", "-f", text, "--vars", "x,y", "--no-timestamp")
+    assert code == 0
+    assert doc["report"]["classification"] == "special_form"
+
+
+def test_recursion_error_exits_2(capsys, monkeypatch):
+    # a handler that still runs out of stack ends in exit 2, not a traceback
+    def deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    summary, _, table = cli._COMMANDS["classify"]
+    monkeypatch.setitem(cli._COMMANDS, "classify", (summary, deep, table))
+    code, out, err = run(capsys, "classify", "-f", "x*y", "--vars", "x,y")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert err == "error: expression nested too deeply or too large to process\n"
 
 
 def test_sum_of_3000_terms_is_classified(capsys):
@@ -532,3 +545,46 @@ def test_config_cannot_supply_a_required_option(capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith("usage: expandlab classify")
     assert captured.err.endswith("error: the following arguments are required: -f/--function\n")
+
+
+@pytest.mark.parametrize("document", ["[1, 2]", '"s"', "null", "3"])
+def test_config_that_is_not_a_json_object_exits_2(capsys, tmp_path, document):
+    config = tmp_path / "run.json"
+    config.write_text(document)
+    code, out, err = run(capsys, "thresholds", "--theorem", "bivariate-analytic", "--config", str(config))
+    assert code == 2 and out == ""
+    assert err == "error: config file must hold a JSON object\n"
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["classify", "-f", "x*y"], "vars", ["x", "y"]),
+        (["classify", "-f", "x*y"], "box", [0, 1, 0, 1]),
+        (["classify", "-f", "x*y"], "out", None),
+        (["classify", "-f", "x*y"], "no_timestamp", "no"),
+        (["classify", "-f", "x*y"], "no-timestamp", 1),
+        (["thresholds", "--theorem", "phong-stein"], "param", 3),
+        (["thresholds", "--theorem", "phong-stein"], "param", [3]),
+        (["thresholds", "--theorem", "phong-stein"], "param", {"d": 3}),
+        (["thresholds", "--theorem", "phong-stein"], "param", ["d=3", None]),
+    ],
+)
+def test_config_value_of_the_wrong_json_type_exits_2(capsys, tmp_path, argv, key, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"schema_version": 1, key: value}))
+    code, out, err = run(capsys, *argv, "--config", str(config))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config key {key!r}: expected ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["d=3", ["d=3"]])
+def test_config_param_is_a_list_or_one_string(capsys, tmp_path, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"schema_version": 1, "param": value, "no_timestamp": True}))
+    code, doc, _ = run_json(capsys, "thresholds", "--theorem", "phong-stein", "--config", str(config))
+    assert code == 0
+    code, flagged, _ = run_json(capsys, "thresholds", "--theorem", "phong-stein", "--param", "d=3", "--no-timestamp")
+    assert code == 0
+    assert doc["report"] == flagged["report"]
+    assert doc["config"]["options"]["param"] == ["d=3"]

@@ -130,6 +130,28 @@ def test_parse_errors_carry_offsets():
         parse("(x + y")
 
 
+def _spine(e, index, op):
+    """How many nodes of op lead down from e through operand index."""
+    depth = 0
+    while e.op == op:
+        e, depth = e.args[index], depth + 1
+    return depth, e
+
+
+def test_parse_deep_inputs_without_recursion():
+    # the parser keeps pending operators, parentheses and calls on an
+    # explicit stack, so depth is limited only by memory
+    assert parse("(" * 1_500 + "x*y" + ")" * 1_500) is parse("x*y")
+    assert _spine(parse("-" * 5_000 + "x"), 0, "neg") == (5_000, var("x"))
+    assert _spine(parse("-" * 5_000 + "2"), 0, "neg") == (4_999, const(-2))
+    # '^' is right-associative: the chain runs down the exponents
+    assert _spine(parse("^".join(["x"] * 5_000)), 1, "pow") == (4_999, var("x"))
+    assert _spine(parse("sin(" * 3_000 + "x" + ")" * 3_000), 0, "sin") == (3_000, var("x"))
+    with pytest.raises(ParseError) as err:
+        parse("sin(" * 3_000 + "x" + ")" * 2_999)
+    assert err.value.offset == 4 * 3_000 + 1 + 2_999
+
+
 def test_printer_round_trip():
     rng = np.random.default_rng(3)
     texts = [
@@ -605,7 +627,7 @@ def test_expr_memos_are_bounded():
 
     memos = [f for f in vars(expr_module).values() if hasattr(f, "cache_info")]
     assert {f.__name__ for f in memos} >= {
-        "_canonical_or_none", "simplify", "differentiate", "_expr_key", "_program"
+        "simplify", "differentiate", "_expr_key", "_program"
     }
     for f in memos:
         assert f.cache_info().maxsize is not None, f.__name__
@@ -823,6 +845,32 @@ def test_deep_domain_notes_come_in_tree_pre_order():
     assert notes[:3] == ["x + 3000 != 0", "x + 2999 != 0", "x + 2998 != 0"]
     assert notes[2_999:3_001] == ["x + 1 != 0", "y + 1 > 0"]
     assert len(notes) == 6_000 and notes[-1] == "y + 3000 > 0"
+
+
+def test_simplify_of_1500_nested_sin():
+    # one walk over the DAG: each function argument is its operand's
+    # simplified node, not another simplify call
+    e = var("x")
+    for _ in range(1_500):
+        e = Expr("sin", (e,))
+    assert simplify(e) is e
+    assert simplify(e + 1 - e) == const(1)
+
+
+def test_simplify_of_functions_of_a_deep_chain():
+    # e_k = e_(k-1)*sin(x) + y, 1,500 levels: the polynomial in sin(x) and y
+    # reaches the 600-term cap, the levels above it are folded locally, and
+    # the sort keys of cos(e) and sin(e) are built without recursion
+    x, y = var("x"), var("y")
+    e = x
+    for _ in range(1_500):
+        e = e * Expr("sin", (x,)) + y
+    target = Expr("cos", (e,)) * Expr("sin", (e,))
+    s = simplify(target)
+    assert s.op == "mul" and {a.op for a in s.args} == {"cos", "sin"}
+    assert s.args[0].args[0] is s.args[1].args[0]
+    point = {"x": 0.3, "y": 0.2}
+    assert evaluate(s, point) == pytest.approx(evaluate(target, point), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
