@@ -68,8 +68,8 @@ _MAX_MUL_WORK = 8_000
 
 # Entries per memo of the symbolic layer (simplify, differentiate, the sort
 # keys, ...): bounded, so a long-lived process stays bounded, and far above
-# what one CLI command fills (no command simplifies; a certify
-# command makes about 25 differentiate calls on average).
+# what one CLI command fills (no command simplifies; a certify command makes
+# about 25 differentiate calls on average).
 _MEMO_SIZE = 1 << 16
 
 # The modular zero test: a Mersenne prime, the number of random points that
@@ -885,13 +885,13 @@ def domain_notes(e: Expr) -> list[str]:
 # Simplification via rational normal form.
 #
 # A polynomial is a dict {monomial: Fraction}; a monomial is a sorted tuple of
-# (atom, positive int exponent).  Atoms are variables and function
-# applications whose arguments are themselves simplified.  Every expression
-# canonicalizes to a (numerator, denominator) pair of polynomials; no
-# polynomial GCDs are computed (bounded rewriting).
+# (atom, positive int exponent).  Atoms are variables, function applications
+# and powers with a non-integer exponent, whose operands are themselves
+# simplified.  An expression within the caps canonicalizes to a (numerator,
+# denominator) pair of polynomials; no polynomial GCDs are computed (bounded
+# rewriting).
 # ---------------------------------------------------------------------------
 
-_Poly = dict
 _POLY_ONE = {(): Fraction(1)}
 
 
@@ -1027,19 +1027,19 @@ def _rational_form(node: Expr, form: Callable, simplified: Callable[[Expr], Expr
         if not n:
             raise _NonCanonical
         return _poly_pow(d, -k), _poly_pow(n, -k)
+    if op not in ("add", "sub", "mul", "div"):
+        raise ExprError(f"unknown op {op!r}")
     (n1, d1), (n2, d2) = forms
-    if op in ("add", "sub"):
-        sign = 1 if op == "add" else -1
-        if d1 == d2:
-            return _poly_add(n1, n2, sign), d1
-        return _poly_add(_poly_mul(n1, d2), _poly_mul(n2, d1), sign), _poly_mul(d1, d2)
     if op == "mul":
         return _poly_mul(n1, n2), _poly_mul(d1, d2)
     if op == "div":
         if not n2:
             raise _NonCanonical  # division by symbolic zero
         return _poly_mul(n1, d2), _poly_mul(d1, n2)
-    raise ExprError(f"unknown op {op!r}")
+    sign = 1 if op == "add" else -1
+    if d1 == d2:
+        return _poly_add(n1, n2, sign), d1
+    return _poly_add(_poly_mul(n1, d2), _poly_mul(n2, d1), sign), _poly_mul(d1, d2)
 
 
 def _fold_func(op: str, arg: Expr) -> Expr | None:
