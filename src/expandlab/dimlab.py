@@ -260,7 +260,10 @@ def image_quantize(
         )
     if delta_min is None:
         delta_min = (hi - lo) * 2.0**-26
-    ncells = int(math.ceil((hi - lo) / delta_min))
+    cells = (hi - lo) / delta_min  # inf when the count has no float
+    if not math.isfinite(cells):
+        raise BudgetError(f"the value range [{lo}, {hi}] exceeds the bitset budget of {_MAX_CELLS} cells")
+    ncells = int(math.ceil(cells))
     if ncells < 1:
         raise ValueError("delta_min larger than the value range")
     if ncells > _MAX_CELLS:

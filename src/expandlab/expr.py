@@ -29,7 +29,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key
 from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -65,12 +65,6 @@ CALLABLE_FUNCS = ("sin", "cos", "exp", "log", "sqrt")
 _MAX_TERMS = 600
 _MAX_POW = 64
 _MAX_MUL_WORK = 8_000
-
-# Entries per memo of the symbolic layer (simplify, differentiate, the sort
-# keys, ...): bounded, so a long-lived process stays bounded, and far above
-# what one CLI command fills (no command simplifies; a certify command makes
-# about 25 differentiate calls on average).
-_MEMO_SIZE = 1 << 16
 
 # The modular zero test: a Mersenne prime, the number of random points that
 # must all give zero (a nonzero rational function of numerator degree d
@@ -113,8 +107,9 @@ class _NonCanonical(Exception):
 
 # The live nodes, by op, payload and operand identities.  An operand's id
 # stays valid while the node lives, because the node holds its operands.
-# Nodes are built on one thread only: dimlab's worker threads only evaluate
-# compiled programs.
+# Nodes are held weakly, so the cyclic GC frees a node whose memo holds it
+# (d exp(u) = exp(u)*u').  Nodes are built and memos filled on one thread
+# only: dimlab's worker threads only evaluate compiled programs.
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -125,10 +120,11 @@ class Expr:
     carry an exact Fraction payload; variables carry a name.  Building a node
     equal to a live one returns the live one, so an expression is a DAG in
     which structurally equal subexpressions are one object, and equality and
-    hashing are by identity.
+    hashing are by identity.  _memo holds the node's derivatives by variable
+    and its programs by variable order: they live as long as the node.
     """
 
-    __slots__ = ("op", "args", "value", "name", "__weakref__")
+    __slots__ = ("op", "args", "value", "name", "_memo", "__weakref__")
 
     def __new__(cls, op: str, args: tuple = (), value: Fraction | None = None, name: str | None = None):
         key = (op, value, name, *map(id, args))
@@ -139,6 +135,7 @@ class Expr:
             _set_args(node, args)
             _set_value(node, value)
             _set_name(node, name)
+            _set_memo(node, {})
             _INTERNED[key] = node
         return node
 
@@ -182,7 +179,7 @@ class Expr:
 
 
 # the slots' own setters, which __new__ calls past Expr.__setattr__
-_set_op, _set_args, _set_value, _set_name = (getattr(Expr, s).__set__ for s in Expr.__slots__[:4])
+_set_op, _set_args, _set_value, _set_name, _set_memo = (getattr(Expr, s).__set__ for s in Expr.__slots__[:5])
 
 
 def const(c) -> Expr:
@@ -578,10 +575,12 @@ class _Program:
         return all(ins[0] in _RATIONAL_OPCODES for ins in self.code)
 
 
-@lru_cache(maxsize=4096)
 def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
     """Compile e for inputs in var_order (KeyError for a variable outside
-    it).  The walk is iterative, so the depth of e does not matter."""
+    it, ExprError for a constant with no float).  The walk is iterative, so
+    the depth of e does not matter."""
+    if var_order in e._memo:
+        return e._memo[var_order]
     number: dict = {}  # (kind, payload or operand numbers) -> (value number, node), topologically
     seen: dict[Expr, int] = {}  # node -> value number
     # post-order, left operand first: instructions run in the order a tree
@@ -634,8 +633,13 @@ def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
         reg[n] = free.pop()
         b = reg[operands[1]] if len(operands) > 1 else -1
         code.append((_OPCODES.index(kind), reg[n], reg[operands[0]], b, node))
-    consts = tuple(float(c) if isinstance(c, Fraction) else c for c in exact)
-    return _Program(var_order, consts, tuple(exact), ntemps, tuple(code), reg[seen[e]])
+    try:
+        consts = tuple(float(c) if isinstance(c, Fraction) else c for c in exact)
+    except OverflowError:  # the largest constant is past the float range
+        big = max((c for c in exact if isinstance(c, Fraction)), key=abs)
+        raise ExprError(f"constant {big} has no float value") from None
+    e._memo[var_order] = _Program(var_order, consts, tuple(exact), ntemps, tuple(code), reg[seen[e]])
+    return e._memo[var_order]
 
 
 def _execute(prog: _Program, table: tuple, regs: list, point=None, consts=None):
@@ -843,9 +847,10 @@ def _walk_dag(e: Expr, step: Callable[[Expr, Callable[[Expr], _T]], _T]) -> _T:
     return done[e]
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def differentiate(e: Expr, v: str) -> Expr:
     """The partial derivative of e in v, by one walk over e's DAG."""
+    if v in e._memo:
+        return e._memo[v]
 
     def step(node: Expr, d: Callable[[Expr], Expr]) -> Expr:
         if node.op == "const":
@@ -854,7 +859,8 @@ def differentiate(e: Expr, v: str) -> Expr:
             return _ONE if node.name == v else _ZERO
         return _derivative(node, d)
 
-    return _walk_dag(e, step)
+    e._memo[v] = _walk_dag(e, step)
+    return e._memo[v]
 
 
 def domain_notes(e: Expr) -> list[str]:
@@ -895,18 +901,19 @@ def domain_notes(e: Expr) -> list[str]:
 _POLY_ONE = {(): Fraction(1)}
 
 
-def _key_step(node: Expr, key: Callable[[Expr], tuple]) -> tuple:
-    if node.op == "const":
-        return ("const", str(node.value), ())
-    if node.op == "var":
-        return ("var", node.name, ())
-    return (node.op, "", tuple(map(key, node.args)))
+def _compare(a: Expr, b: Expr) -> int:
+    """-1, 0 or 1 as a sorts before, with or after b: by op and payload (a
+    constant's str(value), a variable's name), then by the first operands that
+    are different objects, so unequal nodes: it follows one path down."""
+    while a is not b:
+        ha, hb = ((n.op, str(n.value) if n.op == "const" else n.name or "") for n in (a, b))
+        if ha != hb:
+            return -1 if ha < hb else 1
+        a, b = next((x, y) for x, y in zip(a.args, b.args) if x is not y)
+    return 0
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _expr_key(e: Expr) -> tuple:
-    """e's sort key: nested tuples (op, payload, operand keys)."""
-    return _walk_dag(e, _key_step)
+_order = cmp_to_key(_compare)  # a node's sort key
 
 
 def _mono_mul(m1, m2):
@@ -914,12 +921,10 @@ def _mono_mul(m1, m2):
         return m2
     if not m2:
         return m1
-    d = {}
-    for a, k in m1:
-        d[a] = k
+    d = dict(m1)
     for a, k in m2:
         d[a] = d.get(a, 0) + k
-    return tuple(sorted(d.items(), key=lambda ak: _expr_key(ak[0])))
+    return tuple(sorted(d.items(), key=lambda ak: _order(ak[0])))
 
 
 def _poly_add(p1, p2, sign=1):
@@ -1064,7 +1069,7 @@ def _fold_func(op: str, arg: Expr) -> Expr | None:
 
 
 def _mono_sort_key(m):
-    return (sum(k for _, k in m), tuple((_expr_key(a), k) for a, k in m))
+    return (sum(k for _, k in m), tuple((_order(a), k) for a, k in m))
 
 
 def _poly_to_expr(p) -> Expr:
@@ -1072,13 +1077,10 @@ def _poly_to_expr(p) -> Expr:
         return _ZERO
     if len(p) == 1 and () in p:
         return const(p[()])
-    # one term needs no order, and a deep atom's key is a walk over it
-    terms = sorted(p.items(), key=lambda mc: _mono_sort_key(mc[0])) if len(p) > 1 else p.items()
+    terms = sorted(p.items(), key=lambda mc: _mono_sort_key(mc[0]))
     signed: list[Expr] = []
     for m, c in terms:
-        factors: list[Expr] = []
-        for a, k in m:
-            factors.append(a if k == 1 else Expr("pow", (a, const(k))))
+        factors = [a if k == 1 else Expr("pow", (a, const(k))) for a, k in m]
         coeff = abs(c)
         term: Expr | None = None
         if coeff != 1 or not factors:
@@ -1088,11 +1090,10 @@ def _poly_to_expr(p) -> Expr:
         signed.append(Expr("neg", (term,)) if c < 0 else term)
     # balanced reduction keeps the tree depth logarithmic in the term count
     while len(signed) > 1:
-        nxt = [
+        signed = [
             Expr("add", (signed[i], signed[i + 1])) if i + 1 < len(signed) else signed[i]
             for i in range(0, len(signed), 2)
         ]
-        signed = nxt
     return signed[0]
 
 
@@ -1109,7 +1110,6 @@ def _rebuild(n, d) -> Expr:
     return Expr("div", (_poly_to_expr(n), _poly_to_expr(d)))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def simplify(e: Expr) -> Expr:
     """Bounded rewriting to a canonical rational form.
 

@@ -358,6 +358,27 @@ def test_non_finite_option_value_exits_2(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "-f", "x*y*1e200*1e200", "--vars", "x,y", "--box", "0.5,1.5,0.5,1.5"],
+         "has no float value"),
+        (["recover", "-f", "x + 1/(1e308*y)^2", "--vars", "x,y", "--box", "0.5,1.5,0.5,1.5"],
+         "has no float value"),
+        (["expand", "-f", "1e308*x", "--vars", "x,y", "--inputs", "m2r1/3:4", "--ladder", "2^-2..2^-6",
+          "--theorem", "bivariate-analytic"], "exceeds the bitset budget"),
+    ],
+    ids=["classify-constant", "recover-constant", "expand-value-range"],
+)
+def test_values_past_the_float_range_exit_2(capsys, argv, message):
+    # an exact constant of 10^400 has no float, and 1e308*x spans more
+    # cells than a float counts: usage errors, not tracebacks
+    code, out, err = run(capsys, *argv, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_non_finite_config_value_exits_2(capsys, tmp_path):
     config = tmp_path / "run.json"
     config.write_text('{"schema_version": 1, "rel_tol": NaN}')

@@ -1,8 +1,10 @@
 """Tests for parsing, differentiation, simplification, evaluation, zero tests."""
 
+import gc
 import math
 import operator
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -622,15 +624,21 @@ def test_batch_is_non_finite_where_scalar_raises(text):
     assert np.isfinite(out[1])
 
 
-def test_expr_memos_are_bounded():
-    import expandlab.expr as expr_module
+def test_expr_memos_are_bounded(capsys):
+    # derivatives and programs live on the node they came from, so once a
+    # few dozen distinct commands have returned and the cyclic GC has run,
+    # no node of theirs is left in the intern table
+    from expandlab.cli import main
 
-    memos = [f for f in vars(expr_module).values() if hasattr(f, "cache_info")]
-    assert {f.__name__ for f in memos} >= {
-        "simplify", "differentiate", "_expr_key", "_program"
-    }
-    for f in memos:
-        assert f.cache_info().maxsize is not None, f.__name__
+    box = ["--vars", "x,y", "--box", "0.5,1.5,0.5,1.5", "--no-timestamp"]
+    gc.collect()
+    baseline = len(expr_mod._INTERNED)
+    for k in range(1, 21):
+        assert main(["classify", "-f", f"x^2 + {k}*x*y + sin(y)/{k}", *box]) == 0
+        assert main(["fold", "-f", f"x^2 + {k}*x*y", *box, "--base", "1,1"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert len(expr_mod._INTERNED) == baseline
 
 
 # ---------------------------------------------------------------------------
@@ -873,6 +881,39 @@ def test_simplify_of_functions_of_a_deep_chain():
     assert evaluate(s, point) == pytest.approx(evaluate(target, point), rel=1e-12)
 
 
+def _tuple_key(e):
+    """The nested-tuple sort key (op, payload, operand keys) that the node
+    comparison replaced: the reference for its order."""
+    if e.op == "const":
+        return ("const", str(e.value), ())
+    if e.op == "var":
+        return ("var", e.name, ())
+    return (e.op, "", tuple(map(_tuple_key, e.args)))
+
+
+def test_node_order_matches_the_nested_tuple_key():
+    from test_expr_pins import random_dags
+
+    nodes = list({n: None for e in random_dags() for n in _subtrees(e)})
+    rng = random.Random(20261019)
+    rng.shuffle(nodes)
+    assert len(nodes) > 500
+    assert sorted(nodes, key=expr_mod._order) == sorted(nodes, key=_tuple_key)
+    for a, b in zip(nodes, rng.sample(nodes, len(nodes))):
+        ka, kb = _tuple_key(a), _tuple_key(b)
+        assert expr_mod._compare(a, b) == (ka > kb) - (ka < kb)
+
+
+def test_simplify_of_a_product_of_two_1500_deep_atoms():
+    # the atoms differ only at their leaves: ordering them follows one path
+    # down, where comparing nested-tuple keys ran out of stack
+    a, b = var("x"), var("y")
+    for _ in range(1_500):
+        a, b = Expr("sin", (a,)), Expr("sin", (b,))
+    assert simplify(a * b) is a * b
+    assert simplify(b * a) is a * b
+
+
 # ---------------------------------------------------------------------------
 # Hash-consing: a node equal to a live node is that node
 # ---------------------------------------------------------------------------
@@ -900,6 +941,7 @@ def test_intern_table_forgets_dropped_nodes():
     # memory stays bounded in a long-lived process: 100k distinct nodes that
     # no memo holds leave the table once they are dropped
     x = var("x")
+    gc.collect()  # memo cycles left by earlier tests
     baseline = len(expr_mod._INTERNED)
     nodes = [x * var(f"t{k}") for k in range(50_000)]
     assert len(expr_mod._INTERNED) >= baseline + 100_000
