@@ -14,6 +14,16 @@ costs about two passes over the cell map in all, however many rungs it has
 (Liebovitch & Toth, Phys. Lett. A 141, 1989).  The box-counting dimension is
 the least-squares slope of log N against log(1/delta) over a fit window.
 
+The tuples stream through in blocks of 2^16, so a float64 (or intp) array
+over a block is 512 KiB.  A block keeps the value block and its intp cell
+index live, with whatever temporaries the evaluator still holds: for the
+benchmark's functions at most three such arrays, 1.5 MiB, inside the 2 MiB
+L2 cache of one core of the 2-core machine measured (`lscpu`: L2 4 MiB, 2
+instances), so the passes over a block run from L2 (cache blocking: Lam,
+Rothberg & Wolf, ASPLOS 1991).  The cell index (v - lo) / delta_min is
+computed as (v - lo) * 2^k when delta_min is 2^-k and 2^k is finite: both are
+the same exact scaling, so the bits agree.  Any other delta_min divides.
+
 Box dimension dominates Hausdorff dimension, so the theorems' lower bounds
 remain valid one-sided predicates for these estimates (up to estimator
 noise); reports carry the exact bound next to the measured slope.
@@ -23,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,9 +63,9 @@ __all__ = [
 # bounds both the byte map image_quantize scatters into (1 byte per cell,
 # 256 MiB) and the bitset packed from it (32 MiB)
 _MAX_CELLS = 1 << 28
-# tuples evaluated per vectorized block: a float64 block is 2 MiB, so the
-# evaluator's temporaries stay in a core's L2 cache
-_BLOCK = 1 << 18
+# tuples evaluated per vectorized block: 512 KiB per float64 array, so a
+# block's few live arrays fit a core's 2 MiB L2 (see the module docstring)
+_BLOCK = 1 << 16
 
 
 class _Bitset:
@@ -208,13 +219,17 @@ def image_quantize(
 ) -> QuantizedSet:
     """Quantize f(A x B [x C]) at resolution delta_min.
 
-    The product tuples stream through in blocks of `block` tuples, sized so
-    the evaluator's temporaries stay in cache, and each tuple is evaluated
-    twice.  A first pass resolves the value range: a declared range is
-    widened when values fall outside it (with the overflow count reported),
-    never clamped.  The second pass quantizes: the cell index of a value v
-    is (v - lo) / delta_min truncated to an integer, which is its floor
-    because the scan puts every v in [lo, hi].  The values are not kept
+    The product tuples stream through in blocks of `block` tuples (by
+    default 2^16, so that a block's live arrays fit a core's L2 cache; see
+    the module docstring), and each tuple is evaluated twice.  A first pass
+    resolves the value range: a declared range is widened when values fall
+    outside it (with the overflow count reported), never clamped.  The
+    second pass quantizes: the cell index of a value v is (v - lo) /
+    delta_min truncated to an integer, which is its floor because the scan
+    puts every v in [lo, hi].  When delta_min is a power of two with a
+    finite reciprocal, the quotient is computed as the product (v - lo) *
+    (1 / delta_min), which has the same bits; any other delta_min (3^-11,
+    say) divides.  At most one thread per core runs.  The values are not kept
     between the passes because the grid origin is the exact minimum of the
     image, which is known only after the first pass has seen every tuple.
     The occupancy bitset is identical for any thread count and block size."""
@@ -222,6 +237,8 @@ def image_quantize(
         raise ValueError("need one point set per variable (2 or 3)")
     fn = compile_batch(f.expr, f.vars)
     a = sets[0].values
+    # more workers than cores only add threads: the bitset is the same
+    threads = min(threads, os.cpu_count() or 1)
     shards = _shards(a, threads)
 
     def scan(shard: np.ndarray):
@@ -277,6 +294,9 @@ def image_quantize(
     # exists even when 64 divides ncells, and is folded into the last cell.
     nbytes = _nwords(ncells) * 64
     hit = np.zeros(nbytes + 1, dtype=np.uint8)
+    # the same exact scaling as dividing, when delta_min is a power of two
+    scale = 1.0 / delta_min
+    dyadic = math.frexp(delta_min)[0] == 0.5 and math.isfinite(scale)
 
     def quantize(shard: np.ndarray):
         for arrays in _tuple_blocks(sets, shard, block):
@@ -286,7 +306,10 @@ def image_quantize(
             # writes to a new array instead
             aliased = any(np.may_share_memory(vals, a) for a in arrays)
             vals = np.subtract(vals, lo, out=None if aliased else vals)
-            np.divide(vals, delta_min, out=vals)
+            if dyadic:
+                np.multiply(vals, scale, out=vals)
+            else:
+                np.divide(vals, delta_min, out=vals)
             hit[vals.astype(np.intp)] = 1
 
     _run_sharded(quantize, shards, threads)

@@ -445,8 +445,13 @@ def _frac_str(v: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 # Opcodes index the op tables.  "powi" is a power with an integer constant
-# exponent; its second operand register holds the exact int.
+# exponent; its second operand register holds the exact int.  An opcode plus
+# _INTO_A (or _INTO_B) marks an instruction whose destination is the register
+# of its first (second) operand, a temporary that dies there and already has
+# the result's broadcast shape (see _program): the batch table writes the
+# result over that operand, and every other table repeats its ops there.
 _OPCODES = ("add", "sub", "mul", "div", "pow", "powi", "neg", *CALLABLE_FUNCS)
+_INTO_A, _INTO_B = len(_OPCODES), 2 * len(_OPCODES)
 _LEAVES = ("var", "const", "int")
 
 # Python floats raise where an operation leaves its domain (an OverflowError
@@ -454,7 +459,7 @@ _LEAVES = ("var", "const", "int")
 _SCALAR = (
     operator.add, operator.sub, operator.mul, operator.truediv, math.pow, operator.pow,
     operator.neg, math.sin, math.cos, math.exp, math.log, math.sqrt,
-)
+) * 3
 _FAULT_MESSAGE = {
     "div": "division by zero",
     "pow": "invalid power",
@@ -466,37 +471,50 @@ _FAULT_MESSAGE = {
 }
 
 
-def _nan_unless_finite(out, *operands):
-    """out, with NaN wherever one of the operands is not finite."""
-    for x in operands:
-        finite = np.isfinite(x)
-        if not np.all(finite):
-            out = np.where(finite, out, np.nan)
+def _masks(*operands) -> list:
+    """The isfinite masks of the operands that are not finite everywhere.
+    Taken before the op, so the op may write over one of them."""
+    return [m for m in map(np.isfinite, operands) if not np.all(m)]
+
+
+def _nan_unless(masks, out):
+    """out, with NaN wherever one of the masks is False."""
+    for m in masks:
+        out = np.where(m, out, np.nan)
     return out
 
 
 # ... numpy gives non-finite entries instead.  An op that would turn a
 # non-finite operand into a finite entry (x/inf, exp(-inf), nan^0, 2^-inf)
 # gives NaN there, so a point outside the domain stays non-finite to the end.
-def _batch_div(a, b):
-    return _nan_unless_finite(np.true_divide(a, b), b)
+# Every op takes out= (None: a new array).
+def _batch_div(a, b, out=None):
+    return _nan_unless(_masks(b), np.true_divide(a, b, out=out))
 
 
-def _batch_pow(a, b):
-    return _nan_unless_finite(np.power(np.asarray(a, dtype=np.float64), b), a, b)
+def _batch_pow(a, b, out=None):
+    return _nan_unless(_masks(a, b), np.power(a, b, out=out))
 
 
-def _batch_powi(a, k: int):
-    if k > 0:
-        return np.power(a, k, dtype=np.float64)
-    return _nan_unless_finite(np.power(a, k, dtype=np.float64), a)
+def _batch_powi(a, k: int, out=None):
+    return _nan_unless(_masks(a) if k <= 0 else (), np.power(a, k, dtype=np.float64, out=out))
 
 
-_BATCH_FUNCS = (np.sin, np.cos, lambda a: _nan_unless_finite(np.exp(a), a), np.log, np.sqrt)
-_BATCH = (
-    operator.add, operator.sub, operator.mul, _batch_div, _batch_pow, _batch_powi,
+def _batch_exp(a, out=None):
+    return _nan_unless(_masks(a), np.exp(a, out=out))
+
+
+_BATCH_FUNCS = (np.sin, np.cos, _batch_exp, np.log, np.sqrt)
+_BATCH_OPS = (
+    np.add, np.subtract, np.multiply, _batch_div, _batch_pow, _batch_powi,
     np.negative, *_BATCH_FUNCS,
 )
+_BATCH = (
+    *_BATCH_OPS,
+    *(lambda a, *b, fn=fn: fn(a, *b, out=a) for fn in _BATCH_OPS),
+    *(lambda a, b, fn=fn: fn(a, b, out=b) for fn in _BATCH_OPS[: _OPCODES.index("powi")]),
+)
+_BATCH_NEW = _BATCH_OPS * 3  # every op returns a new array
 
 
 # Paired with an absolute-value scale for the zero test: a register holds
@@ -531,7 +549,7 @@ _PAIRED = (
     _paired_powi,
     lambda a: (np.negative(a[0]), a[1]),
     *(lambda a, fn=fn: _scaled(fn(a[0])) for fn in _BATCH_FUNCS),
-)
+) * 3
 
 
 def _opaque(op: str) -> Callable[..., int]:
@@ -554,7 +572,7 @@ _MODP = (
     lambda a, k: pow(a, k, _MODULUS),
     lambda a: -a % _MODULUS,
     *map(_opaque, CALLABLE_FUNCS),
-)
+) * 3
 _RATIONAL_OPCODES = frozenset(map(_OPCODES.index, ("add", "sub", "mul", "div", "powi", "neg")))
 
 
@@ -572,7 +590,7 @@ class _Program:
         """Every instruction lies in the rational fragment (+ - * /,
         negation, integer powers), so a nonzero value mod a prime proves the
         program nonzero."""
-        return all(ins[0] in _RATIONAL_OPCODES for ins in self.code)
+        return all(ins[0] % _INTO_A in _RATIONAL_OPCODES for ins in self.code)
 
 
 def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
@@ -606,19 +624,24 @@ def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
         seen[node] = number.setdefault(key, (len(number), node))[0]
 
     # registers: inputs, constants, then temporaries; a temporary is freed
-    # after its last use and taken again by the next instruction
+    # after its last use and taken again by the next instruction.  deps[n]
+    # has bit i set when value n depends on var_order[i]: over inputs that
+    # broadcast together, its shape is the broadcast shape of those inputs
     index = {name: i for i, name in enumerate(var_order)}
     reg = [0] * len(number)
+    deps = [0] * len(number)
     exact: list = []
     last_use = {}
     for n, (kind, *operands) in enumerate(number):
         if kind == "var":
             reg[n] = index[operands[0]]
+            deps[n] = 1 << reg[n]
         elif kind in _LEAVES:
             reg[n] = len(var_order) + len(exact)
             exact.append(operands[0])
         else:
             last_use.update((m, n) for m in operands)
+            deps[n] = deps[operands[0]] | deps[operands[-1]]
     base = len(var_order) + len(exact)
     free: list[int] = []
     ntemps = 0
@@ -626,13 +649,25 @@ def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
     for n, ((kind, *operands), (_, node)) in enumerate(number.items()):
         if kind in _LEAVES:
             continue
-        free += {reg[m] for m in operands if last_use[m] == n and reg[m] >= base}
-        if not free:
-            free.append(base + ntemps)
-            ntemps += 1
-        reg[n] = free.pop()
+        # the result goes over a dying temporary operand with its
+        # dependencies, so with its shape (one with none may be a numpy
+        # scalar, not an array); other dying temporaries are freed
+        opcode = _OPCODES.index(kind)
+        reg[n] = -1
+        for i, m in enumerate(operands):
+            if last_use[m] == n and reg[m] >= base and not (i and m == operands[0]):
+                if reg[n] < 0 and deps[m] == deps[n] != 0:
+                    reg[n] = reg[m]
+                    opcode += (_INTO_A, _INTO_B)[i]
+                else:
+                    free.append(reg[m])
+        if reg[n] < 0:
+            if not free:
+                free.append(base + ntemps)
+                ntemps += 1
+            reg[n] = free.pop()
         b = reg[operands[1]] if len(operands) > 1 else -1
-        code.append((_OPCODES.index(kind), reg[n], reg[operands[0]], b, node))
+        code.append((opcode, reg[n], reg[operands[0]], b, node))
     try:
         consts = tuple(float(c) if isinstance(c, Fraction) else c for c in exact)
     except OverflowError:  # the largest constant is past the float range
@@ -659,7 +694,7 @@ def _execute(prog: _Program, table: tuple, regs: list, point=None, consts=None):
     except (ArithmeticError, ValueError) as exc:
         if table is not _SCALAR:
             raise
-        message = "overflow" if isinstance(exc, OverflowError) else _FAULT_MESSAGE[_OPCODES[ins[0]]]
+        message = "overflow" if isinstance(exc, OverflowError) else _FAULT_MESSAGE[_OPCODES[ins[0] % _INTO_A]]
         point = dict(zip(prog.vars, regs)) if point is None else point
         raise DomainError(message, to_string(ins[4]), point) from None
     return regs[prog.out]
@@ -685,26 +720,36 @@ def compile_scalar(e: Expr, var_order: tuple[str, ...]) -> Callable[..., float]:
 
 def compile_batch(e: Expr, var_order: tuple[str, ...]) -> Callable[..., np.ndarray]:
     """Compile to a vectorized numpy evaluator over arrays that broadcast
-    together; the result has their broadcast shape.
+    together; the result has their broadcast shape.  The inputs are taken
+    as float64 (integer arithmetic would wrap) and never written to.
 
     Domain violations surface as non-finite entries; the caller decides
     whether those are errors (see FunctionSpec.evaluate_batch)."""
     prog = _program(e, var_order)
 
     def run(*arrays: np.ndarray) -> np.ndarray:
+        regs = [np.asarray(a, dtype=np.float64) for a in arrays]
+        shape = np.broadcast(*regs).shape
+        # Temporaries are written over only when there are two elements or
+        # more: on one, numpy's add over its own first operand runs its
+        # reduction loop, which keeps the second operand's NaN.  A ufunc of
+        # 0-d arrays returns a numpy scalar, which nothing can write over, so
+        # 0-d inputs become 1-d, leaving the broadcast shape as it is.
+        if math.prod(shape) > 1:
+            table, regs = _BATCH, list(map(np.atleast_1d, regs))
+        else:
+            table = _BATCH_NEW
         with np.errstate(all="ignore"):
-            return _batch_result(_execute(prog, _BATCH, list(arrays)), arrays)
+            return _batch_result(_execute(prog, table, regs), shape)
 
     return run
 
 
-def _batch_result(out, arrays) -> np.ndarray:
-    """out as a float64 array of the inputs' broadcast shape."""
+def _batch_result(out, shape) -> np.ndarray:
+    """out as a float64 array of the given shape, which it broadcasts to."""
     out = np.asarray(out, dtype=np.float64)
-    if arrays:
-        shape = np.broadcast(*(np.asarray(a) for a in arrays)).shape
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape).copy()
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape).copy()
     return out
 
 
@@ -713,7 +758,8 @@ def _paired_batch(prog: _Program, arrays) -> tuple[np.ndarray, np.ndarray]:
     consts = [(c, abs(c)) if isinstance(c, float) else c for c in prog.consts]
     with np.errstate(all="ignore"):
         value, scale = _execute(prog, _PAIRED, [_scaled(a) for a in arrays], consts=consts)
-        return _batch_result(value, arrays), _batch_result(scale, arrays)
+    shape = np.broadcast(*arrays).shape
+    return _batch_result(value, shape), _batch_result(scale, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -1206,7 +1252,7 @@ class FunctionSpec:
         return compile_scalar(self.expr, self.vars)(*point)
 
     def evaluate_batch(self, arrays: Sequence[np.ndarray], check: bool = True) -> np.ndarray:
-        out = compile_batch(self.expr, self.vars)(*[np.asarray(a, dtype=np.float64) for a in arrays])
+        out = compile_batch(self.expr, self.vars)(*arrays)
         if check and not np.all(np.isfinite(out)):
             bad = np.unravel_index(np.argmax(~np.isfinite(out)), np.shape(out))
             pt = {v: float(np.broadcast_to(a, np.shape(out))[bad]) for v, a in zip(self.vars, arrays)}

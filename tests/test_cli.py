@@ -13,6 +13,8 @@ from expandlab import cli
 from expandlab.cli import main
 from expandlab.fractal import load_points
 
+from test_dimlab import serial_pool  # noqa: F401  (a fixture)
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -204,6 +206,16 @@ def test_expand_with_generated_inputs(capsys):
     assert code == 0
     assert doc["report"]["bound"] == {"num": 1, "den": 3}
     assert doc["report"]["declared_dims"] == [0.5, 0.5]
+
+
+def test_expand_starts_at_most_one_thread_per_core(capsys, serial_pool):
+    argv = ["expand", "-f", "x^2 + x*y", "--vars", "x,y", "--box", "0,1,0,1", "--inputs", "b4d01:6",
+            "--ladder", "2^-4..2^-12", "--theorem", "bivariate-analytic", "--no-timestamp"]
+    code, doc, _ = run_json(capsys, *argv, "--threads", "100000")
+    assert code == 0 and serial_pool == [2, 2]
+    assert doc["config"]["options"]["threads"] == 100000  # the value asked for is echoed
+    _, one, _ = run_json(capsys, *argv, "--threads", "1")
+    assert doc["report"] == one["report"]
 
 
 def test_surface_distance_command(capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from expandlab import dimlab
 from expandlab.dimlab import (
     QuantizedSet,
     _Bitset,
@@ -166,6 +167,62 @@ def test_image_quantize_rejects_one_non_finite_tuple_in_a_middle_block(c):
     for threads in (1, 2):
         with pytest.raises(ValueError, match="not finite"):
             image_quantize(f, [grid, grid], delta_min=1e-3, threads=threads, block=11)
+
+
+# 0 and 1 put the sum's maximum 2, and x's maximum 1, on the top boundary
+# of a power-of-two grid; 0.1, 1/3 and 0.7 round when scaled
+_EDGES = PointSet1D.from_values([0.0, 0.1, 1 / 3, 0.5, 0.7, 1.0])
+
+
+@pytest.mark.parametrize(
+    "delta_min", [2.0**-10, 2.0**-24, 3.0**-7, 1e-3], ids=["2^-10", "2^-24", "3^-7", "1e-3"]
+)
+@pytest.mark.parametrize("text", ["x + y", "x"])  # f = x returns the input's own array
+def test_cell_index_by_reciprocal_or_quotient_matches_naive(text, delta_min):
+    # a power of two is multiplied by its reciprocal, any other delta_min
+    # divided by; both must give the cells of the scalar floor of the quotient
+    f = FunctionSpec(parse(text), ("x", "y"), ((0, 1),) * 2)
+    sets = [_EDGES, PointSet1D.from_values([*digit_points(3, [0, 2], 3).values, 1.0])]
+    before = [ps.values.copy() for ps in sets]
+    q = image_quantize(f, sets, delta_min=delta_min)
+    naive = naive_quantize_cells(f, sets, q.lo, q.delta_min, q.ncells)
+    assert q.occupied_cells().tolist() == naive
+    if delta_min == 2.0**-10:
+        # the maximum lies on the top boundary and is folded into the last cell
+        assert q.ncells == (q.hi - q.lo) * 1024 and naive[-1] == q.ncells - 1
+    for ps, values in zip(sets, before):
+        assert np.array_equal(ps.values, values)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """ThreadPoolExecutor replaced by a pool that records max_workers and
+    runs the shards one after another, on a machine of 2 cores: no thread
+    is started, however many are asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(dimlab, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(dimlab.os, "cpu_count", lambda: 2)
+    return sizes
+
+
+def test_worker_threads_are_capped_at_the_core_count(serial_pool):
+    q = image_quantize(F_SUM, [_MT5, _MT5], delta_min=1e-3, threads=100_000)
+    assert serial_pool == [2, 2]  # the range scan, then the quantize pass
+    assert q.bit_identical(image_quantize(F_SUM, [_MT5, _MT5], delta_min=1e-3, threads=1))
 
 
 def test_image_quantize_widens_declared_range():

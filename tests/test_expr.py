@@ -624,6 +624,91 @@ def test_batch_is_non_finite_where_scalar_raises(text):
     assert np.isfinite(out[1])
 
 
+# the dying temporary is the second operand in the first two, and a
+# function's value in the third
+_WRITE_OVER_CASES = ("x - x*y", "1/(x*y)", "sin(x*y)*x")
+_CORRECTLY_ROUNDED = {"add", "sub", "mul", "div", "neg", "sqrt", "var", "const"}
+_NUMPY_TREE_OPS = {
+    **_NUMPY_OPS, "sin": np.sin, "cos": np.cos, "exp": lambda a: _nan_where(np.exp(a), a),
+}
+
+
+def _broadcast_layout(ndim):
+    g = np.array([-1.5, -0.5, 0.0, 0.75, 2.0])
+    if ndim == 2:
+        return [g[:, None], g[None, :], np.array([[0.75]])]
+    return [g[:, None, None], g[None, :, None], g[None, None, :]]
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_batch_writing_over_temporaries_matches_the_scalar_evaluator(ndim):
+    # Over inputs that broadcast to a grid, compile_batch writes results over
+    # dying temporaries.  It must give the bits of a tree walk with numpy's
+    # ops, which shares no program with it and writes over nothing.  At
+    # every grid point it must be finite exactly where `evaluate` is, with
+    # NaN standing for a DomainError, and, on DAGs of correctly rounded ops
+    # only, give evaluate's bits (libm and numpy may differ in exp, log and
+    # pow).  It must leave every input as it was.
+    from test_expr_pins import random_dags
+
+    names = ("x", "y", "z")
+    arrays = _broadcast_layout(ndim)
+    before = [a.copy() for a in arrays]
+    placements = set()
+    for e in random_dags() + [parse(t) for t in _WRITE_OVER_CASES]:
+        placements.update(ins[0] // expr_mod._INTO_A for ins in expr_mod._program(e, names).code)
+        batch = compile_batch(e, names)(*arrays)
+        with np.errstate(all="ignore"):
+            tree = np.broadcast_to(_tree_eval(e, dict(zip(names, arrays)), _NUMPY_TREE_OPS, {}), batch.shape)
+        assert batch.tobytes() == np.ascontiguousarray(tree).tobytes(), to_string(e)
+        exact = {n.op for n in _subtrees(e)} <= _CORRECTLY_ROUNDED
+        for idx in np.ndindex(batch.shape):
+            point = [float(np.broadcast_to(a, batch.shape)[idx]) for a in arrays]
+            try:
+                value = evaluate(e, dict(zip(names, point)))
+            except DomainError:
+                value = math.nan
+            assert math.isfinite(value) == np.isfinite(batch[idx]), (to_string(e), point)
+            if exact and math.isfinite(value):
+                assert np.float64(value).tobytes() == batch[idx].tobytes(), (to_string(e), point)
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b), to_string(e)
+    # results written to a free register, over the first operand, over the second
+    assert placements == {0, 1, 2}
+
+
+def test_write_over_needs_a_dying_temporary_of_the_result_shape():
+    mul, sub, sin = map(expr_mod._OPCODES.index, ("mul", "sub", "sin"))
+    code = expr_mod._program(parse("x - x*y"), ("x", "y")).code
+    assert [ins[0] for ins in code] == [mul, expr_mod._INTO_B + sub]
+    # sin(x) has fewer variables than sin(x)*y: its shape is too small
+    code = expr_mod._program(parse("sin(x)*y"), ("x", "y")).code
+    assert [ins[0] for ins in code] == [sin, mul]
+    # a constant's value is a numpy scalar, and an input is never written
+    code = expr_mod._program(parse("sin(2)*x + x"), ("x",)).code
+    assert all(ins[0] < expr_mod._INTO_A for ins in code[:2])
+
+
+def test_compile_batch_takes_integer_inputs_as_float64():
+    # in int64, 2^40 * 2^40 wraps to 0; in uint8, 1 + 255 wraps to 0
+    big = np.array([2**40], dtype=np.int64)
+    out = compile_batch(parse("x*y + 1"), ("x", "y"))(big, big)
+    assert out.dtype == np.float64 and out[0] == 2.0**80
+    one, top = np.array([1], dtype=np.uint8), np.array([255], dtype=np.uint8)
+    assert compile_batch(parse("x + y"), ("x", "y"))(one, top)[0] == 256.0
+    # over more than one element too, where temporaries are written over
+    pair = np.array([2**40, 3], dtype=np.int64)
+    assert compile_batch(parse("x*x*y"), ("x", "y"))(pair, pair).tolist() == [2.0**120, 27.0]
+
+
+def test_compile_batch_of_0_d_and_mixed_inputs():
+    fn = compile_batch(parse("sqrt(x)*3 + y"), ("x", "y"))
+    assert fn(4.0, 2.0).shape == () and fn(4.0, 2.0) == 8.0
+    # sqrt(x) of a 0-d x would be a numpy scalar, which nothing can write over
+    assert fn(np.float64(4.0), np.array([2.0, 3.0])).tolist() == [8.0, 9.0]
+    assert fn(np.array([[4.0]]), np.array([2.0])).shape == (1, 1)
+
+
 def test_expr_memos_are_bounded(capsys):
     # derivatives and programs live on the node they came from, so once a
     # few dozen distinct commands have returned and the cyclic GC has run,
