@@ -229,16 +229,15 @@ def image_quantize(
     puts every v in [lo, hi].  When delta_min is a power of two with a
     finite reciprocal, the quotient is computed as the product (v - lo) *
     (1 / delta_min), which has the same bits; any other delta_min (3^-11,
-    say) divides.  At most one thread per core runs.  The values are not kept
-    between the passes because the grid origin is the exact minimum of the
-    image, which is known only after the first pass has seen every tuple.
+    say) divides.  At most one thread per core runs, over the shards that
+    `threads` asks for.  The values are not kept between the passes
+    because the grid origin is the exact minimum of the image, which is
+    known only after the first pass has seen every tuple.
     The occupancy bitset is identical for any thread count and block size."""
     if len(sets) != f.arity or len(sets) not in (2, 3):
         raise ValueError("need one point set per variable (2 or 3)")
     fn = compile_batch(f.expr, f.vars)
     a = sets[0].values
-    # more workers than cores only add threads: the bitset is the same
-    threads = min(threads, os.cpu_count() or 1)
     shards = _shards(a, threads)
 
     def scan(shard: np.ndarray):
@@ -334,6 +333,8 @@ def _shards(a: np.ndarray, threads: int) -> list[np.ndarray]:
 
 
 def _run_sharded(fn, shards, threads: int) -> list:
+    # more workers than cores only add threads: the bitset is the same
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or len(shards) <= 1:
         return [fn(s) for s in shards]
     with ThreadPoolExecutor(max_workers=threads) as pool:

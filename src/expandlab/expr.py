@@ -27,7 +27,7 @@ import math
 import operator
 import weakref
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Mapping, Sequence, TypeVar
@@ -445,13 +445,8 @@ def _frac_str(v: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 # Opcodes index the op tables.  "powi" is a power with an integer constant
-# exponent; its second operand register holds the exact int.  An opcode plus
-# _INTO_A (or _INTO_B) marks an instruction whose destination is the register
-# of its first (second) operand, a temporary that dies there and already has
-# the result's broadcast shape (see _program): the batch table writes the
-# result over that operand, and every other table repeats its ops there.
+# exponent; its second operand register holds the exact int.
 _OPCODES = ("add", "sub", "mul", "div", "pow", "powi", "neg", *CALLABLE_FUNCS)
-_INTO_A, _INTO_B = len(_OPCODES), 2 * len(_OPCODES)
 _LEAVES = ("var", "const", "int")
 
 # Python floats raise where an operation leaves its domain (an OverflowError
@@ -459,7 +454,7 @@ _LEAVES = ("var", "const", "int")
 _SCALAR = (
     operator.add, operator.sub, operator.mul, operator.truediv, math.pow, operator.pow,
     operator.neg, math.sin, math.cos, math.exp, math.log, math.sqrt,
-) * 3
+)
 _FAULT_MESSAGE = {
     "div": "division by zero",
     "pow": "invalid power",
@@ -509,12 +504,13 @@ _BATCH_OPS = (
     np.add, np.subtract, np.multiply, _batch_div, _batch_pow, _batch_powi,
     np.negative, *_BATCH_FUNCS,
 )
+# Opcode + len(_OPCODES) (+ 2 * len(_OPCODES)) writes the result over the
+# first (second) operand: see _Program.into and compile_batch
 _BATCH = (
     *_BATCH_OPS,
     *(lambda a, *b, fn=fn: fn(a, *b, out=a) for fn in _BATCH_OPS),
     *(lambda a, b, fn=fn: fn(a, b, out=b) for fn in _BATCH_OPS[: _OPCODES.index("powi")]),
 )
-_BATCH_NEW = _BATCH_OPS * 3  # every op returns a new array
 
 
 # Paired with an absolute-value scale for the zero test: a register holds
@@ -549,7 +545,7 @@ _PAIRED = (
     _paired_powi,
     lambda a: (np.negative(a[0]), a[1]),
     *(lambda a, fn=fn: _scaled(fn(a[0])) for fn in _BATCH_FUNCS),
-) * 3
+)
 
 
 def _opaque(op: str) -> Callable[..., int]:
@@ -572,7 +568,7 @@ _MODP = (
     lambda a, k: pow(a, k, _MODULUS),
     lambda a: -a % _MODULUS,
     *map(_opaque, CALLABLE_FUNCS),
-) * 3
+)
 _RATIONAL_OPCODES = frozenset(map(_OPCODES.index, ("add", "sub", "mul", "div", "powi", "neg")))
 
 
@@ -583,6 +579,9 @@ class _Program:
     exact: tuple  # the same constants exactly: Fractions, and ints for powi
     ntemps: int  # registers for intermediate values, reused once dead
     code: tuple  # (opcode, dst, a, b, node); b < 0 for a unary op
+    # per instruction: 1 (2) when dst is the register of operand a (b), a
+    # temporary that dies there and has the result's broadcast shape, else 0
+    into: tuple
     out: int
 
     @property
@@ -590,7 +589,7 @@ class _Program:
         """Every instruction lies in the rational fragment (+ - * /,
         negation, integer powers), so a nonzero value mod a prime proves the
         program nonzero."""
-        return all(ins[0] % _INTO_A in _RATIONAL_OPCODES for ins in self.code)
+        return all(ins[0] in _RATIONAL_OPCODES for ins in self.code)
 
 
 def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
@@ -646,19 +645,20 @@ def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
     free: list[int] = []
     ntemps = 0
     code = []
+    into = []
     for n, ((kind, *operands), (_, node)) in enumerate(number.items()):
         if kind in _LEAVES:
             continue
         # the result goes over a dying temporary operand with its
         # dependencies, so with its shape (one with none may be a numpy
         # scalar, not an array); other dying temporaries are freed
-        opcode = _OPCODES.index(kind)
         reg[n] = -1
+        into.append(0)
         for i, m in enumerate(operands):
             if last_use[m] == n and reg[m] >= base and not (i and m == operands[0]):
                 if reg[n] < 0 and deps[m] == deps[n] != 0:
                     reg[n] = reg[m]
-                    opcode += (_INTO_A, _INTO_B)[i]
+                    into[-1] = i + 1
                 else:
                     free.append(reg[m])
         if reg[n] < 0:
@@ -667,13 +667,15 @@ def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
                 ntemps += 1
             reg[n] = free.pop()
         b = reg[operands[1]] if len(operands) > 1 else -1
-        code.append((opcode, reg[n], reg[operands[0]], b, node))
+        code.append((_OPCODES.index(kind), reg[n], reg[operands[0]], b, node))
     try:
         consts = tuple(float(c) if isinstance(c, Fraction) else c for c in exact)
     except OverflowError:  # the largest constant is past the float range
         big = max((c for c in exact if isinstance(c, Fraction)), key=abs)
         raise ExprError(f"constant {big} has no float value") from None
-    e._memo[var_order] = _Program(var_order, consts, tuple(exact), ntemps, tuple(code), reg[seen[e]])
+    e._memo[var_order] = _Program(
+        var_order, consts, tuple(exact), ntemps, tuple(code), tuple(into), reg[seen[e]]
+    )
     return e._memo[var_order]
 
 
@@ -694,7 +696,7 @@ def _execute(prog: _Program, table: tuple, regs: list, point=None, consts=None):
     except (ArithmeticError, ValueError) as exc:
         if table is not _SCALAR:
             raise
-        message = "overflow" if isinstance(exc, OverflowError) else _FAULT_MESSAGE[_OPCODES[ins[0] % _INTO_A]]
+        message = "overflow" if isinstance(exc, OverflowError) else _FAULT_MESSAGE[_OPCODES[ins[0]]]
         point = dict(zip(prog.vars, regs)) if point is None else point
         raise DomainError(message, to_string(ins[4]), point) from None
     return regs[prog.out]
@@ -726,21 +728,22 @@ def compile_batch(e: Expr, var_order: tuple[str, ...]) -> Callable[..., np.ndarr
     Domain violations surface as non-finite entries; the caller decides
     whether those are errors (see FunctionSpec.evaluate_batch)."""
     prog = _program(e, var_order)
+    # prog with each result written where prog.into places it
+    written = replace(prog, code=tuple(
+        (ins[0] + k * len(_OPCODES), *ins[1:]) for ins, k in zip(prog.code, prog.into)
+    ))
 
     def run(*arrays: np.ndarray) -> np.ndarray:
         regs = [np.asarray(a, dtype=np.float64) for a in arrays]
         shape = np.broadcast(*regs).shape
-        # Temporaries are written over only when there are two elements or
-        # more: on one, numpy's add over its own first operand runs its
-        # reduction loop, which keeps the second operand's NaN.  A ufunc of
-        # 0-d arrays returns a numpy scalar, which nothing can write over, so
-        # 0-d inputs become 1-d, leaving the broadcast shape as it is.
-        if math.prod(shape) > 1:
-            table, regs = _BATCH, list(map(np.atleast_1d, regs))
-        else:
-            table = _BATCH_NEW
+        # Results go over temporaries only when every input has two
+        # elements or more, and so every temporary with a variable: numpy's
+        # add over a one-element first operand runs its reduction loop,
+        # which keeps the second operand's NaN, and an op over 0-d arrays
+        # returns a numpy scalar, which nothing can be written over.
+        program = written if min((r.size for r in regs), default=0) > 1 else prog
         with np.errstate(all="ignore"):
-            return _batch_result(_execute(prog, table, regs), shape)
+            return _batch_result(_execute(program, _BATCH, regs), shape)
 
     return run
 

@@ -32,6 +32,8 @@ from expandlab.foldgeom import DEGENERATE, FOLD_VERIFIED, det_Dg, det_Dg_numeric
 from expandlab.fractal import digit_points
 from expandlab.specialform import recover_bivariate, recover_trivariate
 
+from test_dimlab import eight_cores  # noqa: F401  (a fixture)
+
 BOX2 = ((0.5, 1.5), (0.5, 1.5))
 BOX3 = ((0.5, 1.5),) * 3
 
@@ -343,6 +345,7 @@ def test_criterion_7_expansion_predicate():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("eight_cores")
 def test_criterion_8_determinism_and_parallel_exactness():
     mt10 = digit_points(3, [0, 2], 10)  # 2^20 tuples
     f = fs("x + y", ("x", "y"), ((0, 1), (0, 1)))

@@ -64,6 +64,14 @@ def test_image_quantize_matches_naive_enumeration():
         assert q.occupied_cells().tolist() == naive
 
 
+@pytest.fixture
+def eight_cores(monkeypatch):
+    """os.cpu_count() reads 8, so image_quantize starts the 2, 3, 4 or 8
+    workers a test asks for on any machine, not one per core."""
+    monkeypatch.setattr(dimlab.os, "cpu_count", lambda: 8)
+
+
+@pytest.mark.usefixtures("eight_cores")
 def test_image_quantize_thread_invariance():
     mt = digit_points(3, [0, 2], 10)  # 2^20 pairs
     delta = float(Fraction(1, 3**10))
@@ -86,6 +94,7 @@ def test_image_quantize_thread_invariance():
         ),
     ],
 )
+@pytest.mark.usefixtures("eight_cores")
 def test_shared_scatter_is_thread_invariant_and_matches_naive(f, sets):
     # a small block makes every shard write many blocks into the shared map
     # while the others do; a short switch interval interleaves them more
@@ -138,6 +147,7 @@ _D16 = PointSet1D.from_values([i / 16 for i in range(17)])
         ("z", [_B4, PointSet1D.from_values([0.5]), _B4]),
     ],
 )
+@pytest.mark.usefixtures("eight_cores")
 def test_image_quantize_is_block_size_invariant(text, sets):
     names = ("x", "y", "z")[: len(sets)]
     f = FunctionSpec(parse(text), names, ((0, 3),) * len(sets))

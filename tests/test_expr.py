@@ -625,23 +625,27 @@ def test_batch_is_non_finite_where_scalar_raises(text):
 
 
 # the dying temporary is the second operand in the first two, and a
-# function's value in the third
-_WRITE_OVER_CASES = ("x - x*y", "1/(x*y)", "sin(x*y)*x")
+# function's value in the third; the last adds two NaNs of opposite sign
+_WRITE_OVER_CASES = ("x - x*y", "1/(x*y)", "sin(x*y)*x", "log(x) + -log(x) + y*z")
 _CORRECTLY_ROUNDED = {"add", "sub", "mul", "div", "neg", "sqrt", "var", "const"}
 _NUMPY_TREE_OPS = {
     **_NUMPY_OPS, "sin": np.sin, "cos": np.cos, "exp": lambda a: _nan_where(np.exp(a), a),
 }
 
 
-def _broadcast_layout(ndim):
-    g = np.array([-1.5, -0.5, 0.0, 0.75, 2.0])
-    if ndim == 2:
-        return [g[:, None], g[None, :], np.array([[0.75]])]
-    return [g[:, None, None], g[None, :, None], g[None, None, :]]
+_GRID = np.array([-1.5, -0.5, 0.0, 0.75, 2.0])
+_BROADCAST_LAYOUTS = {
+    "2-D": [_GRID[:, None], _GRID[None, :], _GRID[::-1, None]],
+    "3-D": [_GRID[:, None, None], _GRID[None, :, None], _GRID[None, None, :]],
+    # a one-element input: nothing is written over, since a temporary of x
+    # alone has one element, where numpy's add over its first operand keeps
+    # the second operand's NaN
+    "one x": [np.array([-1.5]), _GRID, _GRID[::-1]],
+}
 
 
-@pytest.mark.parametrize("ndim", [2, 3])
-def test_batch_writing_over_temporaries_matches_the_scalar_evaluator(ndim):
+@pytest.mark.parametrize("layout", _BROADCAST_LAYOUTS)
+def test_batch_writing_over_temporaries_matches_the_scalar_evaluator(layout):
     # Over inputs that broadcast to a grid, compile_batch writes results over
     # dying temporaries.  It must give the bits of a tree walk with numpy's
     # ops, which shares no program with it and writes over nothing.  At
@@ -652,11 +656,11 @@ def test_batch_writing_over_temporaries_matches_the_scalar_evaluator(ndim):
     from test_expr_pins import random_dags
 
     names = ("x", "y", "z")
-    arrays = _broadcast_layout(ndim)
+    arrays = _BROADCAST_LAYOUTS[layout]
     before = [a.copy() for a in arrays]
     placements = set()
     for e in random_dags() + [parse(t) for t in _WRITE_OVER_CASES]:
-        placements.update(ins[0] // expr_mod._INTO_A for ins in expr_mod._program(e, names).code)
+        placements.update(expr_mod._program(e, names).into)
         batch = compile_batch(e, names)(*arrays)
         with np.errstate(all="ignore"):
             tree = np.broadcast_to(_tree_eval(e, dict(zip(names, arrays)), _NUMPY_TREE_OPS, {}), batch.shape)
@@ -678,15 +682,12 @@ def test_batch_writing_over_temporaries_matches_the_scalar_evaluator(ndim):
 
 
 def test_write_over_needs_a_dying_temporary_of_the_result_shape():
-    mul, sub, sin = map(expr_mod._OPCODES.index, ("mul", "sub", "sin"))
-    code = expr_mod._program(parse("x - x*y"), ("x", "y")).code
-    assert [ins[0] for ins in code] == [mul, expr_mod._INTO_B + sub]
+    # x - x*y is written over x*y, its second operand
+    assert expr_mod._program(parse("x - x*y"), ("x", "y")).into == (0, 2)
     # sin(x) has fewer variables than sin(x)*y: its shape is too small
-    code = expr_mod._program(parse("sin(x)*y"), ("x", "y")).code
-    assert [ins[0] for ins in code] == [sin, mul]
+    assert expr_mod._program(parse("sin(x)*y"), ("x", "y")).into == (0, 0)
     # a constant's value is a numpy scalar, and an input is never written
-    code = expr_mod._program(parse("sin(2)*x + x"), ("x",)).code
-    assert all(ins[0] < expr_mod._INTO_A for ins in code[:2])
+    assert expr_mod._program(parse("sin(2)*x + x"), ("x",)).into[:2] == (0, 0)
 
 
 def test_compile_batch_takes_integer_inputs_as_float64():
@@ -704,7 +705,7 @@ def test_compile_batch_takes_integer_inputs_as_float64():
 def test_compile_batch_of_0_d_and_mixed_inputs():
     fn = compile_batch(parse("sqrt(x)*3 + y"), ("x", "y"))
     assert fn(4.0, 2.0).shape == () and fn(4.0, 2.0) == 8.0
-    # sqrt(x) of a 0-d x would be a numpy scalar, which nothing can write over
+    # sqrt(x) of a 0-d x is a numpy scalar, which nothing can be written over
     assert fn(np.float64(4.0), np.array([2.0, 3.0])).tolist() == [8.0, 9.0]
     assert fn(np.array([[4.0]]), np.array([2.0])).shape == (1, 1)
 
