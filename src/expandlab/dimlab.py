@@ -1,28 +1,34 @@
 """Image-set measurement: streaming quantization, box counts, dimension fits.
 
 The image f(A x B [x C]) is quantized onto a fixed grid of delta_min-cells
-over a value range determined in a first streaming pass (a declared range is
-widened, never clamped, when values fall outside it).  Every shard stores 1
-into one shared byte map at each cell it hits; since every write stores the
-same value, the map, and the bitset of uint64 words packed from it, is
-bit-identical for any thread count, shard order or block size.  Box counts at
-coarser scales merge cells exactly (delta must be an integer multiple of
-delta_min): one walk over the ladder, finest rung first, builds each rung's
-map of one byte per coarse cell by OR-ing strided slices of the previous
-rung's map, so a ladder whose multiples of delta_min each divide the next
-costs about two passes over the cell map in all, however many rungs it has
-(Liebovitch & Toth, Phys. Lett. A 141, 1989).  The box-counting dimension is
-the least-squares slope of log N against log(1/delta) over a fit window.
+over its value range (a declared range is widened, never clamped, when
+values fall outside it).  When that range is known before the pass (a
+declared range, or the extremes of the first and last rows of A when an
+interval enclosure of df/dx has one sign), one streaming pass evaluates each
+tuple once, quantizes against the range and checks it; otherwise, or when
+the check fails, a range scan comes first.  Every shard stores 1 into one
+shared byte map at each cell it hits; since every write stores the same
+value, the map, and the bitset of uint64 words packed from it, is
+bit-identical for any thread count, shard order, block size or route.  Box
+counts at coarser scales merge cells exactly (delta must be an integer
+multiple of delta_min): one walk over the ladder, finest rung first, builds
+each rung's map of one byte per coarse cell by OR-ing strided slices of the
+previous rung's map, so a ladder whose multiples of delta_min each divide
+the next costs about two passes over the cell map in all, however many rungs
+it has (Liebovitch & Toth, Phys. Lett. A 141, 1989).  The box-counting
+dimension is the least-squares slope of log N against log(1/delta) over a
+fit window.
 
-The tuples stream through in blocks of 2^16, so a float64 (or intp) array
-over a block is 512 KiB.  A block keeps the value block and its intp cell
-index live, with whatever temporaries the evaluator still holds: for the
-benchmark's functions at most three such arrays, 1.5 MiB, inside the 2 MiB
-L2 cache of one core of the 2-core machine measured (`lscpu`: L2 4 MiB, 2
-instances), so the passes over a block run from L2 (cache blocking: Lam,
-Rothberg & Wolf, ASPLOS 1991).  The cell index (v - lo) / delta_min is
-computed as (v - lo) * 2^k when delta_min is 2^-k and 2^k is finite: both are
-the same exact scaling, so the bits agree.  Any other delta_min divides.
+The tuples stream through in blocks of 2^16 (a row of A that holds more is
+split along B), so a float64 (or intp) array over a block is 512 KiB.  A
+block keeps the value block and its intp cell index live, with whatever
+temporaries the evaluator still holds: for the benchmark's functions at most
+three such arrays, 1.5 MiB, inside the 2 MiB L2 cache of one core of the
+2-core machine measured (`lscpu`: L2 4 MiB, 2 instances), so the passes over
+a block run from L2 (cache blocking: Lam, Rothberg & Wolf, ASPLOS 1991).  The
+cell index (v - lo) / delta_min is computed as (v - lo) * 2^k when delta_min
+is 2^-k and 2^k is finite: both are the same exact scaling, so the bits
+agree.  Any other delta_min divides.
 
 Box dimension dominates Hausdorff dimension, so the theorems' lower bounds
 remain valid one-sided predicates for these estimates (up to estimator
@@ -43,7 +49,7 @@ import numpy as np
 
 from .degeneracy import DegeneracyReport, ThresholdReport, thresholds
 from .errors import BudgetError
-from .expr import FunctionSpec, compile_batch, compile_scalar
+from .expr import ExprError, FunctionSpec, compile_batch, enclosure
 from .fractal import PointSet1D
 from .jsonutil import jsonable, rational
 
@@ -194,19 +200,89 @@ def _ladder_counts(bits: _Bitset, ks: Sequence[int]) -> dict[int, int]:
     return counts
 
 
+def _block_rows(sets: Sequence[PointSet1D], block: int) -> int:
+    """Rows of A per block: as many whole rows (B [x C]) as fit, at least one."""
+    return max(1, block // math.prod(len(s) for s in sets[1:]))
+
+
 def _tuple_blocks(sets: Sequence[PointSet1D], shard: np.ndarray, block: int):
-    """Yield coordinate arrays covering shard x rest as broadcast views, one
-    axis per set, so the product is formed by the evaluator, not copied."""
-    if len(sets) == 2:
-        b = sets[1].values
-        rows = max(1, block // max(len(b), 1))
-        for i in range(0, len(shard), rows):
-            yield (shard[i : i + rows, None], b[None, :])
+    """Yield coordinate arrays covering shard x B [x C] as broadcast views,
+    one axis per set, so the product is formed by the evaluator, not copied.
+    A block is _block_rows whole rows of shard when a row fits in `block`
+    tuples, else one row of shard by as many elements of B as fit (at least
+    one), so no block holds more than max(block, len(C)) tuples."""
+    n = len(sets)
+
+    def axis(v: np.ndarray, k: int) -> np.ndarray:
+        return v[(*(None,) * k, slice(None), *(None,) * (n - 1 - k))]
+
+    b = sets[1].values
+    tail = [s.values for s in sets[2:]]
+    per_b = math.prod(map(len, tail))  # tuples per element of B
+    if len(b) * per_b <= block:
+        rows = _block_rows(sets, block)
+        parts = ((shard[i : i + rows], b) for i in range(0, len(shard), rows))
     else:
-        b, c = sets[1].values, sets[2].values
-        rows = max(1, block // max(len(b) * len(c), 1))
-        for i in range(0, len(shard), rows):
-            yield (shard[i : i + rows, None, None], b[None, :, None], c[None, None, :])
+        cols = max(1, block // per_b)
+        parts = ((shard[i : i + 1], b[j : j + cols]) for i in range(len(shard)) for j in range(0, len(b), cols))
+    for a_part, b_part in parts:
+        # new views for every block: one view of B passed to every block
+        # left 0.8 MB more resident after a 2-thread pass
+        yield (axis(a_part, 0), axis(b_part, 1), *(axis(c, k) for k, c in enumerate(tail, 2)))
+
+
+class _Grid:
+    """The delta_min-cells over [lo, hi] and the byte map of the cells hit.
+
+    The map is shared by every shard; a write never reads, and every write
+    stores 1, so concurrent shards cannot lose a hit.  A value v in [lo, hi]
+    has (v - lo) / delta_min in [0, ncells] (rounding is monotone): it
+    reaches ncells only at v = hi when delta_min divides hi - lo.  That index
+    lands in a padding byte past the words, which exists even when 64
+    divides ncells, and is folded into the last cell."""
+
+    def __init__(self, lo: float, hi: float, delta_min: float | None):
+        if not hi > lo:
+            raise ValueError(
+                "degenerate value range (single value); declare an explicit value_range"
+            )
+        if delta_min is None:
+            delta_min = (hi - lo) * 2.0**-26
+        cells = (hi - lo) / delta_min  # inf when the count has no float
+        if not math.isfinite(cells):
+            raise BudgetError(f"the value range [{lo}, {hi}] exceeds the bitset budget of {_MAX_CELLS} cells")
+        ncells = int(math.ceil(cells))
+        if ncells < 1:
+            raise ValueError("delta_min larger than the value range")
+        if ncells > _MAX_CELLS:
+            raise BudgetError(f"{ncells} cells exceed the bitset budget of {_MAX_CELLS}")
+        self.lo, self.hi, self.delta_min, self.ncells = lo, hi, float(delta_min), ncells
+        self.hit = np.zeros(_nwords(ncells) * 64 + 1, dtype=np.uint8)
+        # the same exact scaling as dividing, when delta_min is a power of two
+        self.scale = 1.0 / delta_min
+        self.dyadic = math.frexp(delta_min)[0] == 0.5 and math.isfinite(self.scale)
+        # cleared by a pass that finds a block outside [lo, hi]; shards only
+        # ever clear it, so they need no lock
+        self.held = True
+
+    def scatter(self, vals: np.ndarray, arrays) -> None:
+        """Mark the cells of the values of a block evaluated over arrays,
+        every one in [lo, hi].  The cell index is computed in place, in
+        vals; when f returns an input's own array (f = x), the subtraction
+        writes to a new array instead."""
+        aliased = any(np.may_share_memory(vals, a) for a in arrays)
+        vals = np.subtract(vals, self.lo, out=None if aliased else vals)
+        if self.dyadic:
+            np.multiply(vals, self.scale, out=vals)
+        else:
+            np.divide(vals, self.delta_min, out=vals)
+        self.hit[vals.astype(np.intp)] = 1
+
+    def bits(self) -> _Bitset:
+        hit, n = self.hit, self.ncells
+        hit[n - 1] |= hit[n]
+        hit[n] = 0
+        return _Bitset.from_bytemap(hit[:-1], n)
 
 
 def image_quantize(
@@ -221,26 +297,34 @@ def image_quantize(
 
     The product tuples stream through in blocks of `block` tuples (by
     default 2^16, so that a block's live arrays fit a core's L2 cache; see
-    the module docstring), and each tuple is evaluated twice.  A first pass
-    resolves the value range: a declared range is widened when values fall
-    outside it (with the overflow count reported), never clamped.  The
-    second pass quantizes: the cell index of a value v is (v - lo) /
-    delta_min truncated to an integer, which is its floor because the scan
-    puts every v in [lo, hi].  When delta_min is a power of two with a
-    finite reciprocal, the quotient is computed as the product (v - lo) *
-    (1 / delta_min), which has the same bits; any other delta_min (3^-11,
-    say) divides.  At most one thread per core runs, over the shards that
-    `threads` asks for.  The values are not kept between the passes
-    because the grid origin is the exact minimum of the image, which is
-    known only after the first pass has seen every tuple.
-    The occupancy bitset is identical for any thread count and block size."""
+    the module docstring).  The grid runs over the value range [lo, hi]: the
+    image's own extremes, or a declared range, widened when values fall
+    outside it (with the overflow count reported), never clamped.  The cell
+    index of a value v is (v - lo) / delta_min truncated to an integer,
+    which is its floor because v lies in [lo, hi].  When delta_min is a
+    power of two with a finite reciprocal, the quotient is computed as the
+    product (v - lo) * (1 / delta_min), which has the same bits; any other
+    delta_min (3^-11, say) divides.  At most one thread per core runs, over
+    the shards that `threads` asks for.
+
+    Each tuple is evaluated once when the range is known before the pass:
+    a declared range, or, when an interval enclosure of df/dx over the hull
+    of the inputs has one sign, the extremes of the blocks that hold the
+    first and last rows of A (f is monotone in x, so its extremes lie
+    there).  The pass quantizes against that range and checks it, block by
+    block; when a value falls outside, the map is dropped and a second pass
+    quantizes against the true range.  Any other f is evaluated twice: a
+    range scan, then the quantize pass.  Either way lo, hi, delta_min and
+    every value are the same floats, so the occupancy bitset is identical,
+    for any thread count and block size."""
     if len(sets) != f.arity or len(sets) not in (2, 3):
         raise ValueError("need one point set per variable (2 or 3)")
     fn = compile_batch(f.expr, f.vars)
-    a = sets[0].values
-    shards = _shards(a, threads)
+    shards = _shards(sets[0].values, threads)
 
-    def scan(shard: np.ndarray):
+    def sweep(shard: np.ndarray, grid: _Grid | None):
+        """The shard's extremes and its count of values outside the declared
+        range; every block is scattered into grid while all lie in its range."""
         vmin, vmax = math.inf, -math.inf
         outside = 0
         for arrays in _tuple_blocks(sets, shard, block):
@@ -255,76 +339,86 @@ def image_quantize(
                 outside += int(
                     np.count_nonzero((vals < value_range[0]) | (vals > value_range[1]))
                 )
+            if grid is not None and grid.held:
+                if grid.lo <= bmin and bmax <= grid.hi:
+                    grid.scatter(vals, arrays)
+                else:
+                    grid.held = False
         return vmin, vmax, outside
 
-    results = _run_sharded(scan, shards, threads)
+    grid = None
+    known = _known_range(f, sets, fn, shards, block, value_range)
+    if known is not None:
+        try:
+            grid = _Grid(*known, delta_min)
+        except (ArithmeticError, ValueError, BudgetError):
+            pass  # the two passes raise, or widen a declared range, as they always have
+    results = _run_sharded(lambda shard: sweep(shard, grid), shards, threads)
     vmin = min(r[0] for r in results)
     vmax = max(r[1] for r in results)
     outside = sum(r[2] for r in results)
 
-    widened = False
-    if value_range is not None:
-        lo, hi = float(value_range[0]), float(value_range[1])
-        if outside:
-            lo, hi = min(lo, vmin), max(hi, vmax)
-            widened = True
-    else:
-        lo, hi = vmin, vmax
-    if not hi > lo:
-        raise ValueError(
-            "degenerate value range (single value); declare an explicit value_range"
-        )
-    if delta_min is None:
-        delta_min = (hi - lo) * 2.0**-26
-    cells = (hi - lo) / delta_min  # inf when the count has no float
-    if not math.isfinite(cells):
-        raise BudgetError(f"the value range [{lo}, {hi}] exceeds the bitset budget of {_MAX_CELLS} cells")
-    ncells = int(math.ceil(cells))
-    if ncells < 1:
-        raise ValueError("delta_min larger than the value range")
-    if ncells > _MAX_CELLS:
-        raise BudgetError(f"{ncells} cells exceed the bitset budget of {_MAX_CELLS}")
+    held = grid is not None and grid.held and not outside
+    if held and value_range is None:
+        held = (vmin, vmax) == (grid.lo, grid.hi)
+    if not held:
+        grid = None  # free the provisional map before the next is made
+        if value_range is None:
+            lo, hi = vmin, vmax
+        else:
+            lo, hi = float(value_range[0]), float(value_range[1])
+            if outside:
+                lo, hi = min(lo, vmin), max(hi, vmax)
+        grid = _Grid(lo, hi, delta_min)
 
-    # one map shared by every shard; a write never reads, and every write
-    # stores 1, so concurrent shards cannot lose a hit.  Every value v lies in
-    # [lo, hi], so (v - lo) / delta_min lies in [0, ncells] (rounding is
-    # monotone): it reaches ncells only at v = hi when delta_min divides
-    # hi - lo.  That index lands in a padding byte past the words, which
-    # exists even when 64 divides ncells, and is folded into the last cell.
-    nbytes = _nwords(ncells) * 64
-    hit = np.zeros(nbytes + 1, dtype=np.uint8)
-    # the same exact scaling as dividing, when delta_min is a power of two
-    scale = 1.0 / delta_min
-    dyadic = math.frexp(delta_min)[0] == 0.5 and math.isfinite(scale)
+        def quantize(shard: np.ndarray):
+            for arrays in _tuple_blocks(sets, shard, block):
+                # vals stays alive while the next block is evaluated: freed
+                # first, it leaves enough free memory at the top of the heap
+                # for malloc to return it to the system, and every block
+                # faults the pages in again (32 times the minor faults)
+                vals = fn(*arrays)
+                grid.scatter(vals, arrays)
 
-    def quantize(shard: np.ndarray):
-        for arrays in _tuple_blocks(sets, shard, block):
-            vals = fn(*arrays)
-            # the cell index is computed in place, in the evaluated block;
-            # when f returns an input's own array (f = x), the subtraction
-            # writes to a new array instead
-            aliased = any(np.may_share_memory(vals, a) for a in arrays)
-            vals = np.subtract(vals, lo, out=None if aliased else vals)
-            if dyadic:
-                np.multiply(vals, scale, out=vals)
-            else:
-                np.divide(vals, delta_min, out=vals)
-            hit[vals.astype(np.intp)] = 1
-
-    _run_sharded(quantize, shards, threads)
-    hit[ncells - 1] |= hit[ncells]
-    hit[ncells] = 0
-    bits = _Bitset.from_bytemap(hit[:nbytes], ncells)
+        _run_sharded(quantize, shards, threads)
+    bits = grid.bits()
     return QuantizedSet(
-        lo=lo,
-        hi=hi,
-        delta_min=float(delta_min),
+        lo=grid.lo,
+        hi=grid.hi,
+        delta_min=grid.delta_min,
         bits=bits,
         population=bits.count(),
         declared_range=value_range,
-        widened=widened,
+        widened=bool(outside),
         out_of_declared_count=outside,
     )
+
+
+def _known_range(f, sets, fn, shards, block, value_range) -> tuple[float, float] | None:
+    """The value range known before the pass, if any: the declared one, or,
+    when an enclosure of df/dx over the hull of the inputs has one sign, the
+    extremes of f over every block that holds the first or last row of A,
+    evaluated with the same partition and program as the pass."""
+    if value_range is not None:
+        return float(value_range[0]), float(value_range[1])
+    hull = [(s.values[0], s.values[-1]) for s in sets]
+    try:
+        lo, hi = enclosure(f.partial(0), f.vars, hull)
+    except ExprError:
+        return None
+    if not (lo >= 0 or hi <= 0):
+        return None
+    rows = _block_rows(sets, block)
+    first, last = shards[0], shards[-1]
+    ends = itertools.chain(
+        _tuple_blocks(sets, first[:rows], block),
+        _tuple_blocks(sets, last[(len(last) - 1) // rows * rows :], block),
+    )
+    vmin, vmax = math.inf, -math.inf
+    for arrays in ends:
+        vals = fn(*arrays)
+        vmin, vmax = min(vmin, float(vals.min())), max(vmax, float(vals.max()))
+    return vmin, vmax
 
 
 def _shards(a: np.ndarray, threads: int) -> list[np.ndarray]:
@@ -349,17 +443,18 @@ def naive_quantize_cells(
     ncells: int,
     limit: int = 1 << 16,
 ) -> list[int]:
-    """Independent oracle: enumerate every tuple with the scalar evaluator,
-    quantize, sort, dedupe.  Only for products of at most `limit` tuples."""
+    """Independent oracle: evaluate the whole product with one batch call
+    (the values image_quantize evaluates, bit for bit, however it splits the
+    product), then floor, clip, sort and dedupe every tuple's cell in
+    Python.  Only for products of at most `limit` tuples."""
     total = 1
     for s in sets:
         total *= len(s)
     if total > limit:
         raise BudgetError(f"naive enumeration limited to {limit} tuples, got {total}")
-    fn = compile_scalar(f.expr, f.vars)
+    values = compile_batch(f.expr, f.vars)(*np.ix_(*(s.values for s in sets)))
     cells = set()
-    for tup in itertools.product(*(s.values.tolist() for s in sets)):
-        v = fn(*tup)
+    for v in values.ravel().tolist():
         idx = math.floor((v - lo) / delta_min)
         cells.add(min(max(idx, 0), ncells - 1))
     return sorted(cells)
@@ -392,8 +487,14 @@ def box_counts(
             # the interval endpoints are exactly representable rationals
             ratio = width / (Fraction(data.exact_den) * d)
             p, q = ratio.numerator, ratio.denominator
-            nums = data.exact_num.astype(object)
-            idx = np.minimum((nums * p) // q, int(ncells) - 1)
+            nums = data.exact_num
+            # every |num * p| is at most top, so int64 products are exact
+            # when top and q fit; the numerators increase
+            top = max(1, -int(nums[0]), int(nums[-1])) * p
+            if nums.dtype.kind == "i" and top < 2**63 and q < 2**63:
+                idx = np.minimum(nums * p // q, min(int(ncells) - 1, top))
+            else:
+                idx = np.minimum((nums.astype(object) * p) // q, int(ncells) - 1)
         else:
             dv = float(d)
             idx = np.floor((data.values - lo) / dv).astype(np.int64)

@@ -13,11 +13,13 @@ One evaluator serves every entry point: an expression is compiled once into
 a straight-line program over its DAG, run with a scalar op table (`evaluate`,
 `compile_scalar`: DomainError off the domain), a numpy one (`compile_batch`),
 one over the integers mod a prime, where each function application is an
-opaque pseudo-random atom, or the numpy one paired with an absolute-value
-scale.  The last two make the zero test (see `is_identically_zero`): all zero
-at random points mod p proves e zero; a nonzero value proves e nonzero only
-in the rational fragment (`+ - * /`, negation, integer powers), and float
-samples, judged against the paired scale, decide the rest.
+opaque pseudo-random atom, the numpy one paired with an absolute-value
+scale, or one over intervals (`enclosure`: bounds on e over a box, rounded
+outward).  The modular and paired tables make the zero test (see
+`is_identically_zero`): all zero at random points mod p proves e zero; a
+nonzero value proves e nonzero only in the rational fragment (`+ - * /`,
+negation, integer powers), and float samples, judged against the paired
+scale, decide the rest.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "domain_notes",
     "compile_scalar",
     "compile_batch",
+    "enclosure",
     "is_identically_zero",
 ]
 
@@ -572,6 +575,135 @@ _MODP = (
 _RATIONAL_OPCODES = frozenset(map(_OPCODES.index, ("add", "sub", "mul", "div", "powi", "neg")))
 
 
+# Over intervals: a register holds floats (lo, hi) that enclose every real
+# value of its node on the input box (Moore, Interval Analysis, 1966).
+# + - * / and integer powers take their least and greatest float results
+# over the operands' corners, each moved one ulp outward only where it
+# differs from the exact rational result, so 2x + y on [0, 1/3]^2 keeps its
+# lower bound 0.0.  The other functions take their values at the ends of
+# their monotone pieces and at critical points, one ulp outward.  A domain
+# violation gives _WHOLE, and so does an operand with an infinite bound, so
+# no later op narrows it.
+_WHOLE = (-math.inf, math.inf)
+
+
+def _outward(r: float, exact: Fraction) -> tuple[float, float]:
+    """Bounds on exact from r, its float result (one ulp outward on each
+    side where r differs from exact)."""
+    if math.isinf(r):  # overflow: exact lies past the largest float
+        edge = math.nextafter(r, 0.0)
+        return (edge, r) if r > 0 else (r, edge)
+    q = Fraction(r)
+    return (
+        r if q <= exact else math.nextafter(r, -math.inf),
+        r if q >= exact else math.nextafter(r, math.inf),
+    )
+
+
+def _hull(bounds) -> tuple[float, float]:
+    bounds = list(bounds)
+    return min(b[0] for b in bounds), max(b[1] for b in bounds)
+
+
+def _corners(op, a, b) -> tuple[float, float]:
+    """op (+ - * /) over the box a x b, where its extremes lie at corners."""
+    return _hull(_outward(op(x, y), op(Fraction(x), Fraction(y))) for x in a for y in b)
+
+
+def _interval_div(a, b):
+    return _WHOLE if b[0] <= 0 <= b[1] else _corners(operator.truediv, a, b)
+
+
+def _interval_powi(a, k: int):
+    # the exact power of a long exponent is a long integer
+    if k < 0 and a[0] <= 0 <= a[1] or abs(k) > 1024:
+        return _WHOLE
+
+    def power(x):
+        try:
+            r = x**k
+        except OverflowError:
+            r = math.copysign(math.inf, x) if k % 2 else math.inf
+        return _outward(r, Fraction(x) ** k)
+
+    # an even power is least at 0 when the interval holds it
+    zero = [(0.0, 0.0)] if k > 0 and k % 2 == 0 and a[0] < 0 < a[1] else []
+    return _hull([power(a[0]), power(a[1]), *zero])
+
+
+def _call(fn, *args) -> float:
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
+def _widened(lo: float, hi: float, floor: float = -math.inf, ceiling: float = math.inf):
+    """[lo, hi] one ulp outward, clipped to the function's range."""
+    return max(floor, math.nextafter(lo, -math.inf)), min(ceiling, math.nextafter(hi, math.inf))
+
+
+def _interval_pow(a, b):
+    # a^b is monotone in each operand for a > 0, so its extremes lie at corners
+    if a[0] <= 0:
+        return _WHOLE
+    ends = [_call(math.pow, x, y) for x in a for y in b]
+    return _widened(min(ends), max(ends), 0.0)
+
+
+def _rising(fn, floor: float = -math.inf):
+    return lambda a: _widened(_call(fn, a[0]), _call(fn, a[1]), floor)
+
+
+def _wave(fn, peak: float):
+    """sin (peak pi/2) or cos (peak 0): its values at the ends, widened to 1
+    (-1) when a peak (trough) may lie inside.  The test for one inside allows
+    1e-6 of rounding, which only widens."""
+
+    def enclose(a):
+        lo, hi = a
+        if hi - lo >= math.tau or max(-lo, hi) > 1e6:
+            return (-1.0, 1.0)
+
+        def inside(c):
+            return math.floor((hi + 1e-6 - c) / math.tau) >= math.ceil((lo - 1e-6 - c) / math.tau)
+
+        ends = (fn(lo), fn(hi))
+        low, high = _widened(min(ends), max(ends), -1.0, 1.0)
+        return (-1.0 if inside(peak + math.pi) else low, 1.0 if inside(peak) else high)
+
+    return enclose
+
+
+def _bounded(fn):
+    """fn, giving _WHOLE where an operand has an infinite bound or the result
+    a NaN one."""
+
+    def op(*operands):
+        if any(isinstance(r, tuple) and not (math.isfinite(r[0]) and math.isfinite(r[1])) for r in operands):
+            return _WHOLE
+        lo, hi = fn(*operands)
+        return (lo, hi) if lo <= hi else _WHOLE
+
+    return op
+
+
+_INTERVAL = tuple(map(_bounded, (
+    lambda a, b: _corners(operator.add, a, b),
+    lambda a, b: _corners(operator.sub, a, b),
+    lambda a, b: _corners(operator.mul, a, b),
+    _interval_div,
+    _interval_pow,
+    _interval_powi,
+    lambda a: (-a[1], -a[0]),
+    _wave(math.sin, math.pi / 2),
+    _wave(math.cos, 0.0),
+    _rising(math.exp, 0.0),
+    lambda a: _WHOLE if a[0] <= 0 else _rising(math.log)(a),
+    lambda a: _WHOLE if a[0] < 0 else _rising(math.sqrt, 0.0)(a),
+)))
+
+
 @dataclass(frozen=True)
 class _Program:
     vars: tuple[str, ...]  # input registers 0 .. len(vars) - 1
@@ -763,6 +895,15 @@ def _paired_batch(prog: _Program, arrays) -> tuple[np.ndarray, np.ndarray]:
         value, scale = _execute(prog, _PAIRED, [_scaled(a) for a in arrays], consts=consts)
     shape = np.broadcast(*arrays).shape
     return _batch_result(value, shape), _batch_result(scale, shape)
+
+
+def enclosure(e: Expr, var_order: tuple[str, ...], box) -> tuple[float, float]:
+    """Floats (lo, hi) that enclose every real value of e on the box, one
+    (lo, hi) per variable of var_order (see _INTERVAL); (-inf, inf) where e
+    may leave its domain on the box."""
+    prog = _program(e, tuple(var_order))
+    consts = [_outward(float(c), c) if isinstance(c, Fraction) else c for c in prog.exact]
+    return _execute(prog, _INTERVAL, [(float(lo), float(hi)) for lo, hi in box], consts=consts)
 
 
 # ---------------------------------------------------------------------------

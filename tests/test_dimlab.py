@@ -1,6 +1,8 @@
 """Tests for streaming quantization, box counts, and dimension estimates."""
 
+import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -57,6 +59,16 @@ def test_image_quantize_matches_naive_enumeration():
             FunctionSpec(parse("x*y + z"), ("x", "y", "z"), ((0, 1),) * 3),
             [digit_points(2, [0, 1], 5)] * 3,
         ),
+        # numpy's exp and sin may differ from libm's in the last bit; the
+        # oracle evaluates with numpy too
+        (
+            FunctionSpec(parse("exp(3*x)*y - x"), ("x", "y"), ((0, 1), (0, 1))),
+            [digit_points(3, [0, 2], 6), digit_points(2, [0, 1], 6)],
+        ),
+        (
+            FunctionSpec(parse("sin(7*x)*z + y^2"), ("x", "y", "z"), ((0, 1),) * 3),
+            [digit_points(2, [0, 1], 5)] * 3,
+        ),
     ]
     for f, sets in cases:
         q = image_quantize(f, sets, delta_min=1e-4)
@@ -97,18 +109,23 @@ def test_image_quantize_thread_invariance():
 @pytest.mark.usefixtures("eight_cores")
 def test_shared_scatter_is_thread_invariant_and_matches_naive(f, sets):
     # a small block makes every shard write many blocks into the shared map
-    # while the others do; a short switch interval interleaves them more
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        qs = [image_quantize(f, sets, delta_min=1e-3, threads=t, block=64) for t in (1, 2, 3, 8)]
-    finally:
-        sys.setswitchinterval(interval)
-    for q in qs[1:]:
-        assert qs[0].bit_identical(q)
-    naive = naive_quantize_cells(f, sets, qs[0].lo, qs[0].delta_min, qs[0].ncells)
-    assert qs[0].occupied_cells().tolist() == naive
-    assert qs[0].population == len(naive)
+    # while the others do; a short switch interval interleaves them more.
+    # The declared range fails part-way: shards stop scattering against it
+    # while others still do, and a second pass quantizes.
+    for declared in (None, (0.0, 1.5)):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            qs = [image_quantize(f, sets, delta_min=1e-3, value_range=declared, threads=t, block=64)
+                  for t in (1, 2, 3, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        for q in qs[1:]:
+            assert qs[0].bit_identical(q)
+        assert qs[0].widened == (declared is not None)
+        naive = naive_quantize_cells(f, sets, qs[0].lo, qs[0].delta_min, qs[0].ncells)
+        assert qs[0].occupied_cells().tolist() == naive
+        assert qs[0].population == len(naive)
 
 
 @pytest.mark.parametrize("threads", [1, 4])
@@ -231,8 +248,104 @@ def serial_pool(monkeypatch):
 
 def test_worker_threads_are_capped_at_the_core_count(serial_pool):
     q = image_quantize(F_SUM, [_MT5, _MT5], delta_min=1e-3, threads=100_000)
-    assert serial_pool == [2, 2]  # the range scan, then the quantize pass
+    # x + y rises in x, so one pass quantizes against a range known in advance
+    assert serial_pool == [2]
     assert q.bit_identical(image_quantize(F_SUM, [_MT5, _MT5], delta_min=1e-3, threads=1))
+
+
+def test_worker_pools_count_the_passes(serial_pool):
+    # the benchmark's functions rise in x on their inputs, so one pass
+    # quantizes; a saddle is not monotone in x, so a range scan comes first
+    b4 = digit_points(4, [0, 1], 5)
+    mt = cantor_points(CantorSpec(2, Fraction(1, 3), 6))
+    for text, names, sets, passes in (
+        ("x^2 + x*y", "xy", [b4, b4], 1),
+        ("x*y + z", "xyz", [b4, b4, b4], 1),
+        ("x + y", "xy", [mt, mt], 1),
+        ("(x - 0.3)^2 - (y - 0.05)^2", "xy", [b4, b4], 2),
+    ):
+        f = FunctionSpec(parse(text), tuple(names), ((0, 1),) * len(names))
+        serial_pool.clear()
+        # 16-tuple blocks split each row of the trivariate product, so its
+        # known range takes every block of the first and last rows
+        for block in (16, dimlab._BLOCK):
+            image_quantize(f, sets, delta_min=2.0**-20, threads=100_000, block=block)
+        assert serial_pool == [2] * 2 * passes, text
+
+
+# f, its variables, and whether an enclosure of df/dx has one sign on [0, 1]
+_ROUTES = [
+    ("x^2 + x*y", "xy", True),
+    ("x*y + z", "xyz", True),
+    ("exp(x)*y - sin(3*z)", "xyz", True),
+    ("y*z - x^3", "xyz", True),  # falls in x
+    ("(x - 0.3)^2 - (y - 0.05)^2", "xy", False),
+    ("sin(40*x)*y + x", "xy", False),
+]
+
+
+@pytest.mark.usefixtures("eight_cores")
+def test_one_pass_matches_the_two_pass_route(monkeypatch):
+    # The one-pass route must give the two passes' result bit for bit, also
+    # when its range fails: a declared range that widens, or an enclosure
+    # that claims a sign it does not have, so the end rows miss an extreme.
+    rng = random.Random(19)
+    for text, names, monotone in _ROUTES:
+        f = FunctionSpec(parse(text), tuple(names), ((0, 1),) * len(names))
+        for declared in (None, (-3.0, 3.0), (0.0, 0.05)):  # none, one that holds, one that widens
+            threads = rng.choice((1, 2, 4, 8))
+            block = rng.choice((11, 64, dimlab._BLOCK))
+            levels = (3, 4, 5) if len(names) == 2 else (2, 3)
+            sets = [digit_points(rng.choice((3, 4)), [0, 1], rng.choice(levels)) for _ in names]
+            args = dict(delta_min=1e-3, value_range=declared, threads=threads, block=block)
+            passes = []
+            with monkeypatch.context() as m:
+                m.setattr(dimlab, "_run_sharded", lambda *a, run=dimlab._run_sharded: passes.append(1) or run(*a))
+                q = image_quantize(f, sets, **args)
+            holds = declared == (-3.0, 3.0) or declared is None and monotone
+            assert len(passes) == (1 if holds else 2), (text, declared)
+            with monkeypatch.context() as m:
+                m.setattr(dimlab, "enclosure", lambda *a: (0.0, 0.0))
+                lied = image_quantize(f, sets, **args)
+                m.setattr(dimlab, "_known_range", lambda *a: None)
+                two = image_quantize(f, sets, **args)
+            for other in (lied, two):
+                assert q.bit_identical(other), (text, declared, threads, block)
+                assert (q.widened, q.out_of_declared_count) == (other.widened, other.out_of_declared_count)
+            assert q.widened == (declared == (0.0, 0.05))
+            naive = naive_quantize_cells(f, sets, q.lo, q.delta_min, q.ncells)
+            assert q.occupied_cells().tolist() == naive
+
+
+def test_tuple_blocks_split_rows_that_exceed_the_block():
+    a, b, c = (PointSet1D.from_values(np.arange(n) / n) for n in (5, 7, 9))
+    for sets in ([a, b, c], [a, b]):
+        product = sorted(itertools.product(*(s.values.tolist() for s in sets)))
+        for block in (1, 5, 9, 16, 63, 64, 1000):
+            tuples = []
+            for arrays in dimlab._tuple_blocks(sets, a.values, block):
+                grids = np.broadcast_arrays(*arrays)
+                assert grids[0].size <= max(block, len(sets[-1]) if len(sets) == 3 else 1)
+                tuples += zip(*(g.ravel().tolist() for g in grids))
+            assert sorted(tuples) == product, (len(sets), block)
+    # the benchmark's b4d01:8 triples stay one row of 2^16 tuples a block
+    b8 = digit_points(4, [0, 1], 8)
+    shapes = {np.broadcast(*arrays).shape for arrays in dimlab._tuple_blocks([b8] * 3, b8.values, dimlab._BLOCK)}
+    assert shapes == {(1, 256, 256)}
+
+
+@pytest.mark.usefixtures("eight_cores")
+@pytest.mark.parametrize("text", ["x*y + z", "(x - 0.3)*y - z^2"])
+def test_trivariate_bitset_is_invariant_to_split_rows(text):
+    sets = [digit_points(3, [0, 2], 3), digit_points(4, [0, 1], 4), digit_points(2, [0, 1], 5)]
+    f = FunctionSpec(parse(text), ("x", "y", "z"), ((0, 1),) * 3)
+    # a row is 256 * 32 tuples: the smaller blocks split it along y
+    qs = [image_quantize(f, sets, delta_min=1e-4, threads=t, block=b)
+          for b in (7, 32, 100, 8192, dimlab._BLOCK) for t in (1, 3)]
+    for q in qs[1:]:
+        assert qs[0].bit_identical(q)
+    naive = naive_quantize_cells(f, sets, qs[0].lo, qs[0].delta_min, qs[0].ncells)
+    assert qs[0].occupied_cells().tolist() == naive
 
 
 def test_image_quantize_widens_declared_range():
@@ -398,6 +511,25 @@ def test_point_set_box_counts_exact_beyond_int64():
     small = digit_points(4, [0, 1], 5)
     d = Fraction(1, 2**64)
     assert box_counts(small, [d]) == [(float(d), 32)]
+
+
+def test_point_set_box_counts_agree_in_int64_and_python_ints():
+    # the same points with numerators and denominator scaled by 2^62 are
+    # counted in Python ints; the originals fit int64 on every rung
+    for ps in (digit_points(4, [0, 1], 6), digit_points(3, [0, 2], 8)):
+        scaled = PointSet1D(
+            values=ps.values, dimension=ps.dimension, provenance="scaled", interval=ps.interval,
+            exact_num=np.array([n << 62 for n in ps.exact_num.tolist()], dtype=object),
+            exact_den=ps.exact_den << 62,
+        )
+        ladder = power_ladder(2, 1, 14) + power_ladder(3, 1, 10)
+        counts = box_counts(ps, ladder)
+        assert box_counts(scaled, ladder) == counts
+        for d, (_, n) in zip(ladder, counts):
+            ratio = 1 / (ps.exact_den * d)
+            cells = {min(x * ratio.numerator // ratio.denominator, math.ceil(1 / d) - 1)
+                     for x in ps.exact_num.tolist()}
+            assert n == len(cells)
 
 
 def test_covered_fraction_basics():

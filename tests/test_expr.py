@@ -26,6 +26,7 @@ from expandlab.expr import (
     const,
     differentiate,
     domain_notes,
+    enclosure,
     evaluate,
     free_vars,
     is_identically_zero,
@@ -688,6 +689,94 @@ def test_write_over_needs_a_dying_temporary_of_the_result_shape():
     assert expr_mod._program(parse("sin(x)*y"), ("x", "y")).into == (0, 0)
     # a constant's value is a numpy scalar, and an input is never written
     assert expr_mod._program(parse("sin(2)*x + x"), ("x",)).into[:2] == (0, 0)
+
+
+def _iv_eval(e, box):
+    """e over mpmath.iv intervals at 200 bits, or None where mpmath leaves
+    the reals or raises."""
+    from mpmath import iv
+
+    env = {name: iv.mpf([lo, hi]) for name, (lo, hi) in zip("xyz", box)}
+    funcs = {"sin": iv.sin, "cos": iv.cos, "exp": iv.exp, "log": iv.log, "sqrt": iv.sqrt}
+    ops = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+    memo = {}
+
+    def walk(node):
+        if node not in memo:
+            if node.op == "var":
+                memo[node] = env[node.name]
+            elif node.op == "const":
+                memo[node] = iv.mpf(node.value.numerator) / node.value.denominator
+            elif node.op == "neg":
+                memo[node] = -walk(node.args[0])
+            elif node.op == "pow" and node.args[1].op == "const" and node.args[1].value.denominator == 1:
+                memo[node] = walk(node.args[0]) ** int(node.args[1].value)
+            elif node.op == "pow":
+                memo[node] = walk(node.args[0]) ** walk(node.args[1])
+            elif node.op in ops:
+                memo[node] = ops[node.op](walk(node.args[0]), walk(node.args[1]))
+            else:
+                memo[node] = funcs[node.op](walk(node.args[0]))
+            if not isinstance(memo[node], iv.mpf):
+                raise ValueError("left the reals")
+        return memo[node]
+
+    prec, iv.prec = iv.prec, 200
+    try:
+        out = walk(e)
+    except (ArithmeticError, ValueError):
+        return None
+    finally:
+        iv.prec = prec
+    return out
+
+
+def test_enclosures_contain_mpmath_and_the_float_samples():
+    # over the 300 pinned random DAGs, on seeded boxes of either sign and
+    # on positive ones (where log, sqrt and pow are defined), the enclosure
+    # must contain mpmath.iv's and every value the scalar evaluator gives
+    from test_expr_pins import random_dags
+
+    rng = random.Random(19)
+    names = ("x", "y", "z")
+    compared = 0
+    for e in random_dags():
+        f = compile_scalar(e, names)
+        for low in (-2.0, 0.1, 0.1):
+            box = [tuple(sorted(rng.uniform(low, 2.0) for _ in range(2))) for _ in names]
+            lo, hi = enclosure(e, names, box)
+            assert lo <= hi, to_string(e)
+            ref = _iv_eval(e, box)
+            if ref is not None and not (math.isinf(ref.a) or math.isinf(ref.b)):
+                assert lo <= ref.a and ref.b <= hi, (to_string(e), box, (lo, hi), ref)
+                compared += 1
+            for _ in range(8):
+                point = [rng.uniform(a, b) for a, b in box]
+                try:
+                    value = f(*point)
+                except DomainError:
+                    continue
+                assert lo <= value <= hi, (to_string(e), point, (lo, hi), value)
+    assert compared > 300
+
+
+def test_enclosure_rounds_outward_only_when_inexact():
+    third = 1 / 3
+    lo, hi = enclosure(parse("2*x + y"), ("x", "y"), [(0.0, third)] * 2)
+    # 3 * third rounds up to 1.0, which bounds it already
+    assert (lo, hi) == (0.0, 1.0)
+    assert enclosure(parse("x*y - 1/4"), ("x", "y"), [(0.5, 1.0)] * 2) == (0.0, 0.75)
+    # 0.1 has no float: its own enclosure is one ulp wide
+    assert enclosure(parse("0.1"), (), []) == (math.nextafter(0.1, 0.0), 0.1)
+    # an even power is least at 0, and a divisor that holds 0 bounds nothing
+    assert enclosure(parse("x^2"), ("x",), [(-1.0, 3.0)]) == (0.0, 9.0)
+    assert enclosure(parse("1/x"), ("x",), [(-1.0, 3.0)]) == (-math.inf, math.inf)
+    # a domain violation stays unbounded through functions that are bounded
+    assert enclosure(parse("sin(log(x)) + 2"), ("x",), [(-1.0, 3.0)]) == (-math.inf, math.inf)
+    assert enclosure(parse("exp(1/x)"), ("x",), [(-1.0, 3.0)]) == (-math.inf, math.inf)
+    # sin reaches 1 inside [0, 3], and cos -1 inside [3, 4]
+    assert enclosure(parse("sin(x)"), ("x",), [(0.0, 3.0)])[1] == 1.0
+    assert enclosure(parse("cos(x)"), ("x",), [(3.0, 4.0)])[0] == -1.0
 
 
 def test_compile_batch_takes_integer_inputs_as_float64():
