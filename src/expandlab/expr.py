@@ -581,7 +581,9 @@ _RATIONAL_OPCODES = frozenset(map(_OPCODES.index, ("add", "sub", "mul", "div", "
 # over the operands' corners, each moved one ulp outward only where it
 # differs from the exact rational result, so 2x + y on [0, 1/3]^2 keeps its
 # lower bound 0.0.  The other functions take their values at the ends of
-# their monotone pieces and at critical points, one ulp outward.  A domain
+# their monotone pieces and at critical points, one ulp outward except where
+# the value is exact (sin 0, cos 0, exp 0, log 1, the square root of an exact
+# square), so sin x on [0, 1/3] keeps its lower bound 0.0 too.  A domain
 # violation gives _WHOLE, and so does an operand with an infinite bound, so
 # no later op narrows it.
 _WHOLE = (-math.inf, math.inf)
@@ -638,21 +640,36 @@ def _call(fn, *args) -> float:
         return math.inf
 
 
-def _widened(lo: float, hi: float, floor: float = -math.inf, ceiling: float = math.inf):
-    """[lo, hi] one ulp outward, clipped to the function's range."""
-    return max(floor, math.nextafter(lo, -math.inf)), min(ceiling, math.nextafter(hi, math.inf))
-
-
 def _interval_pow(a, b):
     # a^b is monotone in each operand for a > 0, so its extremes lie at corners
     if a[0] <= 0:
         return _WHOLE
     ends = [_call(math.pow, x, y) for x in a for y in b]
-    return _widened(min(ends), max(ends), 0.0)
+    return max(0.0, math.nextafter(min(ends), -math.inf)), math.nextafter(max(ends), math.inf)
+
+
+# libm's values that are exact
+_EXACT_AT = {(math.sin, 0.0), (math.cos, 0.0), (math.exp, 0.0), (math.log, 1.0)}
+
+
+def _at(fn, x: float) -> tuple[float, float]:
+    """Bounds on fn(x) from its float value r: r itself where it is exact,
+    else one ulp outward on each side (for sqrt only on a side where r
+    differs from the root, found exactly by comparing r^2 with x)."""
+    r = _call(fn, x)
+    if (fn, x) in _EXACT_AT:
+        return r, r
+    if fn is math.sqrt:
+        square = Fraction(r) ** 2
+        return (
+            r if square <= x else math.nextafter(r, -math.inf),
+            r if square >= x else math.nextafter(r, math.inf),
+        )
+    return math.nextafter(r, -math.inf), math.nextafter(r, math.inf)
 
 
 def _rising(fn, floor: float = -math.inf):
-    return lambda a: _widened(_call(fn, a[0]), _call(fn, a[1]), floor)
+    return lambda a: (max(floor, _at(fn, a[0])[0]), _at(fn, a[1])[1])
 
 
 def _wave(fn, peak: float):
@@ -668,9 +685,8 @@ def _wave(fn, peak: float):
         def inside(c):
             return math.floor((hi + 1e-6 - c) / math.tau) >= math.ceil((lo - 1e-6 - c) / math.tau)
 
-        ends = (fn(lo), fn(hi))
-        low, high = _widened(min(ends), max(ends), -1.0, 1.0)
-        return (-1.0 if inside(peak + math.pi) else low, 1.0 if inside(peak) else high)
+        low, high = _hull((_at(fn, lo), _at(fn, hi)))
+        return (-1.0 if inside(peak + math.pi) else max(-1.0, low), 1.0 if inside(peak) else min(1.0, high))
 
     return enclose
 

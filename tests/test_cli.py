@@ -218,6 +218,16 @@ def test_expand_starts_at_most_one_thread_per_core(capsys, serial_pool):
     assert doc["report"] == one["report"]
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_expand_rejects_a_thread_count_below_1(capsys, threads):
+    code, doc, err = run_json(
+        capsys, "expand", "-f", "x + y", "--vars", "x,y", "--inputs", "b4d01:4",
+        "--ladder", "2^-2..2^-8", "--theorem", "bivariate-analytic", "--threads", threads,
+    )
+    assert (code, doc) == (2, None)
+    assert f"thread count must be at least 1, got {threads}" in err
+
+
 def test_surface_distance_command(capsys):
     code, doc, _ = run_json(
         capsys,

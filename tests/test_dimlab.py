@@ -83,17 +83,36 @@ def eight_cores(monkeypatch):
     monkeypatch.setattr(dimlab.os, "cpu_count", lambda: 8)
 
 
+@pytest.fixture
+def routes(monkeypatch):
+    """The run-route decisions of _Grid.scatter, one bool per block."""
+    taken = []
+
+    def spy(grid, vals, pay=dimlab._Grid.runs_pay):
+        taken.append(pay(grid, vals))
+        return taken[-1]
+
+    monkeypatch.setattr(dimlab._Grid, "runs_pay", spy)
+    return taken
+
+
 @pytest.mark.usefixtures("eight_cores")
-def test_image_quantize_thread_invariance():
-    mt = digit_points(3, [0, 2], 10)  # 2^20 pairs
-    delta = float(Fraction(1, 3**10))
-    qs = [
-        image_quantize(F_SUM, [mt, mt], delta_min=delta, value_range=(0, 2), threads=t)
-        for t in (1, 4, 8)
+def test_image_quantize_thread_invariance(routes):
+    cases = [
+        (F_SUM, [digit_points(3, [0, 2], 10)] * 2, float(Fraction(1, 3**10)), False),  # 2^20 pairs
+        # 16 neighbours in b4d01:9 span under 2^-12 of y: most chunks of a
+        # row lie in one cell, so blocks take the run route (at 8 threads,
+        # a shard whose first row crosses more cells does not)
+        (FunctionSpec(parse("x^2 + x*y"), ("x", "y"), ((0, 1),) * 2), [digit_points(4, [0, 1], 9)] * 2,
+         2.0**-12, True),
     ]
-    assert qs[0].bit_identical(qs[1])
-    assert qs[0].bit_identical(qs[2])
-    assert qs[0].population == qs[1].population == qs[2].population
+    for f, sets, delta, route in cases:
+        routes.clear()
+        qs = [image_quantize(f, sets, delta_min=delta, value_range=(0, 2), threads=t) for t in (1, 4, 8)]
+        assert qs[0].bit_identical(qs[1])
+        assert qs[0].bit_identical(qs[2])
+        assert qs[0].population == qs[1].population == qs[2].population
+        assert any(routes) == route
 
 
 @pytest.mark.parametrize(
@@ -144,6 +163,7 @@ def test_image_quantize_folds_the_top_boundary_when_64_divides_ncells(threads):
 _MT5 = digit_points(3, [0, 2], 5)  # 32 points, 1024 pairs
 _B4 = digit_points(2, [0, 1], 4)  # 16 points, 4096 triples
 _D16 = PointSet1D.from_values([i / 16 for i in range(17)])
+_B7 = digit_points(4, [0, 1], 7)  # 16 neighbours span under 1e-3 of y
 
 
 @pytest.mark.parametrize(
@@ -162,10 +182,12 @@ _D16 = PointSet1D.from_values([i / 16 for i in range(17)])
         ("x", [_MT5, PointSet1D.from_values([0.25])]),
         ("x*y + z", [_B4, _B4, _B4]),
         ("z", [_B4, PointSet1D.from_values([0.5]), _B4]),
+        # takes the run route in blocks of 64 tuples and more
+        ("x^2 + x*y", [_B7, _B7]),
     ],
 )
 @pytest.mark.usefixtures("eight_cores")
-def test_image_quantize_is_block_size_invariant(text, sets):
+def test_image_quantize_is_block_size_invariant(text, sets, routes):
     names = ("x", "y", "z")[: len(sets)]
     f = FunctionSpec(parse(text), names, ((0, 3),) * len(sets))
     before = [s.values.copy() for s in sets]
@@ -180,6 +202,7 @@ def test_image_quantize_is_block_size_invariant(text, sets):
         assert qs[0].bit_identical(q)
     naive = naive_quantize_cells(f, sets, qs[0].lo, qs[0].delta_min, qs[0].ncells)
     assert qs[0].occupied_cells().tolist() == naive
+    assert any(routes) == (text == "x^2 + x*y")
     # the cell index is computed in place: no input may be written
     for s, values in zip(sets, before):
         assert np.array_equal(s.values, values)
@@ -281,6 +304,8 @@ _ROUTES = [
     ("y*z - x^3", "xyz", True),  # falls in x
     ("(x - 0.3)^2 - (y - 0.05)^2", "xy", False),
     ("sin(40*x)*y + x", "xy", False),
+    # df/dx = sin x, whose enclosure is exactly 0 at x = 0, where b4d01 starts
+    ("y - cos(x)", "xy", True, [digit_points(4, [0, 1], 6)] * 2),
 ]
 
 
@@ -290,13 +315,13 @@ def test_one_pass_matches_the_two_pass_route(monkeypatch):
     # when its range fails: a declared range that widens, or an enclosure
     # that claims a sign it does not have, so the end rows miss an extreme.
     rng = random.Random(19)
-    for text, names, monotone in _ROUTES:
+    for text, names, monotone, *fixed in _ROUTES:
         f = FunctionSpec(parse(text), tuple(names), ((0, 1),) * len(names))
         for declared in (None, (-3.0, 3.0), (0.0, 0.05)):  # none, one that holds, one that widens
             threads = rng.choice((1, 2, 4, 8))
             block = rng.choice((11, 64, dimlab._BLOCK))
             levels = (3, 4, 5) if len(names) == 2 else (2, 3)
-            sets = [digit_points(rng.choice((3, 4)), [0, 1], rng.choice(levels)) for _ in names]
+            sets = fixed[0] if fixed else [digit_points(rng.choice((3, 4)), [0, 1], rng.choice(levels)) for _ in names]
             args = dict(delta_min=1e-3, value_range=declared, threads=threads, block=block)
             passes = []
             with monkeypatch.context() as m:
@@ -346,6 +371,68 @@ def test_trivariate_bitset_is_invariant_to_split_rows(text):
         assert qs[0].bit_identical(q)
     naive = naive_quantize_cells(f, sets, qs[0].lo, qs[0].delta_min, qs[0].ncells)
     assert qs[0].occupied_cells().tolist() == naive
+
+
+def _clustered_rows(rng, rows: int, n: int, cells: int, delta: float) -> np.ndarray:
+    """rows x n values, each row sorted, in 5 of `cells` cells of delta over
+    [0, cells * delta]: some on cell boundaries, and the top value once."""
+    out = np.empty((rows, n))
+    for r in range(rows):
+        idx = np.sort(rng.choice(cells, size=5, replace=False))[rng.integers(0, 5, size=n)]
+        out[r] = np.sort((idx + np.where(rng.random(n) < 0.1, 0.0, rng.random(n))) * delta)
+    out[-1, -1] = cells * delta
+    return out
+
+
+def test_run_route_marks_the_cells_of_the_plain_scatter():
+    # the same values, sorted within each row (the run route) or shuffled
+    # within it (the plain scatter), mark the same bytes: those of the
+    # scalar floor of the quotient, the top value folded into the last cell
+    rng = np.random.default_rng(20)
+    delta = 2.0**-8
+    for _ in range(20):
+        rising = _clustered_rows(rng, 4, 1024, 256, delta)
+        shuffled = rng.permuted(rising, axis=1)
+        grids = [dimlab._Grid(0.0, 1.0, delta) for _ in range(2)]
+        assert grids[0].runs_pay(rising) and not grids[1].runs_pay(shuffled)
+        for grid, vals in zip(grids, (rising, shuffled)):
+            # the plain scatter writes the cell coordinates over the values
+            grid.scatter(vals.copy(), ())
+        assert np.array_equal(grids[0].hit, grids[1].hit)
+        cells = {min(math.floor(v / delta), 255) for v in rising.ravel().tolist()}
+        assert np.flatnonzero(grids[0].bits().bytemap()).tolist() == sorted(cells)
+        # one value out of order, in a row after the first, inside a chunk
+        # whose ends share a cell: the probe still passes, and the exact
+        # check must refuse the route
+        j = next(k for k in range(0, 1024, 16) if int(rising[2, k] / delta) == int(rising[2, k + 15] / delta))
+        free = min(set(range(256)) - cells)
+        bumped = rising.copy()
+        bumped[2, j + 7] = (free + 0.5) * delta
+        grid = dimlab._Grid(0.0, 1.0, delta)
+        assert not grid.runs_pay(bumped)
+        grid.scatter(bumped, ())
+        assert grid.hit[free] == 1
+
+
+_B6 = digit_points(4, [0, 1], 6)
+
+
+@pytest.mark.parametrize(
+    "text, sets, route",
+    [
+        ("x^2 + x*y/8", [_B6, _B6], True),  # clustered rows
+        ("x - y", [_B6, _B6], False),  # falling rows
+        ("(y - 1/6)^2 + x", [_B6, _B6], False),  # rows that fall, then rise
+        ("x + y", [digit_points(3, (0, 1, 2), 3)] * 2, False),  # rows of 27 values
+        ("y", [_B6, digit_points(4, [0, 1], 9)], True),  # f returns the input's own array
+    ],
+)
+def test_run_route_matches_naive_enumeration(text, sets, route, routes):
+    f = FunctionSpec(parse(text), ("x", "y"), ((0, 1),) * 2)
+    q = image_quantize(f, sets, delta_min=2.0**-8)
+    assert set(routes) == {route}
+    naive = naive_quantize_cells(f, sets, q.lo, q.delta_min, q.ncells)
+    assert q.occupied_cells().tolist() == naive
 
 
 def test_image_quantize_widens_declared_range():

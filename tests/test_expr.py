@@ -777,6 +777,17 @@ def test_enclosure_rounds_outward_only_when_inexact():
     # sin reaches 1 inside [0, 3], and cos -1 inside [3, 4]
     assert enclosure(parse("sin(x)"), ("x",), [(0.0, 3.0)])[1] == 1.0
     assert enclosure(parse("cos(x)"), ("x",), [(3.0, 4.0)])[0] == -1.0
+    # libm's exact values keep their bounds: sin 0, cos 0, exp 0, log 1 and
+    # the square root of an exact square, so d(y - cos x)/dx = sin x has
+    # lower bound 0.0 on inputs that start at 0
+    d = differentiate(parse("y - cos(x)"), "x")
+    assert enclosure(d, ("x", "y"), [(0.0, third)] * 2)[0] == 0.0
+    assert enclosure(parse("exp(x) + log(y)"), ("x", "y"), [(0.0, 1.0), (1.0, 2.0)])[0] == 1.0
+    assert enclosure(parse("cos(x)"), ("x",), [(0.0, 0.0)]) == (1.0, 1.0)
+    assert enclosure(parse("sqrt(x)"), ("x",), [(4.0, 9.0)]) == (2.0, 3.0)
+    # the float sqrt 2 lies above the root, so only its lower bound moves
+    root = math.sqrt(2.0)
+    assert enclosure(parse("sqrt(x)"), ("x",), [(2.0, 2.0)]) == (math.nextafter(root, 0.0), root)
 
 
 def test_compile_batch_takes_integer_inputs_as_float64():
