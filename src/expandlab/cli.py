@@ -73,6 +73,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), whose denominator must not be 0: a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_box(text: str, arity: int) -> tuple[tuple[float, float], ...]:
     parts = [_finite_float(p) for p in text.split(",")]
     if len(parts) != 2 * arity:
@@ -93,7 +101,7 @@ def _parse_params(items: list[str] | None) -> dict:
         if "=" not in item:
             raise ValueError(f"--param expects name=value, got {item!r}")
         name, value = item.split("=", 1)
-        out[name.strip()] = Fraction(value.strip())
+        out[name.strip()] = _fraction(value.strip())
     return out
 
 
@@ -111,18 +119,14 @@ def _parse_ladder(text: str) -> list:
         b2, e2 = split_power(hi_s.strip())
         if b1 != b2:
             raise ValueError(f"ladder endpoints must share a base: {text!r}")
+        if b1 < 2:
+            raise ValueError(f"a ladder base must be at least 2, got {b1}")
         if e1 > 0 or e2 > 0:
             raise ValueError("ladder exponents must be negative (e.g. 2^-6..2^-20)")
         ks = range(min(-e1, -e2), max(-e1, -e2) + 1)
         return [Fraction(1, b1**k) for k in ks]
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if "/" in part:
-            out.append(Fraction(part))
-        else:
-            out.append(_finite_float(part))
-    return out
+    parts = [part.strip() for part in text.split(",")]
+    return [_fraction(part) if "/" in part else _finite_float(part) for part in parts]
 
 
 def _parse_set_spec(spec: str, budget: int):
@@ -141,7 +145,7 @@ def _parse_set_spec(spec: str, budget: int):
         return digit_points(int(base_s), digits, level, budget=budget)
     if head.startswith("m") and "r" in head:
         m_s, r_s = head[1:].split("r", 1)
-        r = Fraction(r_s) if "/" in r_s or "." not in r_s else float(r_s)
+        r = _fraction(r_s) if "/" in r_s or "." not in r_s else float(r_s)
         return cantor_points(CantorSpec(int(m_s), r, level), budget=budget)
     raise ValueError(f"unrecognized set spec {spec!r}")
 

@@ -8,16 +8,16 @@ interval enclosure of df/dx has one sign), one streaming pass evaluates each
 tuple once, quantizes against the range and checks it; otherwise, or when
 the check fails, a range scan comes first.  Every shard stores 1 into one
 shared byte map at each cell it hits; since every write stores the same
-value, the map, and the bitset of uint64 words packed from it, is
-bit-identical for any thread count, shard order, block size or route.  Box
-counts at coarser scales merge cells exactly (delta must be an integer
-multiple of delta_min): one walk over the ladder, finest rung first, builds
-each rung's map of one byte per coarse cell by OR-ing strided slices of the
-previous rung's map, so a ladder whose multiples of delta_min each divide
-the next costs about two passes over the cell map in all, however many rungs
-it has (Liebovitch & Toth, Phys. Lett. A 141, 1989).  The box-counting
-dimension is the least-squares slope of log N against log(1/delta) over a
-fit window.
+value, the map is bit-identical for any thread count, shard order, block
+size or route, and the QuantizedSet keeps it as it is, one 0/1 byte per
+cell.  Box counts at coarser scales merge cells exactly (delta must be an
+integer multiple of delta_min): one walk over the ladder, finest rung first,
+counts the map itself and builds each coarser rung's map of one byte per
+coarse cell by OR-ing strided slices of the previous rung's map, so a ladder
+whose multiples of delta_min each divide the next costs about two passes
+over the cell map in all, however many rungs it has (Liebovitch & Toth,
+Phys. Lett. A 141, 1989).  The box-counting dimension is the least-squares
+slope of log N against log(1/delta) over a fit window.
 
 The tuples stream through in blocks of 2^16 (a row of A that holds more is
 split along B), so a float64 (or intp) array over a block is 512 KiB.  A
@@ -40,7 +40,7 @@ Falling and non-monotone rows keep the plain scatter.  The route takes 76%
 of the benchmark's expand-dense tuples (all of x^2 + xy on b4d01:13 at
 2^-16, where 1.2% of the chunks cross a cell, and none of its trivariate or
 Cantor-sum commands), 8.2% of expand-fine's and none of certify's.  Every
-write still stores 1, so the bitset is the same on either route.
+write still stores 1, so the map is the same on either route.
 
 Box dimension dominates Hausdorff dimension, so the theorems' lower bounds
 remain valid one-sided predicates for these estimates (up to estimator
@@ -78,8 +78,8 @@ __all__ = [
     "power_ladder",
 ]
 
-# bounds both the byte map image_quantize scatters into (1 byte per cell,
-# 256 MiB) and the bitset packed from it (32 MiB)
+# bounds the byte map image_quantize scatters into and its QuantizedSet
+# keeps: 1 byte per cell, 256 MiB
 _MAX_CELLS = 1 << 28
 # tuples evaluated per vectorized block: 512 KiB per float64 array, so a
 # block's few live arrays fit a core's 2 MiB L2 (see the module docstring)
@@ -88,45 +88,6 @@ _BLOCK = 1 << 16
 # 8/16/32 against probe thresholds 1/2, 3/4 and 7/8 chose 16 and 7/8
 # (CHANGES.md has the sweep)
 _RUN = 16
-
-
-class _Bitset:
-    def __init__(self, nbits: int, words: np.ndarray | None = None):
-        if nbits < 1:
-            raise ValueError("empty bitset")
-        self.nbits = nbits
-        self.words = np.zeros(_nwords(nbits), dtype=np.uint64) if words is None else words
-
-    @classmethod
-    def from_bytemap(cls, hit: np.ndarray, nbits: int) -> "_Bitset":
-        """Pack a map of one 0/1 byte per cell, padded with zeros to whole
-        words (_nwords(nbits) * 64 bytes), into a bitset."""
-        return cls(nbits, np.packbits(hit, bitorder="little").view(np.uint64))
-
-    def count(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
-
-    def bytemap(self) -> np.ndarray:
-        """One 0/1 byte per bit, nbits bytes."""
-        return np.unpackbits(self.words.view(np.uint8), bitorder="little", count=self.nbits)
-
-    def occupied(self) -> np.ndarray:
-        return np.flatnonzero(self.bytemap()).astype(np.int64)
-
-    def last(self) -> int:
-        """Index of the highest set bit, or -1 when no bit is set."""
-        nonzero = np.flatnonzero(self.words)
-        if not nonzero.size:
-            return -1
-        i = int(nonzero[-1])
-        return 64 * i + int(self.words[i]).bit_length() - 1
-
-    def equal(self, other: "_Bitset") -> bool:
-        return self.nbits == other.nbits and bool(np.array_equal(self.words, other.words))
-
-
-def _nwords(nbits: int) -> int:
-    return (nbits + 63) // 64
 
 
 def _run_starts(c: np.ndarray) -> np.ndarray:
@@ -146,8 +107,7 @@ class QuantizedSet:
     lo: float
     hi: float
     delta_min: float
-    bits: _Bitset = field(repr=False)
-    population: int
+    hit: np.ndarray = field(repr=False)  # one 0/1 byte per cell
     declared_range: tuple[float, float] | None = None
     widened: bool = False
     out_of_declared_count: int = 0
@@ -160,21 +120,25 @@ class QuantizedSet:
 
     @property
     def ncells(self) -> int:
-        return self.bits.nbits
+        return self.hit.size
+
+    @property
+    def population(self) -> int:
+        return int(np.count_nonzero(self.hit))
 
     def occupied_cells(self) -> np.ndarray:
-        return self.bits.occupied()
+        return np.flatnonzero(self.hit)
 
     def box_count(self, delta) -> int:
         k = _delta_multiple(delta, self.delta_min)
-        return _ladder_counts(self.bits, [k])[k]
+        return _ladder_counts(self.hit, [k])[k]
 
     def bit_identical(self, other: "QuantizedSet") -> bool:
         return (
             self.lo == other.lo
             and self.hi == other.hi
             and self.delta_min == other.delta_min
-            and self.bits.equal(other.bits)
+            and bool(np.array_equal(self.hit, other.hit))
         )
 
 
@@ -199,17 +163,18 @@ def _coarsen(m: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def _ladder_counts(bits: _Bitset, ks: Sequence[int]) -> dict[int, int]:
-    """N at every multiple k of delta_min in ks, by one walk in ascending k:
-    a rung whose k is a multiple of the previous rung's is coarsened from
-    that rung's map, any other from the finest map.  The finest map is
-    unpacked again for such a rung rather than kept, so at most one map and
-    its coarsening are alive: 1.5 bytes per cell at the peak."""
+def _ladder_counts(hit: np.ndarray, ks: Sequence[int]) -> dict[int, int]:
+    """N at every multiple k of delta_min in ks, by one walk in ascending k
+    over the map hit of one 0/1 byte per cell: a rung whose k is a multiple
+    of the previous rung's is coarsened from that rung's map, any other from
+    hit, which the finest rung (k = 1) counts as it is.  Besides hit, at
+    most a rung's coarse map and its coarsening are alive: 1.75 bytes per
+    cell in all at the peak."""
     counts = {}
-    k_prev, m = 1, None
+    k_prev, m = 1, hit
     for k in sorted(set(ks)):
-        if m is None or k % k_prev:
-            k_prev, m = 1, bits.bytemap()
+        if k % k_prev:
+            k_prev, m = 1, hit
         m = _coarsen(m, k // k_prev)
         counts[k] = int(np.count_nonzero(m))
         k_prev = k
@@ -254,8 +219,8 @@ class _Grid:
     stores 1, so concurrent shards cannot lose a hit.  A value v in [lo, hi]
     has (v - lo) / delta_min in [0, ncells] (rounding is monotone): it
     reaches ncells only at v = hi when delta_min divides hi - lo.  That index
-    lands in a padding byte past the words, which exists even when 64
-    divides ncells, and is folded into the last cell."""
+    lands in one byte past the cells, which occupancy folds into the last
+    cell."""
 
     def __init__(self, lo: float, hi: float, delta_min: float | None):
         if not hi > lo:
@@ -266,14 +231,14 @@ class _Grid:
             delta_min = (hi - lo) * 2.0**-26
         cells = (hi - lo) / delta_min  # inf when the count has no float
         if not math.isfinite(cells):
-            raise BudgetError(f"the value range [{lo}, {hi}] exceeds the bitset budget of {_MAX_CELLS} cells")
+            raise BudgetError(f"the value range [{lo}, {hi}] exceeds the cell budget of {_MAX_CELLS} cells")
         ncells = int(math.ceil(cells))
         if ncells < 1:
             raise ValueError("delta_min larger than the value range")
         if ncells > _MAX_CELLS:
-            raise BudgetError(f"{ncells} cells exceed the bitset budget of {_MAX_CELLS}")
+            raise BudgetError(f"{ncells} cells exceed the cell budget of {_MAX_CELLS}")
         self.lo, self.hi, self.delta_min, self.ncells = lo, hi, float(delta_min), ncells
-        self.hit = np.zeros(_nwords(ncells) * 64 + 1, dtype=np.uint8)
+        self.hit = np.zeros(ncells + 1, dtype=np.uint8)
         # the same exact scaling as dividing, when delta_min is a power of two
         self.scale = 1.0 / delta_min
         self.dyadic = math.frexp(delta_min)[0] == 0.5 and math.isfinite(self.scale)
@@ -330,11 +295,13 @@ class _Grid:
         single = np.count_nonzero(self.cells(probe[:, 0]) == self.cells(probe[:, -1]))
         return bool(8 * single >= 7 * len(probe)) and bool(np.all(vals[..., 1:] >= vals[..., :-1]))
 
-    def bits(self) -> _Bitset:
+    def occupancy(self) -> np.ndarray:
+        """The map of the ncells cells, a view of hit with the top-boundary
+        byte folded into the last cell."""
         hit, n = self.hit, self.ncells
         hit[n - 1] |= hit[n]
         hit[n] = 0
-        return _Bitset.from_bytemap(hit[:-1], n)
+        return hit[:n]
 
 
 def image_quantize(
@@ -345,24 +312,17 @@ def image_quantize(
     threads: int = 1,
     block: int = _BLOCK,
 ) -> QuantizedSet:
-    """Quantize f(A x B [x C]) at resolution delta_min.
+    """Quantize f(A x B [x C]) at resolution delta_min, which must be
+    positive (by default 2^-26 of the value range).
 
     The product tuples stream through in blocks of `block` tuples (by
-    default 2^16, so that a block's live arrays fit a core's L2 cache; see
-    the module docstring).  The grid runs over the value range [lo, hi]: the
-    image's own extremes, or a declared range, widened when values fall
-    outside it (with the overflow count reported), never clamped.  The cell
-    index of a value v is (v - lo) / delta_min truncated to an integer,
-    which is its floor because v lies in [lo, hi].  When delta_min is a
-    power of two with a finite reciprocal, the quotient is computed as the
-    product (v - lo) * (1 / delta_min), which has the same bits; any other
-    delta_min (3^-11, say) divides.  A block whose rows are non-decreasing
-    and mostly stay in one cell per 16 values takes the run route of
-    _Grid.scatter, which marks each such run's cell once (76% of the
-    expand-dense benchmark's tuples, 8.2% of expand-fine's); falling rows,
-    non-monotone rows and rows of other lengths scatter every value.  At
-    most one thread per core runs, over the shards that `threads` (at least
-    1) asks for.
+    default 2^16).  The grid runs over the value range [lo, hi]: the image's
+    own extremes, or a declared range, widened when values fall outside it
+    (with the overflow count reported), never clamped.  The cell index of a
+    value v is (v - lo) / delta_min truncated, its floor since v lies in
+    [lo, hi]; the module docstring has how it is computed and when a block
+    takes the run route of _Grid.scatter.  At most one thread per core
+    runs, over the shards that `threads` (at least 1) asks for.
 
     Each tuple is evaluated once when the range is known before the pass:
     a declared range, or, when an interval enclosure of df/dx over the hull
@@ -372,12 +332,15 @@ def image_quantize(
     block; when a value falls outside, the map is dropped and a second pass
     quantizes against the true range.  Any other f is evaluated twice: a
     range scan, then the quantize pass.  Either way lo, hi, delta_min and
-    every value are the same floats, so the occupancy bitset is identical,
-    for any thread count, block size and scatter route."""
+    every value are the same floats, so the occupancy map, one 0/1 byte per
+    cell that the QuantizedSet keeps as it is, is identical for any thread
+    count, block size and scatter route."""
     if len(sets) != f.arity or len(sets) not in (2, 3):
         raise ValueError("need one point set per variable (2 or 3)")
     if threads < 1:
         raise ValueError(f"the thread count must be at least 1, got {threads}")
+    if delta_min is not None and not delta_min > 0:
+        raise ValueError(f"delta_min must be positive, got {delta_min}")
     fn = compile_batch(f.expr, f.vars)
     shards = _shards(sets[0].values, threads)
 
@@ -440,13 +403,11 @@ def image_quantize(
                 grid.scatter(vals, arrays)
 
         _run_sharded(quantize, shards, threads)
-    bits = grid.bits()
     return QuantizedSet(
         lo=grid.lo,
         hi=grid.hi,
         delta_min=grid.delta_min,
-        bits=bits,
-        population=bits.count(),
+        hit=grid.occupancy(),
         declared_range=value_range,
         widened=bool(outside),
         out_of_declared_count=outside,
@@ -486,7 +447,7 @@ def _shards(a: np.ndarray, threads: int) -> list[np.ndarray]:
 
 
 def _run_sharded(fn, shards, threads: int) -> list:
-    # more workers than cores only add threads: the bitset is the same
+    # more workers than cores only add threads: the map is the same
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or len(shards) <= 1:
         return [fn(s) for s in shards]
@@ -506,9 +467,7 @@ def naive_quantize_cells(
     (the values image_quantize evaluates, bit for bit, however it splits the
     product), then floor, clip, sort and dedupe every tuple's cell in
     Python.  Only for products of at most `limit` tuples."""
-    total = 1
-    for s in sets:
-        total *= len(s)
+    total = math.prod(len(s) for s in sets)
     if total > limit:
         raise BudgetError(f"naive enumeration limited to {limit} tuples, got {total}")
     values = compile_batch(f.expr, f.vars)(*np.ix_(*(s.values for s in sets)))
@@ -532,7 +491,7 @@ def box_counts(
     if isinstance(data, QuantizedSet):
         # every delta is checked before any counting
         ks = [_delta_multiple(d, data.delta_min) for d in deltas]
-        counts = _ladder_counts(data.bits, ks)
+        counts = _ladder_counts(data.hit, ks)
         return [(float(d), counts[k]) for d, k in zip(deltas, ks)]
     if not isinstance(data, PointSet1D):
         raise TypeError("expected a QuantizedSet or PointSet1D")
@@ -577,7 +536,7 @@ def _covered_fraction(q: QuantizedSet, delta, n: int) -> float:
     k = _delta_multiple(delta, q.delta_min)
     covered = n * float(delta)
     ncoarse = -(-q.ncells // k)
-    if q.bits.last() // k == ncoarse - 1:
+    if q.hit[(ncoarse - 1) * k :].any():
         covered -= max(0.0, ncoarse * float(delta) - (q.hi - q.lo))
     return covered / (q.hi - q.lo)
 
@@ -733,6 +692,9 @@ def expansion_experiment(
     ladder = list(ladder)
     if not ladder:
         raise ValueError("empty delta ladder")
+    for d in ladder:
+        if not float(d) > 0:
+            raise ValueError(f"every ladder rung must be positive as a float, got {float(d)!r}")
     report = thresholds(theorem, **(theorem_params or {}))
     warnings = []
     if degeneracy_report is not None and degeneracy_report.witness_box is not None:
@@ -745,8 +707,7 @@ def expansion_experiment(
                 )
 
     if delta_min is None:
-        finest = min(float(d) for d in ladder)
-        delta_min = finest
+        delta_min = min(float(d) for d in ladder)
     q = image_quantize(f, inputs, delta_min=delta_min, value_range=value_range, threads=threads)
     # restrict to ladder rungs representable on the quantized grid
     image_ladder = [d for d in ladder if float(d) >= q.delta_min * (1 - 1e-12)]

@@ -380,6 +380,10 @@ def test_non_finite_option_value_exits_2(capsys, argv):
     assert captured.out == ""
 
 
+_EXPAND_B4 = ["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--theorem", "bivariate-analytic",
+              "--ladder"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -388,13 +392,31 @@ def test_non_finite_option_value_exits_2(capsys, argv):
         (["recover", "-f", "x + 1/(1e308*y)^2", "--vars", "x,y", "--box", "0.5,1.5,0.5,1.5"],
          "has no float value"),
         (["expand", "-f", "1e308*x", "--vars", "x,y", "--inputs", "m2r1/3:4", "--ladder", "2^-2..2^-6",
-          "--theorem", "bivariate-analytic"], "exceeds the bitset budget"),
+          "--theorem", "bivariate-analytic"], "exceeds the cell budget"),
+        ([*_EXPAND_B4, "2^-2..2^-5", "--delta-min", "0"], "delta_min must be positive, got 0.0"),
+        ([*_EXPAND_B4, "2^-2..2^-5", "--delta-min", "0", "--value-range", "0,2"],
+         "delta_min must be positive, got 0.0"),
+        ([*_EXPAND_B4, "2^-2..2^-5", "--delta-min", "-1"], "delta_min must be positive, got -1.0"),
+        ([*_EXPAND_B4, "1/4,1/8,0,1/16,1/32"], "ladder rung must be positive as a float, got 0.0"),
+        ([*_EXPAND_B4, "2^-1070..2^-1075"], "ladder rung must be positive as a float, got 0.0"),
+        (["thresholds", "--theorem", "k-point", "--param", "alpha=1/0", "--param", "m=0"],
+         "zero denominator in '1/0'"),
+        ([*_EXPAND_B4, "1/4,1/8,1/16,1/32,1/64,1/128,1/0"], "zero denominator in '1/0'"),
+        ([*_EXPAND_B4, "0^-2..0^-5"], "a ladder base must be at least 2, got 0"),
+        (["gen-fractal", "--spec", "m2r1/0:5", "out.bin"], "zero denominator in '1/0'"),
     ],
-    ids=["classify-constant", "recover-constant", "expand-value-range"],
+    ids=[
+        "classify-constant", "recover-constant", "expand-value-range",
+        "delta-min-0", "delta-min-0-declared-range", "delta-min-negative", "ladder-rung-0",
+        "ladder-rung-underflows", "param-zero-denominator", "ladder-zero-denominator",
+        "ladder-base-0", "spec-zero-denominator",
+    ],
 )
 def test_values_past_the_float_range_exit_2(capsys, argv, message):
-    # an exact constant of 10^400 has no float, and 1e308*x spans more
-    # cells than a float counts: usage errors, not tracebacks
+    # an exact constant of 10^400 has no float, 1e308*x spans more cells
+    # than a float counts, a cell or rung of 0 (or one that rounds to 0)
+    # divides by 0, and so does a fraction over 0: usage errors, not
+    # tracebacks
     code, out, err = run(capsys, *argv, "--no-timestamp")
     assert code == 2
     assert out == ""

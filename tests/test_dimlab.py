@@ -12,9 +12,7 @@ import pytest
 from expandlab import dimlab
 from expandlab.dimlab import (
     QuantizedSet,
-    _Bitset,
     _coarsen,
-    _nwords,
     box_counts,
     covered_fraction,
     dim_estimate,
@@ -149,11 +147,12 @@ def test_shared_scatter_is_thread_invariant_and_matches_naive(f, sets):
 
 @pytest.mark.parametrize("threads", [1, 4])
 def test_image_quantize_folds_the_top_boundary_when_64_divides_ncells(threads):
-    # values {0, 1, 2} on cells of 1/32: 64 cells, one whole word, and the
-    # maximum 2 lies exactly on the top boundary, at index 64
+    # values {0, 1, 2} on cells of 1/32: 64 cells, and the maximum 2 lies
+    # exactly on the top boundary, at index 64, the one byte of the grid's
+    # map past the cells, of which q.hit is a view
     A = PointSet1D.from_values([0.0, 1.0])
     q = image_quantize(F_SUM, [A, A], delta_min=1 / 32, threads=threads)
-    assert q.ncells == 64 and q.bits.words.size == 1
+    assert q.ncells == 64 and q.hit.base.size == 65
     naive = naive_quantize_cells(F_SUM, [A, A], q.lo, q.delta_min, q.ncells)
     assert naive == [0, 32, 63]
     assert q.occupied_cells().tolist() == naive
@@ -400,7 +399,7 @@ def test_run_route_marks_the_cells_of_the_plain_scatter():
             grid.scatter(vals.copy(), ())
         assert np.array_equal(grids[0].hit, grids[1].hit)
         cells = {min(math.floor(v / delta), 255) for v in rising.ravel().tolist()}
-        assert np.flatnonzero(grids[0].bits().bytemap()).tolist() == sorted(cells)
+        assert np.flatnonzero(grids[0].occupancy()).tolist() == sorted(cells)
         # one value out of order, in a row after the first, inside a chunk
         # whose ends share a cell: the probe still passes, and the exact
         # check must refuse the route
@@ -449,9 +448,26 @@ def test_image_quantize_rejects_degenerate_range():
         image_quantize(F_SUM, [A, A])
 
 
+@pytest.mark.parametrize("delta_min", [0.0, -1.0, math.nan])
+def test_image_quantize_rejects_a_delta_min_that_is_not_positive(delta_min):
+    # rejected before any grid is built: a declared range builds one first
+    A = PointSet1D.from_values([0.0, 1.0])
+    for value_range in (None, (0.0, 2.0)):
+        with pytest.raises(ValueError, match="delta_min must be positive"):
+            image_quantize(F_SUM, [A, A], delta_min=delta_min, value_range=value_range)
+
+
+@pytest.mark.parametrize("rung", [Fraction(0), Fraction(-1, 8), Fraction(1, 2**1075), 0.0])
+def test_expansion_experiment_rejects_a_rung_that_is_not_positive(rung):
+    # 2^-1075 is positive, but its float is 0.0
+    ladder = power_ladder(2, 2, 6) + [rung]
+    with pytest.raises(ValueError, match="must be positive"):
+        expansion_experiment(F_SUM, [_B4, _B4], ladder, "bivariate-analytic")
+
+
 def test_quantized_set_requires_positive_range():
     with pytest.raises(ValueError):
-        QuantizedSet(lo=1.0, hi=1.0, delta_min=0.1, bits=_Bitset(4), population=0)
+        QuantizedSet(lo=1.0, hi=1.0, delta_min=0.1, hit=np.zeros(4, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +520,7 @@ def _random_quantized(
     occ = np.flatnonzero(rng.random(ncells - empty_top) < density)
     if not empty_top:
         occ = np.union1d(occ, [ncells - 1])  # the last cell, so the last coarse cell is trimmed
-    hit = np.zeros(_nwords(ncells) * 64, dtype=np.uint8)
+    hit = np.zeros(ncells, dtype=np.uint8)
     hit[occ] = 1
     delta_min = 2.0**-10
     # hi - lo ends half-way through the last cell
@@ -512,8 +528,7 @@ def _random_quantized(
         lo=0.0,
         hi=(ncells - 0.5) * delta_min,
         delta_min=delta_min,
-        bits=_Bitset.from_bytemap(hit, ncells),
-        population=occ.size,
+        hit=hit,
     )
     return q, occ
 
@@ -532,6 +547,7 @@ def test_box_counts_match_unique_oracle_on_random_sets(seed):
     ):
         q, occ = _random_quantized(rng, ncells, density, empty_top)
         assert q.occupied_cells().tolist() == occ.tolist()
+        assert q.population == occ.size
         # one walk over a shuffled ladder with repeats: 6 and 24 are coarsened
         # from the maps of 3 and 12, the others from the finest map
         ks = [1, 2, 3, 6, 7, 12, 24, 64, 3**5, 6, 1]
@@ -542,7 +558,7 @@ def test_box_counts_match_unique_oracle_on_random_sets(seed):
         ]
         with pytest.raises(ValueError):
             box_counts(q, ladder[:3] + [2.5 * q.delta_min] + ladder[3:])
-        finest = q.bits.bytemap()
+        finest = q.hit
         # the coarse cells themselves, from the finest map and along a chain
         assert np.flatnonzero(_coarsen(_coarsen(finest, 3), 4)).tolist() == (
             np.unique(occ // 12).tolist()

@@ -1,0 +1,120 @@
+"""A seeded sweep of edge option values over expand, thresholds and
+gen-fractal: every command ends in a documented exit code (0, 2, 3 or 4,
+never 1 with a traceback), and a command that writes a document writes
+strict JSON.
+
+Each option is drawn from a fixed pool that mixes valid values with edge
+values: 0, negative numbers, a zero denominator (1/0), 2^-1075 (a positive
+rational whose float is 0.0), 1e-300, reversed or equal ranges and a budget
+of 0.  Three in four draws of each option are valid, so most commands reach
+the code past the argument parser (Claessen & Hughes 2000, QuickCheck)."""
+
+import json
+import random
+
+from expandlab.cli import main
+
+COMMANDS = 200
+EDGE = ["0", "-1", "1/0", "2^-1075", "1e-300"]
+
+FUNCTIONS = ["x+y", "x*y", "x^2 + x*y", "x - y", "0*x + y", "y"]
+EDGE_FUNCTIONS = ["x/y", "1e308*x", "1e-300*x + 1e-300*y"]
+INPUTS = ["b4d01:5", "m2r1/3:4", "b4d01:0", "b4d01:-1", "b4d01:40", "m2r1/0:3", "m2r0:3",
+          "m0r1/3:3", "m2r1e-300:3", "m2r-1/3:3", "b1d0:3", "m2r1/3:4,b4d01:5"]
+# the valid ladders have the 8 or more rungs a fit window needs
+LADDERS = ["2^-2..2^-10", "2^-10..2^-2", "3^-1..3^-8", "1/4,1/8,1/16,1/32,1/64,1/128,1/256,1/512",
+           "2^-3..2^-3", "2^-1070..2^-1075", "0^-2..0^-5", "-2^-2..-2^-10", "1/4,1/8,0,1/16,1/32",
+           "1/4,1/8,1/16,1/32,1/0", "1/4,-1/8,1/16,1/32,1/64", "1e-300,1e-301,1e-302,1e-303",
+           "0.25,0.125,0.0625,0.03125"]
+RANGES = ["0,2", "2,0", "1,1", "0,1e-300", "-1e300,1e300", "0,1/0", "-1,-1"]
+THEOREMS = {
+    "bivariate-analytic": (),
+    "trivariate-analytic": (),
+    "k-point": ("alpha", "m"),
+    "two-point": ("d_X", "d_Y", "m"),
+    "two-point-rank": ("d_X", "d_Y", "r"),
+    "phong-stein": ("d",),
+    "distance-surface": ("d",),
+    "general": ("alpha", "beta", "p", "k"),
+}
+PARAM_VALUES = ["1", "2", "3/2", "5", *EDGE]
+SPECS = ["b4d01:5", "m2r1/3:6", "b3d02:4", *INPUTS[2:11], "x:3", "b4d01", "m2r1/3:1/0"]
+
+
+def _maybe(rng, valid, edges):
+    """A valid value three times in four, else an edge value."""
+    return rng.choice(valid) if rng.random() < 0.75 else rng.choice(edges)
+
+
+def _params(rng, names) -> list[str]:
+    argv = []
+    for name in names:
+        if rng.random() < 0.9:  # now and then a parameter is missing
+            argv += ["--param", f"{name}={_maybe(rng, ['1', '2', '3/2'], PARAM_VALUES)}"]
+    return argv
+
+
+def _expand(rng) -> list[str]:
+    f = _maybe(rng, FUNCTIONS, EDGE_FUNCTIONS)
+    # --flag=value, so that a value such as -1,1 is not read as a flag
+    argv = ["expand", "-f", f, "--vars", "x,y", f"--inputs={_maybe(rng, INPUTS[:2], INPUTS)}",
+            f"--ladder={_maybe(rng, LADDERS[:4], LADDERS)}"]
+    theorem = rng.choice(["bivariate-analytic", "k-point"])
+    argv += ["--theorem", theorem, *_params(rng, THEOREMS[theorem])]
+    for flag, valid, edges in (
+        ("--delta-min", ["0.0009765625", "0.00048828125"], EDGE),
+        ("--value-range", ["0,2", "-1,1"], RANGES),
+        ("--threads", ["1", "2"], ["0", "-1"]),
+        ("--budget", ["100000"], ["0", "-1", "1"]),
+        ("--slack", ["0.05"], ["0", "-1", "1e-300"]),
+    ):
+        if rng.random() < 0.4:
+            argv.append(f"{flag}={_maybe(rng, valid, edges)}")
+    return argv
+
+
+def _thresholds(rng) -> list[str]:
+    theorem = rng.choice(list(THEOREMS))
+    return ["thresholds", "--theorem", theorem, *_params(rng, THEOREMS[theorem])]
+
+
+def _gen_fractal(rng, out: str) -> list[str]:
+    argv = ["gen-fractal", "--spec", _maybe(rng, SPECS[:3], SPECS), out]
+    if rng.random() < 0.4:
+        argv.append(f"--budget={_maybe(rng, ['100000'], ['0', '-1', '1'])}")
+    return argv
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _exit_code(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+
+
+def test_edge_values_end_in_a_documented_exit_code(capsys, tmp_path):
+    rng = random.Random(2026)
+    out = str(tmp_path / "points.bin")
+    codes = []
+    for _ in range(COMMANDS):
+        draw = rng.random()
+        if draw < 0.5:
+            argv = _expand(rng)
+        elif draw < 0.8:
+            argv = _thresholds(rng)
+        else:
+            argv = _gen_fractal(rng, out)
+        code = _exit_code(argv + ["--no-timestamp"])
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, captured.err)
+        if code == 0:
+            assert captured.out.strip(), argv
+        if captured.out.strip():
+            json.loads(captured.out, parse_constant=_reject_constant)
+        codes.append(code)
+    # the pools reach both the usage errors and the answers
+    assert codes.count(0) >= COMMANDS // 5 and codes.count(2) >= COMMANDS // 5
