@@ -19,6 +19,7 @@ import datetime
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -514,12 +515,26 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse reads a token that starts with "-" as a flag unless it is a
+    lone number; this parser reads any token led by a negative number as a
+    value too, so --box -1,1,0,1 means --box=-1,1,0,1 (no flag starts with
+    a digit)."""
+
+    _NUMBER_LED = re.compile(r"-\.?\d")
+
+    def _parse_optional(self, arg_string):
+        if self._NUMBER_LED.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parsers(
     only: str | None = None,
 ) -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
     """The top-level parser and each subcommand's options by destination;
     with only, the top level carries that one subcommand."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="expandlab",
         description="Degeneracy certificates, thresholds, fold verification, "
         "special-form recovery, and dimension-expansion experiments.",

@@ -57,6 +57,7 @@ from .expr import (
     var,
 )
 from .jsonutil import jsonable, rational
+from .sampling import Stream
 
 __all__ = [
     "AdditiveDegeneracyError",
@@ -486,7 +487,7 @@ def _sign_stable_box(
 
     Doubles one axis half-width at a time (round-robin); an axis freezes on
     the first failed expansion or when it reaches the enclosing box."""
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     widths = f.widths()
     half = [1e-3 * w for w in widths]
     frozen = [False] * f.arity
@@ -925,7 +926,7 @@ def gamma_nondegenerate(
     grad_F = [compile_scalar(phi.partial(v), phi.vars) for i in F for v in groups[i]]
     grad_Fc = [compile_scalar(phi.partial(v), phi.vars) for i in Fc for v in groups[i]]
 
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     width = max(hi - lo for lo, hi in phi.box)
     n = phi.arity
     successes = 0

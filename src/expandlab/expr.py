@@ -36,6 +36,8 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
+from .sampling import Stream
+
 __all__ = [
     "Expr",
     "FunctionSpec",
@@ -1387,6 +1389,8 @@ class FunctionSpec:
         for lo, hi in self.box:
             if not lo < hi:
                 raise ValueError(f"degenerate interval [{lo}, {hi}]")
+            if math.isinf(hi - lo):
+                raise ValueError(f"interval [{lo}, {hi}] is wider than the float range")
         extra = free_vars(self.expr) - set(self.vars)
         if extra:
             raise ValueError(f"expression references undeclared variables: {sorted(extra)}")
@@ -1491,10 +1495,10 @@ def _modular_verdict(prog: _Program, seed: int) -> bool | None:
         ]
     except ValueError:
         return None
-    rng = np.random.default_rng(seed)
-    points = rng.integers(_MODULUS, size=(_MODULAR_POINTS + _MODULAR_REDRAWS, len(prog.vars)))
+    rng = Stream(seed)
     zeros = 0
-    for point in points.tolist():
+    for _ in range(_MODULAR_POINTS + _MODULAR_REDRAWS):
+        point = rng.integers(_MODULUS, len(prog.vars))
         try:
             value = _execute(prog, _MODP, point, consts=consts)
         except ValueError:  # a zero denominator: draw the next point
@@ -1541,7 +1545,7 @@ def is_identically_zero(
     if modular:
         return ZeroCheck(is_zero=True, route=MODULAR)
     exact = modular is False and prog.rational  # proven nonzero
-    rng = np.random.default_rng(policy.seed)
+    rng = Stream(policy.seed)
     cols = [rng.uniform(lo, hi, size=policy.samples) for lo, hi in box]
     aux_cols = [rng.uniform(lo, hi, size=64) for lo, hi in box]
 

@@ -36,6 +36,7 @@ from .expr import (
     is_identically_zero,
 )
 from .jsonutil import jsonable
+from .sampling import Stream
 
 __all__ = [
     "FoldReport",
@@ -323,7 +324,7 @@ def _agreement_check(
 ) -> tuple[float | None, int]:
     """Max relative error between closed-form and finite-difference det(Dg)
     over random off-critical configurations near the base point."""
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     (xlo, xhi), (ylo, yhi) = f.box
     wx, wy = f.widths()
     x0, y0 = base

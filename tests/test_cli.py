@@ -404,12 +404,15 @@ _EXPAND_B4 = ["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--
         ([*_EXPAND_B4, "1/4,1/8,1/16,1/32,1/64,1/128,1/0"], "zero denominator in '1/0'"),
         ([*_EXPAND_B4, "0^-2..0^-5"], "a ladder base must be at least 2, got 0"),
         (["gen-fractal", "--spec", "m2r1/0:5", "out.bin"], "zero denominator in '1/0'"),
+        (["classify", "-f", "x*y", "--seed", "-3"], "the seed must be a non-negative integer, got -3"),
+        (["fold", "-f", "x*y", "--base", "0,0", "--box", "-1e308,1e308,-1,1"],
+         "interval [-1e+308, 1e+308] is wider than the float range"),
     ],
     ids=[
         "classify-constant", "recover-constant", "expand-value-range",
         "delta-min-0", "delta-min-0-declared-range", "delta-min-negative", "ladder-rung-0",
         "ladder-rung-underflows", "param-zero-denominator", "ladder-zero-denominator",
-        "ladder-base-0", "spec-zero-denominator",
+        "ladder-base-0", "spec-zero-denominator", "seed-negative", "box-wider-than-floats",
     ],
 )
 def test_values_past_the_float_range_exit_2(capsys, argv, message):
@@ -519,6 +522,55 @@ def test_cli_does_not_import_numpy_ma():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"] * len(commands)
+
+
+def test_cli_does_not_import_numpy_random():
+    # the seeded draws are computed in-package (expandlab.sampling); the
+    # import of numpy's random package cost every sampling command 8-17 ms
+    box = ["--box", "0.5,1.5,0.5,1.5"]
+    commands = [
+        ["classify", "-f", "sin(x) + x*y", *box],
+        ["recover", "-f", "(x + y^2)^3", *box],
+        ["fold", "-f", "x^2 + x*y", "--base", "1,1", *box],
+        ["expand", "-f", "x^2 + x*y", "--vars", "x,y", "--inputs", "b4d01:6", "--ladder", "2^-2..2^-9",
+         "--theorem", "bivariate-analytic", "--classify-first", *box],
+    ]
+    code = (
+        "import os, sys\n"
+        "from expandlab.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv + ['--no-timestamp', '--out', os.devnull]) == 0, argv\n"
+        "    print('numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"] * len(commands)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["classify", "-f", "x*y"], "--box", "-1,1,0,1"),
+        (["classify", "-f", "x*y"], "--box", "-.5,.5,-2,-1"),
+        (["recover", "-f", "(x^2 + y)^3", "--box", "-1.5,-0.5,0.5,1.5"], "--base", "-1,1"),
+        (["fold", "-f", "x^2 + x*y", "--box=-2,0,-2,0"], "--base", "-1,-1"),
+        (["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--ladder", "2^-2..2^-9",
+          "--theorem", "bivariate-analytic"], "--value-range", "-1,3"),
+        (["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--theorem", "bivariate-analytic"],
+         "--ladder", "-2^-2..-2^-9"),
+        (["surface-distance", "--psi", "u;u^2", "--uvars", "u", "--u", "0.5"], "--x", "-1,0.5"),
+        (["surface-distance", "--psi", "u;u^2", "--uvars", "u", "--x", "1,0.5"], "--u", "-0.5"),
+    ],
+    ids=["box", "box-decimals", "recover-base", "fold-base", "value-range", "ladder", "surface-x", "surface-u"],
+)
+def test_a_value_led_by_a_negative_number_is_a_value(capsys, argv, flag, value):
+    # argparse takes "-1,1,0,1" for a flag; the CLI reads it as the value,
+    # the same as with "="
+    spaced = run(capsys, *argv, flag, value, "--no-timestamp")
+    joined = run(capsys, *argv, f"{flag}={value}", "--no-timestamp")
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
 
 
 @pytest.mark.parametrize("value", ["1.5", "true", '"many"'])

@@ -1,7 +1,8 @@
 """A seeded sweep of edge option values over expand, thresholds and
-gen-fractal: every command ends in a documented exit code (0, 2, 3 or 4,
-never 1 with a traceback), and a command that writes a document writes
-strict JSON.
+gen-fractal, and one over the sampling commands classify, recover and
+fold: every command ends in a documented exit code (0, 2, 3 or 4, never 1
+with a traceback), a command that writes a document writes strict JSON,
+and a sampling command run again writes the same bytes.
 
 Each option is drawn from a fixed pool that mixes valid values with edge
 values: 0, negative numbers, a zero denominator (1/0), 2^-1075 (a positive
@@ -39,6 +40,15 @@ THEOREMS = {
 }
 PARAM_VALUES = ["1", "2", "3/2", "5", *EDGE]
 SPECS = ["b4d01:5", "m2r1/3:6", "b3d02:4", *INPUTS[2:11], "x:3", "b4d01", "m2r1/3:1/0"]
+
+SAMPLING_COMMANDS = 50
+SEEDS = ["0", "-1", str(1 << 32), str(1 << 64), str(1 << 200)]  # each in turn
+SAMPLED_FUNCTIONS = ["x^2 + x*y", "sin(x) + x*y", "(x + y^2)^3", "exp(x + y^2)", "x*y", "x/y",
+                     "log(x) + y", "0*x + y"]
+# passed as a separate token, so the boxes led by a negative number test
+# that such a value is read as a value
+BOXES = ["0.5,1.5,0.5,1.5", "-1,1,0.5,1.5", "-1.5,-0.5,-1.5,-0.5", "-.5,.5,-.5,.5", "-1e308,1e308,0,1",
+         "1,0,0,1", "-1,1", "-1,-1,0,1"]
 
 
 def _maybe(rng, valid, edges):
@@ -94,6 +104,34 @@ def _exit_code(argv: list[str]) -> int:
         return main(argv)
     except SystemExit as exc:  # argparse's usage errors
         return exc.code
+
+
+def _sampling(rng, seed: str) -> list[str]:
+    command = rng.choice(["classify", "recover", "fold"])
+    box = _maybe(rng, BOXES[:4], BOXES)
+    argv = [command, "-f", rng.choice(SAMPLED_FUNCTIONS), "--vars", "x,y", "--box", box, "--seed", seed]
+    if command == "recover":
+        argv += ["--grid-n", "33"]
+    if command == "fold":  # the box's center when it has one, else the origin
+        ends = box.split(",")
+        base = [(float(ends[i]) + float(ends[i + 1])) / 2 for i in (0, 2)] if len(ends) == 4 else [0, 0]
+        argv += ["--base", ",".join(map(str, base))]
+    return argv
+
+
+def test_seeded_sampling_commands_end_in_a_documented_exit_code(capsys):
+    rng = random.Random(2027)
+    codes = []
+    for i in range(SAMPLING_COMMANDS):
+        argv = _sampling(rng, SEEDS[i % len(SEEDS)]) + ["--no-timestamp"]
+        code = _exit_code(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, captured.err)
+        if captured.out.strip():
+            json.loads(captured.out, parse_constant=_reject_constant)
+        assert (_exit_code(argv), capsys.readouterr().out) == (code, captured.out), argv
+        codes.append(code)
+    assert codes.count(0) >= SAMPLING_COMMANDS // 4 and codes.count(2) >= SAMPLING_COMMANDS // 10
 
 
 def test_edge_values_end_in_a_documented_exit_code(capsys, tmp_path):
