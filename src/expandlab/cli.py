@@ -19,7 +19,6 @@ import datetime
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -72,6 +71,27 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return value
+
+
+class _OutOfRange(Exception):
+    """An option value of the right type but outside the option's range.  It
+    is no ValueError, so argparse lets it through, and main reports it with
+    its own message (exit 2), as it reports a value the library refuses."""
+
+
+def _at_least(parse, lo, message: str):
+    """An option type: parse(text), refused below lo with message, formatted
+    with the value.  It keeps parse's name for argparse's "invalid int
+    value" text."""
+
+    def check(text: str):
+        value = parse(text)
+        if not value >= lo:
+            raise _OutOfRange(message.format(value))
+        return value
+
+    check.__name__ = parse.__name__
+    return check
 
 
 def _fraction(text: str) -> Fraction:
@@ -178,7 +198,7 @@ def _apply_config(options: dict[str, argparse.Action], config: dict):
             text = value if isinstance(value, str) else json.dumps(value)
             try:
                 value = action.type(text)
-            except (TypeError, ValueError) as err:
+            except (TypeError, ValueError, _OutOfRange) as err:
                 raise ValueError(f"config key {key!r}: {err}") from None
         elif action.nargs == 0:
             if not isinstance(value, bool):
@@ -408,9 +428,13 @@ _RUN_OPTIONS = (
     (("--config",), dict(help="JSON config file; CLI flags override its fields")),
     (("--out",), dict(help="write the JSON document to a file instead of stdout")),
     (("--no-timestamp",), dict(action="store_true", help="omit the timestamp field")),
-    (("--seed",), dict(type=int, default=0)),
+    (("--seed",), dict(type=_at_least(int, 0, "the seed must be a non-negative integer, got {}"), default=0)),
     (("--samples",), dict(type=int, default=64, help="zero-test sample count")),
-    (("--rel-tol",), dict(type=_finite_float, default=1e-9, help="zero-test relative tolerance")),
+    (
+        ("--rel-tol",),
+        dict(type=_at_least(_finite_float, 0, "--rel-tol must be at least 0, got {}"), default=1e-9,
+             help="zero-test relative tolerance"),
+    ),
 )
 _THEOREM = (("--theorem",), dict(required=True, choices=THEOREMS))
 _PARAM = (("--param",), dict(action="append", help="theorem parameter name=value"))
@@ -437,7 +461,8 @@ _COMMANDS = {
             *_FUNCTION_OPTIONS,
             *_RUN_OPTIONS,
             (("--base",), dict(help="base point coordinates, comma-separated (default: box center)")),
-            (("--grid-n",), dict(type=int, default=257)),
+            # the spline through each recovered component needs 4 nodes
+            (("--grid-n",), dict(type=_at_least(int, 4, "--grid-n must be at least 4, got {}"), default=257)),
             _RESIDUAL_TOL,
             (("--out-dir",), dict(help="export recovered components as CSV into this directory")),
         ),
@@ -498,7 +523,8 @@ _COMMANDS = {
             *_FUNCTION_OPTIONS,
             *_RUN_OPTIONS,
             (("--components",), dict(required=True, help="directory of component CSV files")),
-            (("--verify-n",), dict(type=int, default=50)),
+            (("--verify-n",), dict(type=_at_least(int, 1, "--verify-n must be at least 1, got {}"),
+                                   default=50)),
             _RESIDUAL_TOL,
         ),
     ),
@@ -517,14 +543,12 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """argparse reads a token that starts with "-" as a flag unless it is a
-    lone number; this parser reads any token led by a negative number as a
-    value too, so --box -1,1,0,1 means --box=-1,1,0,1 (no flag starts with
-    a digit)."""
-
-    _NUMBER_LED = re.compile(r"-\.?\d")
+    lone number.  This parser reads it as a value unless it starts with "--"
+    or with one of the parser's short flags (-f, -h), so --box -1,1,0,1
+    means --box=-1,1,0,1 and -f -x*y means -f=-x*y."""
 
     def _parse_optional(self, arg_string):
-        if self._NUMBER_LED.match(arg_string):
+        if arg_string[1:2] != "-" and arg_string[:2] not in self._option_string_actions:
             return None
         return super()._parse_optional(arg_string)
 
@@ -574,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
         doc["config"] = _echo_config(args)
         _emit(doc, args)
         return code
-    except (ValueError, BudgetError, OSError) as err:
+    except (ValueError, _OutOfRange, BudgetError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except PreconditionError as err:

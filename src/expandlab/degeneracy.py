@@ -108,7 +108,8 @@ def _require_arity(f: FunctionSpec, n: int):
 
 
 def rho(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy()) -> Expr:
-    """f_x*f_y/f_xy, simplified.  Singular locus: {f_xy = 0}."""
+    """f_x*f_y/f_xy, folded by simplify (no normal form: decide identities
+    with is_identically_zero).  Singular locus: {f_xy = 0}."""
     _require_arity(f, 2)
     fx, fy = f.partial(0), f.partial(1)
     fxy = differentiate(fx, f.vars[1])
@@ -121,7 +122,7 @@ def rho(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy()) -> Expr:
 
 def kappa(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy(), wedge_sign: int = 1) -> Expr:
     """Gradient wedge of f against rho: f_x*rho_y - f_y*rho_x, as built, not
-    simplified (the zero test needs no normal form; simplify gives one).
+    folded (is_identically_zero decides whether it vanishes).
 
     Built from the expanded quotient rule (all derivatives taken of f
     itself), which keeps the tree compact:
@@ -199,7 +200,8 @@ class ExprMatrix:
         return out
 
     def det_expr(self) -> Expr:
-        """Symbolic determinant by cofactor expansion (small matrices only)."""
+        """Symbolic determinant by cofactor expansion (small matrices only),
+        folded by simplify, which drops the terms of J's zero blocks."""
         r, c = self.shape
         if r != c:
             raise ValueError("determinant of a non-square matrix")

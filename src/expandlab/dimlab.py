@@ -317,8 +317,8 @@ def image_quantize(
 
     The product tuples stream through in blocks of `block` tuples (by
     default 2^16).  The grid runs over the value range [lo, hi]: the image's
-    own extremes, or a declared range, widened when values fall outside it
-    (with the overflow count reported), never clamped.  The cell index of a
+    own extremes, or a declared range (lo < hi), widened when values fall
+    outside it (with the overflow count reported), never clamped.  The cell index of a
     value v is (v - lo) / delta_min truncated, its floor since v lies in
     [lo, hi]; the module docstring has how it is computed and when a block
     takes the run route of _Grid.scatter.  At most one thread per core
@@ -341,6 +341,8 @@ def image_quantize(
         raise ValueError(f"the thread count must be at least 1, got {threads}")
     if delta_min is not None and not delta_min > 0:
         raise ValueError(f"delta_min must be positive, got {delta_min}")
+    if value_range is not None and not value_range[0] < value_range[1]:
+        raise ValueError(f"a declared value range needs lo < hi, got {list(value_range)}")
     fn = compile_batch(f.expr, f.vars)
     shards = _shards(sets[0].values, threads)
 

@@ -1,13 +1,11 @@
-"""Expression DAGs: parsing, exact differentiation, simplification, evaluation.
+"""Expression DAGs: parsing, exact differentiation, folding, evaluation.
 
 Expressions are immutable DAGs over named real variables with exact rational
 constants.  Nodes are hash-consed: building a node equal to a live node
 returns that node, so structural equality is identity, decided once when a
 node is built, and the walks visit each distinct subexpression once.
-Simplification normalizes to a rational normal form (polynomial
-numerator/denominator over "atoms": variables and irreducible function
-applications) with Fraction coefficients; the rewrite system is bounded.  It
-is a normal-form utility only: no decision calls it.
+`simplify` applies local folds (exact constant arithmetic, 0 and 1 operands,
+x - x) at every node; it gives no normal form, and no decision calls it.
 
 One evaluator serves every entry point: an expression is compiled once into
 a straight-line program over its DAG, run with a scalar op table (`evaluate`,
@@ -31,7 +29,6 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -65,12 +62,6 @@ __all__ = [
 
 CALLABLE_FUNCS = ("sin", "cos", "exp", "log", "sqrt")
 
-# Bounds on the canonicalizer; beyond these a subtree is kept structural, so
-# one simplify call stays bounded however large its input.
-_MAX_TERMS = 600
-_MAX_POW = 64
-_MAX_MUL_WORK = 8_000
-
 # The modular zero test: a Mersenne prime, the number of random points that
 # must all give zero (a nonzero rational function of numerator degree d
 # passes with probability at most (d/p)^k, with function applications
@@ -103,11 +94,6 @@ class DomainError(ExprError):
 
 class UndeterminableOnBox(ExprError):
     """Every sample of a zero-test hit a domain error."""
-
-
-class _NonCanonical(Exception):
-    """Internal: subtree cannot be put in rational normal form (zero
-    denominator or size caps exceeded)."""
 
 
 # The live nodes, by op, payload and operand identities.  An operand's id
@@ -927,11 +913,11 @@ def enclosure(e: Expr, var_order: tuple[str, ...], box) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Differentiation over the DAG (forward mode on the expression itself): each
 # distinct node is differentiated once, and the result is built from e's own
-# subexpressions, so it has O(size of e's DAG) distinct nodes.  Results are
-# not in normal form; call simplify for one.  The constructors below fold 0,
-# 1 and constant-by-constant operations, which drops the zero branches of the
-# product and quotient rules.  A power whose exponent is not an integer
-# constant is rewritten through exp/log (side condition: positive base, see
+# subexpressions, so it has O(size of e's DAG) distinct nodes.  The
+# constructors below fold 0, 1 and constant-by-constant operations, which
+# drops the zero branches of the product and quotient rules.  A power whose
+# exponent is not an integer constant is rewritten through exp/log (side
+# condition: positive base, see
 # domain_notes).
 # ---------------------------------------------------------------------------
 
@@ -1096,163 +1082,10 @@ def domain_notes(e: Expr) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Simplification via rational normal form.
-#
-# A polynomial is a dict {monomial: Fraction}; a monomial is a sorted tuple of
-# (atom, positive int exponent).  Atoms are variables, function applications
-# and powers with a non-integer exponent, whose operands are themselves
-# simplified.  An expression within the caps canonicalizes to a (numerator,
-# denominator) pair of polynomials; no polynomial GCDs are computed (bounded
-# rewriting).
+# Simplification: the local folds, applied once at every node.  No normal
+# form: like terms are not collected and operands are not reordered, so an
+# identity is decided by is_identically_zero, not by comparing results.
 # ---------------------------------------------------------------------------
-
-_POLY_ONE = {(): Fraction(1)}
-
-
-def _compare(a: Expr, b: Expr) -> int:
-    """-1, 0 or 1 as a sorts before, with or after b: by op and payload (a
-    constant's str(value), a variable's name), then by the first operands that
-    are different objects, so unequal nodes: it follows one path down."""
-    while a is not b:
-        ha, hb = ((n.op, str(n.value) if n.op == "const" else n.name or "") for n in (a, b))
-        if ha != hb:
-            return -1 if ha < hb else 1
-        a, b = next((x, y) for x, y in zip(a.args, b.args) if x is not y)
-    return 0
-
-
-_order = cmp_to_key(_compare)  # a node's sort key
-
-
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for a, k in m2:
-        d[a] = d.get(a, 0) + k
-    return tuple(sorted(d.items(), key=lambda ak: _order(ak[0])))
-
-
-def _poly_add(p1, p2, sign=1):
-    out = dict(p1)
-    for m, c in p2.items():
-        nc = out.get(m, Fraction(0)) + sign * c
-        if nc == 0:
-            out.pop(m, None)
-        else:
-            out[m] = nc
-    return out
-
-
-def _poly_mul(p1, p2):
-    if len(p1) * len(p2) > _MAX_MUL_WORK:
-        raise _NonCanonical
-    out = {}
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
-            m = _mono_mul(m1, m2)
-            c = c1 * c2  # nonzero: so are c1 and c2
-            if m in out:
-                c += out[m]
-                if not c:
-                    del out[m]
-                    continue
-            out[m] = c
-    if len(out) > _MAX_TERMS:
-        raise _NonCanonical
-    return out
-
-
-def _poly_pow(p, k: int):
-    result = dict(_POLY_ONE)
-    base = p
-    while k:
-        if k & 1:
-            result = _poly_mul(result, base)
-        k >>= 1
-        if k:
-            base = _poly_mul(base, base)
-    return result
-
-
-def _poly_scale(p, c: Fraction):
-    if c == 0:
-        return {}
-    return {m: coeff * c for m, coeff in p.items()}
-
-
-def _poly_const(p):
-    """The Fraction if p is a constant polynomial, else None."""
-    if not p:
-        return Fraction(0)
-    if len(p) == 1 and () in p:
-        return p[()]
-    return None
-
-
-def _const_form(c: Fraction):
-    return {(): c} if c != 0 else {}, dict(_POLY_ONE)
-
-
-def _atom_form(atom: Expr):
-    return {((atom, 1),): Fraction(1)}, dict(_POLY_ONE)
-
-
-def _rational_form(node: Expr, form: Callable, simplified: Callable[[Expr], Expr]):
-    """node's rational normal form, a (numerator, denominator) pair of
-    polynomials, from its operands' forms (form(a), None for an operand
-    without one) and simplified nodes (simplified(a)).  Raises _NonCanonical
-    where node has none: past a cap, on a symbolically zero denominator or
-    on an operand without a form."""
-    op, args = node.op, node.args
-    if op == "const":
-        return _const_form(node.value)
-    if op == "var":
-        return _atom_form(node)
-    if op in CALLABLE_FUNCS:
-        arg = simplified(args[0])
-        folded = _fold_func(op, arg)
-        if folded is not None:
-            return _const_form(folded.value)
-        return _atom_form(Expr(op, (arg,)))
-    if op == "pow":
-        p = simplified(args[1])
-        if not (p.op == "const" and p.value.denominator == 1):
-            return _atom_form(Expr("pow", (simplified(args[0]), p)))
-        k = p.value.numerator
-        if abs(k) > _MAX_POW:
-            raise _NonCanonical
-        args = args[:1]
-    forms = tuple(map(form, args))
-    if None in forms:
-        raise _NonCanonical
-    if op == "neg":
-        n, d = forms[0]
-        return _poly_scale(n, Fraction(-1)), d
-    if op == "pow":
-        n, d = forms[0]
-        if k == 0:
-            return dict(_POLY_ONE), dict(_POLY_ONE)
-        if k > 0:
-            return _poly_pow(n, k), _poly_pow(d, k)
-        if not n:
-            raise _NonCanonical
-        return _poly_pow(d, -k), _poly_pow(n, -k)
-    if op not in ("add", "sub", "mul", "div"):
-        raise ExprError(f"unknown op {op!r}")
-    (n1, d1), (n2, d2) = forms
-    if op == "mul":
-        return _poly_mul(n1, n2), _poly_mul(d1, d2)
-    if op == "div":
-        if not n2:
-            raise _NonCanonical  # division by symbolic zero
-        return _poly_mul(n1, d2), _poly_mul(d1, n2)
-    sign = 1 if op == "add" else -1
-    if d1 == d2:
-        return _poly_add(n1, n2, sign), d1
-    return _poly_add(_poly_mul(n1, d2), _poly_mul(n2, d1), sign), _poly_mul(d1, d2)
 
 
 def _fold_func(op: str, arg: Expr) -> Expr | None:
@@ -1276,79 +1109,10 @@ def _fold_func(op: str, arg: Expr) -> Expr | None:
     return None
 
 
-def _mono_sort_key(m):
-    return (sum(k for _, k in m), tuple((_order(a), k) for a, k in m))
-
-
-def _poly_to_expr(p) -> Expr:
-    if not p:
-        return _ZERO
-    if len(p) == 1 and () in p:
-        return const(p[()])
-    terms = sorted(p.items(), key=lambda mc: _mono_sort_key(mc[0]))
-    signed: list[Expr] = []
-    for m, c in terms:
-        factors = [a if k == 1 else Expr("pow", (a, const(k))) for a, k in m]
-        coeff = abs(c)
-        term: Expr | None = None
-        if coeff != 1 or not factors:
-            term = const(coeff)
-        for fct in factors:
-            term = fct if term is None else term * fct
-        signed.append(Expr("neg", (term,)) if c < 0 else term)
-    # balanced reduction keeps the tree depth logarithmic in the term count
-    while len(signed) > 1:
-        signed = [
-            Expr("add", (signed[i], signed[i + 1])) if i + 1 < len(signed) else signed[i]
-            for i in range(0, len(signed), 2)
-        ]
-    return signed[0]
-
-
-def _rebuild(n, d) -> Expr:
-    dc = _poly_const(d)
-    if dc is not None:
-        return _poly_to_expr(_poly_scale(n, Fraction(1) / dc))
-    # normalize so the denominator's leading coefficient is 1
-    lead = min(d.items(), key=lambda mc: _mono_sort_key(mc[0]))[1]
-    n = _poly_scale(n, Fraction(1) / lead)
-    d = _poly_scale(d, Fraction(1) / lead)
-    if not n:
-        return _ZERO
-    return Expr("div", (_poly_to_expr(n), _poly_to_expr(d)))
-
-
-def simplify(e: Expr) -> Expr:
-    """Bounded rewriting to a canonical rational form.
-
-    Idempotent; simplify(a - b) is the zero constant whenever a and b
-    canonicalize identically.  One walk over e's DAG gives each node its
-    rational form, or None past the caps; a node without one takes local
-    folds of its operands' simplified nodes instead.  A node's simplified
-    node is built from its form only when asked for: by a power, a function
-    application, a node without a form, or at e."""
-    nodes: dict[Expr, Expr] = {}  # simplified nodes built so far
-
-    def step(node: Expr, form: Callable):
-        def simplified(a: Expr) -> Expr:
-            if a not in nodes:
-                nodes[a] = _rebuild(*form(a))
-            return nodes[a]
-
-        try:
-            return _rational_form(node, form, simplified)
-        except _NonCanonical:
-            nodes[node] = _local_fold(node.op, tuple(map(simplified, node.args)))
-            return None
-
-    form = _walk_dag(e, step)
-    return nodes[e] if form is None else _rebuild(*form)
-
-
 def _local_fold(op: str, args: tuple[Expr, ...]) -> Expr:
-    """A node without a rational form, with its simplified operands args:
-    the same local folds as the differentiation constructors, and a few
-    more."""
+    """The node op(*args), with args already folded: the differentiation
+    constructors' folds (exact constant arithmetic, 0 and 1 operands),
+    --a = a, a - a = 0, a^0 = 1, a^1 = a and _fold_func."""
     if op in ("add", "mul", "div"):
         return {"add": _add, "mul": _mul, "div": _div}[op](*args)
     if op == "neg":
@@ -1358,16 +1122,22 @@ def _local_fold(op: str, args: tuple[Expr, ...]) -> Expr:
         a, b = args
         if a is b:
             return _ZERO
-        if _is_const(a, 0):
-            return Expr("neg", (b,))
-        return _sub(a, b)
-    # a power: a function application always has a form
-    a, b = args
-    if _is_const(b, 0):
-        return _ONE
-    if _is_const(b, 1):
-        return a
-    return Expr(op, args)
+        return _local_fold("neg", (b,)) if _is_const(a, 0) else _sub(a, b)
+    if op == "pow":
+        a, b = args
+        return _ONE if _is_const(b, 0) else a if _is_const(b, 1) else Expr(op, args)
+    folded = _fold_func(op, args[0])
+    return Expr(op, args) if folded is None else folded
+
+
+def simplify(e: Expr) -> Expr:
+    """e with _local_fold applied at every node, bottom up, by one walk over
+    e's DAG.  Idempotent, and iterative, so the depth of e does not matter."""
+
+    def step(node: Expr, folded: Callable[[Expr], Expr]) -> Expr:
+        return _local_fold(node.op, tuple(map(folded, node.args))) if node.args else node
+
+    return _walk_dag(e, step)
 
 
 # ---------------------------------------------------------------------------

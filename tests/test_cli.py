@@ -405,6 +405,20 @@ _EXPAND_B4 = ["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--
         ([*_EXPAND_B4, "0^-2..0^-5"], "a ladder base must be at least 2, got 0"),
         (["gen-fractal", "--spec", "m2r1/0:5", "out.bin"], "zero denominator in '1/0'"),
         (["classify", "-f", "x*y", "--seed", "-3"], "the seed must be a non-negative integer, got -3"),
+        (["thresholds", "--theorem", "k-point", "--param", "alpha=1", "--param", "m=0", "--seed", "-3"],
+         "the seed must be a non-negative integer, got -3"),
+        (["fold", "-f", "x*y", "--box", "-1,1,0.5,1.5", "--base", "0,1", "--seed", "-1"],
+         "the seed must be a non-negative integer, got -1"),
+        (["classify", "-f", "x*y + (sqrt(x^2) - x)*y^2", "--vars", "x,y", "--rel-tol", "-1"],
+         "--rel-tol must be at least 0, got -1.0"),
+        ([*_EXPAND_B4, "2^-2..2^-5", "--value-range", "1,0"],
+         "a declared value range needs lo < hi, got [1.0, 0.0]"),
+        ([*_EXPAND_B4, "2^-2..2^-5", "--value-range", "1,1"],
+         "a declared value range needs lo < hi, got [1.0, 1.0]"),
+        (["recover", "-f", "(x + y^2)^3", "--grid-n", "0"], "--grid-n must be at least 4, got 0"),
+        (["recover", "-f", "(x + y^2)^3", "--grid-n", "-5"], "--grid-n must be at least 4, got -5"),
+        (["verify-recovery", "-f", "(x + y^2)^3", "--components", "comps", "--verify-n", "0"],
+         "--verify-n must be at least 1, got 0"),
         (["fold", "-f", "x*y", "--base", "0,0", "--box", "-1e308,1e308,-1,1"],
          "interval [-1e+308, 1e+308] is wider than the float range"),
     ],
@@ -412,7 +426,9 @@ _EXPAND_B4 = ["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--
         "classify-constant", "recover-constant", "expand-value-range",
         "delta-min-0", "delta-min-0-declared-range", "delta-min-negative", "ladder-rung-0",
         "ladder-rung-underflows", "param-zero-denominator", "ladder-zero-denominator",
-        "ladder-base-0", "spec-zero-denominator", "seed-negative", "box-wider-than-floats",
+        "ladder-base-0", "spec-zero-denominator", "seed-negative", "thresholds-seed-negative",
+        "fold-seed-negative", "rel-tol-negative", "value-range-reversed", "value-range-empty", "grid-n-0",
+        "grid-n-negative", "verify-n-0", "box-wider-than-floats",
     ],
 )
 def test_values_past_the_float_range_exit_2(capsys, argv, message):
@@ -561,12 +577,16 @@ def test_cli_does_not_import_numpy_random():
          "--ladder", "-2^-2..-2^-9"),
         (["surface-distance", "--psi", "u;u^2", "--uvars", "u", "--u", "0.5"], "--x", "-1,0.5"),
         (["surface-distance", "--psi", "u;u^2", "--uvars", "u", "--x", "1,0.5"], "--u", "-0.5"),
+        (["classify", "--vars", "x,y"], "-f", "-x*y"),
+        (["classify", "--vars", "x,y"], "-f", "-x"),
+        (["recover", "--vars", "x,y", "--box", "0.5,1.5,0.5,1.5"], "--function", "-exp(x + y^2)"),
     ],
-    ids=["box", "box-decimals", "recover-base", "fold-base", "value-range", "ladder", "surface-x", "surface-u"],
+    ids=["box", "box-decimals", "recover-base", "fold-base", "value-range", "ladder", "surface-x", "surface-u",
+         "function", "function-variable", "function-call"],
 )
 def test_a_value_led_by_a_negative_number_is_a_value(capsys, argv, flag, value):
-    # argparse takes "-1,1,0,1" for a flag; the CLI reads it as the value,
-    # the same as with "="
+    # argparse takes "-1,1,0,1" or "-x*y" for a flag; the CLI reads it as the
+    # value, the same as with "="
     spaced = run(capsys, *argv, flag, value, "--no-timestamp")
     joined = run(capsys, *argv, f"{flag}={value}", "--no-timestamp")
     assert spaced == joined
@@ -650,6 +670,23 @@ def test_config_key_without_an_option_exits_2(capsys, tmp_path, name, key):
     code, out, err = run(capsys, name, *_MINIMAL_ARGV[name], "--config", str(config), "--no-timestamp")
     assert code == 2 and out == ""
     assert err == f"error: config key {key!r} does not match any option\n"
+
+
+@pytest.mark.parametrize("name", sorted(_MINIMAL_ARGV))
+def test_a_negative_seed_exits_2_before_the_command_runs(capsys, tmp_path, name):
+    message = "the seed must be a non-negative integer, got -1"
+    code, out, err = run(capsys, name, *_MINIMAL_ARGV[name], "--seed", "-1", "--no-timestamp")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    config = tmp_path / "run.json"
+    config.write_text('{"schema_version": 1, "seed": -1}')
+    code, out, err = run(capsys, name, *_MINIMAL_ARGV[name], "--config", str(config), "--no-timestamp")
+    assert (code, out, err) == (2, "", f"error: config key 'seed': {message}\n")
+
+
+def test_a_short_flag_still_takes_its_value_attached(capsys):
+    attached = run(capsys, "classify", "-fx*y", "--no-timestamp")
+    assert attached == run(capsys, "classify", "-f", "x*y", "--no-timestamp")
+    assert attached[0] == 0
 
 
 def test_config_cannot_supply_a_required_option(capsys, tmp_path):

@@ -1,9 +1,11 @@
 """Tests for certificates, matrices, classification, thresholds, sampling."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from expandlab.degeneracy import (
     EXPANDING,
@@ -34,6 +36,7 @@ from expandlab.expr import (
     is_identically_zero,
     parse,
     simplify,
+    to_string,
     var,
 )
 
@@ -46,17 +49,25 @@ def fs3(text, box=((0.5, 1.5),) * 3):
     return FunctionSpec(parse(text), ("x", "y", "z"), box)
 
 
+def sympy_identity(a, b=const(0)) -> bool:
+    """a = b as sympy decides it, an oracle independent of expandlab's own
+    evaluators: a - b is printed, ^ read as ** and a primed name x' as x_p."""
+    text = re.sub(r"(\w+)'", r"\1_p", to_string(a - b).replace("^", "**"))
+    d = sympy.sympify(text)
+    return sympy.expand(d) == 0 or sympy.simplify(d) == 0
+
+
 # ---------------------------------------------------------------------------
 # rho / kappa
 # ---------------------------------------------------------------------------
 
 
 def test_rho_of_product():
-    assert rho(fs2("x*y")) == simplify(parse("x*y"))
+    assert sympy_identity(rho(fs2("x*y")), parse("x*y"))
 
 
 def test_rho_of_quadratic():
-    assert rho(fs2("x^2 + x*y")) == simplify(parse("2*x^2 + x*y"))
+    assert sympy_identity(rho(fs2("x^2 + x*y")), parse("2*x^2 + x*y"))
 
 
 def test_rho_additively_degenerate():
@@ -65,9 +76,9 @@ def test_rho_additively_degenerate():
 
 
 def test_kappa_examples():
-    assert simplify(kappa(fs2("x*y"))) == const(0)
-    assert simplify(kappa(fs2("x^2 + x*y"))) == simplify(parse("-2*x^2"))
-    assert simplify(kappa(fs2("x + y + x*y"))) == const(0)
+    assert sympy_identity(kappa(fs2("x*y")))
+    assert sympy_identity(kappa(fs2("x^2 + x*y")), parse("-2*x^2"))
+    assert sympy_identity(kappa(fs2("x + y + x*y")))
 
 
 def test_kappa_wedge_sign_does_not_change_zero_set():
@@ -85,7 +96,7 @@ def test_kappa_wedge_sign_does_not_change_zero_set():
 
 def test_aux_trivariate_product():
     gs = aux_trivariate(fs3("x*y*z", ((1, 2),) * 3))
-    assert tuple(map(simplify, gs)) == (const(0), const(0), const(0))
+    assert all(map(sympy_identity, gs))
 
 
 def test_aux_trivariate_sharpness_example():
@@ -110,8 +121,8 @@ def test_aux_trivariate_of_an_exponential_vanishes_on_the_modular_route():
 
 
 def test_aux_trivariate_symmetric_quadratic():
-    g1 = simplify(aux_trivariate(fs3("x*y + y*z + z*x"))[0])
-    assert g1 == simplify(parse("y - z"))
+    g1 = aux_trivariate(fs3("x*y + y*z + z*x"))[0]
+    assert sympy_identity(g1, parse("y - z"))
     assert evaluate(g1, {"x": 1, "y": 2, "z": 3}) == -1
 
 
@@ -138,12 +149,12 @@ def test_g3_equals_g1_minus_g2_symbolically():
               "exp(x + y^2 + z^3)"]
     for text in corpus:
         g1, g2, g3 = aux_trivariate(fs3(text))
-        assert simplify(g3 - g1 + g2) == const(0), text
+        assert sympy_identity(g3 - g1 + g2), text
     rng = np.random.default_rng(17)
     for _ in range(10):
         f = FunctionSpec(_random_cubic3(rng), ("x", "y", "z"), ((0.5, 1.5),) * 3)
         g1, g2, g3 = aux_trivariate(f)
-        assert simplify(g3 - g1 + g2) == const(0)
+        assert sympy_identity(g3 - g1 + g2)
 
 
 # ---------------------------------------------------------------------------

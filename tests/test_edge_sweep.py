@@ -1,8 +1,9 @@
 """A seeded sweep of edge option values over expand, thresholds and
-gen-fractal, and one over the sampling commands classify, recover and
-fold: every command ends in a documented exit code (0, 2, 3 or 4, never 1
-with a traceback), a command that writes a document writes strict JSON,
-and a sampling command run again writes the same bytes.
+gen-fractal, one over the sampling commands classify, recover and fold,
+and one over surface-distance and verify-recovery: every command ends in
+a documented exit code (0, 2, 3 or 4, never 1 with a traceback), a
+command that writes a document writes strict JSON, and a command of the
+last two sweeps run again writes the same bytes.
 
 Each option is drawn from a fixed pool that mixes valid values with edge
 values: 0, negative numbers, a zero denominator (1/0), 2^-1075 (a positive
@@ -156,3 +157,60 @@ def test_edge_values_end_in_a_documented_exit_code(capsys, tmp_path):
         codes.append(code)
     # the pools reach both the usage errors and the answers
     assert codes.count(0) >= COMMANDS // 5 and codes.count(2) >= COMMANDS // 5
+
+
+SURFACE_VERIFY_COMMANDS = 40
+# valid (psi, uvars, x, u) together; each option may be swapped for an edge value
+SURFACES = [("u;u^2", "u", "1,0.5", "0.5"), ("cos(u);sin(u)", "u", "-1,0.5", "-0.5"),
+            ("u;v;u*v", "u,v", "0,0,1", "0.5,1")]
+SURFACE_EDGES = {
+    "--psi": ["u;0", "u;1/u", "u;log(u)", "u", "u;u^2;", "u;(u"],
+    "--uvars": ["v", "", "u,u"],
+    "--x": ["1e308,-1e308", "1", "nan,1", "1,1/0", "-1,-1,-1"],
+    "--u": ["0", "-1e308", "", "0.5,1,2"],
+    "--tol": ["0", "-1", "1e-300"],
+}
+RECOVERED = "(x + y^2)^3"
+REPLAYED = ["exp(x + y^2)", "x/y", "x*y*z", "log(x) + y", "1e308*x"]
+
+
+def _surface_distance(rng) -> list[str]:
+    valid = dict(zip(("--psi", "--uvars", "--x", "--u"), rng.choice(SURFACES)), **{"--tol": "1e-9"})
+    # --flag=value, so that an empty value is a value
+    return ["surface-distance", *(f"{flag}={_maybe(rng, [value], SURFACE_EDGES[flag])}"
+                                  for flag, value in valid.items())]
+
+
+def _verify_recovery(rng, components: list[str]) -> list[str]:
+    f = _maybe(rng, [RECOVERED], REPLAYED)
+    return ["verify-recovery", "-f", f, "--vars", "x,y,z" if "z" in f else "x,y",
+            "--box", _maybe(rng, BOXES[:1], BOXES), "--components", _maybe(rng, components[:1], components),
+            "--verify-n", _maybe(rng, ["5", "17"], ["0", "-1", "1"]),
+            "--residual-tol", _maybe(rng, ["1e-6"], ["0", "-1", "nan"])]
+
+
+def test_surface_distance_and_verify_recovery_end_in_a_documented_exit_code(capsys, tmp_path):
+    comps = tmp_path / "comps"
+    code = _exit_code(["recover", "-f", "(x + y^2)^3", "--vars", "x,y", "--box", BOXES[0], "--grid-n", "33",
+                       "--out-dir", str(comps), "--no-timestamp"])
+    assert code == 0
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / "h.csv").write_text("grid,value\n0,x\n")
+    components = [str(comps), str(empty), str(tmp_path / "missing"), str(broken)]
+    capsys.readouterr()
+    rng = random.Random(2028)
+    codes = []
+    for i in range(SURFACE_VERIFY_COMMANDS):
+        argv = _surface_distance(rng) if i % 2 else _verify_recovery(rng, components)
+        argv.append("--no-timestamp")
+        code = _exit_code(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, captured.err)
+        if captured.out.strip():
+            json.loads(captured.out, parse_constant=_reject_constant)
+        assert (_exit_code(argv), capsys.readouterr().out) == (code, captured.out), argv
+        codes.append(code)
+    assert codes.count(0) >= SURFACE_VERIFY_COMMANDS // 4 and codes.count(2) >= SURFACE_VERIFY_COMMANDS // 10

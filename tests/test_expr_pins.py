@@ -107,7 +107,7 @@ def parse_pins() -> dict:
 
 def random_dags(n: int = RANDOM_DAGS) -> list[Expr]:
     """Seeded DAGs with shared subexpressions: each node takes its operands
-    from the nodes built before it, so some reach the caps or divide by a
+    from the nodes built before it, so some fold to constants or divide by a
     symbolic zero."""
     rng = random.Random(7)
     leaves = [var("x"), var("y"), var("z"), const(0), const(1), const(2), const(Fraction(-3, 4))]
