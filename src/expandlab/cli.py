@@ -438,7 +438,10 @@ _RUN_OPTIONS = (
 )
 _THEOREM = (("--theorem",), dict(required=True, choices=THEOREMS))
 _PARAM = (("--param",), dict(action="append", help="theorem parameter name=value"))
-_RESIDUAL_TOL = (("--residual-tol",), dict(type=_finite_float, default=1e-6))
+_RESIDUAL_TOL = (
+    ("--residual-tol",),
+    dict(type=_at_least(_finite_float, 0, "--residual-tol must be at least 0, got {}"), default=1e-6),
+)
 _BUDGET = (("--budget",), dict(type=int, default=1 << 24))
 
 # name -> (help, handler, options), in the order of the top-level help
@@ -513,7 +516,7 @@ _COMMANDS = {
             (("--uvars",), dict(required=True, help="comma-separated parameter names")),
             (("--x",), dict(required=True, help="ambient point coordinates")),
             (("--u",), dict(required=True, help="surface parameter coordinates")),
-            (("--tol",), dict(type=_finite_float, default=1e-9)),
+            (("--tol",), dict(type=_at_least(_finite_float, 0, "--tol must be at least 0, got {}"), default=1e-9)),
         ),
     ),
     "verify-recovery": (

@@ -51,6 +51,7 @@ from .expr import (
     const,
     differentiate,
     evaluate,
+    free_vars,
     is_identically_zero,
     simplify,
     substitute,
@@ -1040,6 +1041,10 @@ def surface_distance_check(
         raise ValueError("a hypersurface in R^d needs d-1 parameters")
     if len(x) != d or len(u) != d - 1:
         raise ValueError("point/parameter dimensions do not match the surface")
+    for c in components:
+        unnamed = free_vars(c) - set(uvars)
+        if unnamed:
+            raise ValueError(f"the surface uses {', '.join(sorted(unnamed))} but its parameters are {list(uvars)}")
     point = dict(zip(uvars, map(float, u)))
     psi_u = np.array([evaluate(c, point) for c in components])
     jac = np.empty((d, d - 1))

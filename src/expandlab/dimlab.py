@@ -3,10 +3,11 @@
 The image f(A x B [x C]) is quantized onto a fixed grid of delta_min-cells
 over its value range (a declared range is widened, never clamped, when
 values fall outside it).  When that range is known before the pass (a
-declared range, or the extremes of the first and last rows of A when an
-interval enclosure of df/dx has one sign), one streaming pass evaluates each
-tuple once, quantizes against the range and checks it; otherwise, or when
-the check fails, a range scan comes first.  Every shard stores 1 into one
+declared range; the extremes of the first and last columns when f is proven
+to rise along every row; or the extremes of the first and last rows of A
+when an interval enclosure of df/dx has one sign), one streaming pass
+evaluates each tuple at most once, quantizes against the range and checks
+it; otherwise, or when the check fails, a range scan comes first.  Every shard stores 1 into one
 shared byte map at each cell it hits; since every write stores the same
 value, the map is bit-identical for any thread count, shard order, block
 size or route, and the QuantizedSet keeps it as it is, one 0/1 byte per
@@ -30,17 +31,31 @@ cell index (v - lo) / delta_min is computed as (v - lo) * 2^k when delta_min
 is 2^-k and 2^k is finite: both are the same exact scaling, so the bits
 agree.  Any other delta_min divides.
 
-Where many tuples share a cell, a block takes a run route that scatters
-fewer indices (see _Grid.scatter): when its last axis is a multiple of _RUN
-= 16, at least 7/8 of the 16-value chunks of its first row have ends that
-truncate to one cell, and every row is non-decreasing (checked exactly, on
-the values), a chunk whose ends share a cell marks that cell once, and only
-the other chunks get cell coordinates and are scattered element by element.
-Falling and non-monotone rows keep the plain scatter.  The route takes 76%
-of the benchmark's expand-dense tuples (all of x^2 + xy on b4d01:13 at
-2^-16, where 1.2% of the chunks cross a cell, and none of its trivariate or
-Cantor-sum commands), 8.2% of expand-fine's and none of certify's.  Every
-write still stores 1, so the map is the same on either route.
+Where many tuples share a cell, two routes evaluate or scatter fewer of
+them.  Both split the rows (the last axis) into chunks of _RUN = 16 values.
+When expr.rising proves, once per call, that f's float values rise along
+every row over the hull of the inputs, a block's extremes are the min of its
+first column and the max of its last, and each shard starts on the ends
+route (see _ends_route): f is evaluated only at the two ends of each chunk, a
+chunk whose ends share a cell marks it once, and only the chunks that cross
+a cell are gathered and evaluated in full.  A block of chunk ends where more
+than 1/8 of them cross marks nothing and leaves the rest of its shard to the
+plain blocks.  A plain block takes the run route of _Grid.scatter when at
+least 7/8 of the chunks of its first row have ends in one cell and every row
+is non-decreasing (proven, or checked exactly on the values); falling and
+non-monotone rows keep the plain scatter.  Measured on the benchmark
+(percent of a command's tuples covered by each route, and evaluated):
+  expand-dense 0, x^2 + xy on b4d01:13 at 2^-16: ends route 100%, 13.8%
+    evaluated (1.2% of its chunks cross a cell);
+  expand-dense 1, xy + z on b4d01:8, and 2, x + y on m2r1/3:11: the ends
+    route refuses each shard's first block, plain scatter 100%, 101.2% and
+    101.7% evaluated (the refused blocks' ends, and the known range);
+  expand-fine, x^2 + xy on b4d01:12 at 2^-24 (2 threads): ends route 6.2%,
+    run route 2.7%, plain scatter 91.0%, 95.7% evaluated;
+  certify: no quantize.
+Rounding of + - * / is monotone, so a chunk of a rising row whose ends share
+a cell lies in it, and numpy computes each tuple's float the same in any
+array; every write still stores 1, so the map is the same on every route.
 
 Box dimension dominates Hausdorff dimension, so the theorems' lower bounds
 remain valid one-sided predicates for these estimates (up to estimator
@@ -61,7 +76,7 @@ import numpy as np
 
 from .degeneracy import DegeneracyReport, ThresholdReport, thresholds
 from .errors import BudgetError
-from .expr import ExprError, FunctionSpec, compile_batch, enclosure
+from .expr import ExprError, FunctionSpec, compile_batch, enclosure, rising
 from .fractal import PointSet1D
 from .jsonutil import jsonable, rational
 
@@ -84,9 +99,9 @@ _MAX_CELLS = 1 << 28
 # tuples evaluated per vectorized block: 512 KiB per float64 array, so a
 # block's few live arrays fit a core's 2 MiB L2 (see the module docstring)
 _BLOCK = 1 << 16
-# values per chunk of a row on the run route of _Grid.scatter: a sweep of
-# 8/16/32 against probe thresholds 1/2, 3/4 and 7/8 chose 16 and 7/8
-# (CHANGES.md has the sweep)
+# values per chunk of a row on the run route of _Grid.scatter and on the
+# ends route: a sweep of 8/16/32 against probe thresholds 1/2, 3/4 and 7/8
+# chose 16 and 7/8 for the run route (CHANGES.md has the sweep)
 _RUN = 16
 
 
@@ -192,24 +207,88 @@ def _tuple_blocks(sets: Sequence[PointSet1D], shard: np.ndarray, block: int):
     A block is _block_rows whole rows of shard when a row fits in `block`
     tuples, else one row of shard by as many elements of B as fit (at least
     one), so no block holds more than max(block, len(C)) tuples."""
-    n = len(sets)
+    return _blocks([shard, *(s.values for s in sets[1:])], block)
 
-    def axis(v: np.ndarray, k: int) -> np.ndarray:
-        return v[(*(None,) * k, slice(None), *(None,) * (n - 1 - k))]
 
-    b = sets[1].values
-    tail = [s.values for s in sets[2:]]
-    per_b = math.prod(map(len, tail))  # tuples per element of B
-    if len(b) * per_b <= block:
-        rows = _block_rows(sets, block)
-        parts = ((shard[i : i + rows], b) for i in range(0, len(shard), rows))
+def _parts(lens: Sequence[int], block: int):
+    """(rows, cols) slices of the first two axes of a product of axes of
+    lengths lens, each part at most max(block, prod(lens[2:])) elements: as
+    many whole rows as fit, or one row by as many columns as fit."""
+    per_col = math.prod(lens[2:])
+    if lens[1] * per_col <= block:
+        rows = max(1, block // (lens[1] * per_col))
+        return ((slice(i, i + rows), slice(0, lens[1])) for i in range(0, lens[0], rows))
+    cols = max(1, block // per_col)
+    return ((slice(i, i + 1), slice(j, j + cols)) for i in range(lens[0]) for j in range(0, lens[1], cols))
+
+
+def _views(axes: Sequence[np.ndarray], rows: slice, cols: slice) -> tuple:
+    """The part (rows, cols) of the product of axes, as one broadcast view
+    per axis."""
+    n = len(axes)
+    # new views for every block: one view of B passed to every block left
+    # 0.8 MB more resident after a 2-thread pass
+    parts = (axes[0][rows], axes[1][cols], *axes[2:])
+    return tuple(v[(*(None,) * k, slice(None), *(None,) * (n - 1 - k))] for k, v in enumerate(parts))
+
+
+def _blocks(axes: Sequence[np.ndarray], block: int):
+    """The blocks of the product of axes (see _parts), as views."""
+    for rows, cols in _parts([len(v) for v in axes], block):
+        yield _views(axes, rows, cols)
+
+
+def _ends_route(fn, grid: _Grid, sets: Sequence[PointSet1D], shard: np.ndarray, block: int):
+    """Mark the cells of f over shard x B [x C] from the ends of the rows'
+    _RUN-value chunks, while that pays; f must rise along every row.
+
+    The chunks stream through in blocks of block/8 chunk pairs (2^13 by
+    default, 128 KiB of float64 ends).  f is evaluated at each chunk's first
+    and last value only, in one call over a trailing axis of the two;
+    _Grid.mark_ends marks the cells of the first ones, and the chunks whose
+    ends lie in two cells are gathered and evaluated in full.  A block that
+    leaves the grid's range, or where mark_ends refuses, marks nothing, and
+    the shard from its first tuple on is left to the plain route.
+
+    Returns the blocks of that rest (none when the route covered the shard)
+    and the extremes of the values the route covered."""
+    vmin, vmax = math.inf, -math.inf
+    values = [s.values for s in sets[1:]]
+    if len(values[-1]) % _RUN:
+        return _blocks([shard, *values], block), (vmin, vmax)
+    chunks = values[-1].reshape(-1, _RUN)
+    lead = [shard, *values[:-1]]  # the axes before the last
+    axes = [*lead, chunks[:, [0, -1]]]  # the last: one (first, last) pair per chunk
+    for rows, cols in _parts([len(v) for v in axes], max(1, block // 8)):
+        if not grid.held:
+            break
+        *coords, pairs = _views(axes, rows, cols)
+        ends = fn(*(v[..., None] for v in coords), pairs)
+        bmin, bmax = float(ends[..., 0].min()), float(ends[..., 1].max())
+        if not (grid.lo <= bmin and bmax <= grid.hi):
+            break
+        cross = grid.mark_ends(ends)
+        if cross is None:
+            break
+        vmin, vmax = min(vmin, bmin), max(vmax, bmax)
+        flat = np.flatnonzero(cross)  # a quarter of np.nonzero's time
+        if flat.size:
+            at = np.unravel_index(flat, cross.shape)
+            # the chunks axis is the second one of a bivariate product, and
+            # the part starts cols.start chunks into it
+            k = at[-1] + (cols.start if len(sets) == 2 else 0)
+            coords = (v[part][i][:, None] for v, part, i in zip(lead, (rows, cols), at))
+            grid.hit[grid.cells(fn(*coords, chunks[k]))] = 1
     else:
-        cols = max(1, block // per_b)
-        parts = ((shard[i : i + 1], b[j : j + cols]) for i in range(len(shard)) for j in range(0, len(b), cols))
-    for a_part, b_part in parts:
-        # new views for every block: one view of B passed to every block
-        # left 0.8 MB more resident after a 2-thread pass
-        yield (axis(a_part, 0), axis(b_part, 1), *(axis(c, k) for k, c in enumerate(tail, 2)))
+        return (), (vmin, vmax)
+    # the rest: the part's row from its first column on, then the next rows
+    i, j = rows.start, cols.start * (_RUN if len(sets) == 2 else 1)
+    if j == 0:
+        return _blocks([shard[i:], *values], block), (vmin, vmax)
+    rest = itertools.chain(
+        _blocks([shard[i : i + 1], values[0][j:], *values[1:]], block), _blocks([shard[i + 1 :], *values], block)
+    )
+    return rest, (vmin, vmax)
 
 
 class _Grid:
@@ -246,9 +325,10 @@ class _Grid:
         # ever clear it, so they need no lock
         self.held = True
 
-    def scatter(self, vals: np.ndarray, arrays) -> None:
+    def scatter(self, vals: np.ndarray, arrays, rises: bool = False) -> None:
         """Mark the cells of the values of a block evaluated over arrays,
-        every one in [lo, hi].
+        every one in [lo, hi]; rises: every row is known to be
+        non-decreasing.
 
         Run route (see runs_pay): each _RUN-value chunk of a row marks the
         cell of its first element, and only the chunks whose ends lie in
@@ -261,7 +341,7 @@ class _Grid:
         that is not a multiple of _RUN) scatters every element, its cell
         coordinates computed in place, in vals; when f returns an input's
         own array (f = x), the subtraction writes to a new array instead."""
-        if self.runs_pay(vals):
+        if self.runs_pay(vals, rises):
             chunks = vals.reshape(-1, _RUN)
             first = self.cells(chunks[:, 0])
             self.hit[first] = 1
@@ -282,18 +362,34 @@ class _Grid:
             np.divide(c, self.delta_min, out=c)
         return c.astype(np.intp)
 
-    def runs_pay(self, vals: np.ndarray) -> bool:
+    def runs_pay(self, vals: np.ndarray, rises: bool = False) -> bool:
         """Whether scatter takes its run route for a block: its last axis
         splits into _RUN-value chunks, at least 7/8 of the chunks of its
-        first row have ends in one cell, and every row is non-decreasing,
-        by an exact comparison of the values (which a NaN fails).  Rounding
-        keeps their order, so their cell coordinates do not decrease."""
+        first row have ends in one cell, and every row is non-decreasing:
+        known (rises) or found by an exact comparison of the values (which
+        a NaN fails).  Rounding keeps their order, so their cell coordinates
+        do not decrease."""
         n = vals.shape[-1]
         if n % _RUN:
             return False
         probe = vals.reshape(-1, n)[0].reshape(-1, _RUN)
         single = np.count_nonzero(self.cells(probe[:, 0]) == self.cells(probe[:, -1]))
-        return bool(8 * single >= 7 * len(probe)) and bool(np.all(vals[..., 1:] >= vals[..., :-1]))
+        return bool(8 * single >= 7 * len(probe)) and (rises or bool(np.all(vals[..., 1:] >= vals[..., :-1])))
+
+    def mark_ends(self, ends: np.ndarray) -> np.ndarray | None:
+        """The ends route's verdict on a block of chunks of rising rows, given
+        by the values at their ends, first and last along a trailing axis
+        (see _ends_route): the mask of the chunks whose ends lie in two
+        cells, after marking the cell of every chunk's first value (the cell
+        of all its values when its ends share one); None, marking nothing,
+        when more than 1/8 of them cross."""
+        c = self.cells(ends)
+        cross = c[..., 0] != c[..., 1]
+        if 8 * np.count_nonzero(cross) > cross.size:
+            return None
+        # a contiguous copy of the index scatters faster than the strided view
+        self.hit[c[..., 0].ravel()] = 1
+        return cross
 
     def occupancy(self) -> np.ndarray:
         """The map of the ncells cells, a view of hit with the top-boundary
@@ -320,21 +416,27 @@ def image_quantize(
     own extremes, or a declared range (lo < hi), widened when values fall
     outside it (with the overflow count reported), never clamped.  The cell index of a
     value v is (v - lo) / delta_min truncated, its floor since v lies in
-    [lo, hi]; the module docstring has how it is computed and when a block
-    takes the run route of _Grid.scatter.  At most one thread per core
+    [lo, hi]; the module docstring has how it is computed and which route
+    a block takes.  At most one thread per core
     runs, over the shards that `threads` (at least 1) asks for.
 
-    Each tuple is evaluated once when the range is known before the pass:
-    a declared range, or, when an interval enclosure of df/dx over the hull
-    of the inputs has one sign, the extremes of the blocks that hold the
-    first and last rows of A (f is monotone in x, so its extremes lie
-    there).  The pass quantizes against that range and checks it, block by
-    block; when a value falls outside, the map is dropped and a second pass
-    quantizes against the true range.  Any other f is evaluated twice: a
-    range scan, then the quantize pass.  Either way lo, hi, delta_min and
-    every value are the same floats, so the occupancy map, one 0/1 byte per
-    cell that the QuantizedSet keeps as it is, is identical for any thread
-    count, block size and scatter route."""
+    Whether f's float values rise along every row (the last axis) over the
+    hull of the inputs is proven once per call (expr.rising).  Each tuple is
+    evaluated at most once when the range is known before the pass: a
+    declared range; when the rows rise, the extremes of the first and last
+    columns; or, when an interval enclosure of df/dx over the hull has one
+    sign, the extremes of the blocks that hold the first and last rows of A
+    (f is monotone in x, so its extremes lie there).  The pass quantizes
+    against that range and checks it, block by block; when a value falls
+    outside, the map is dropped and a second pass quantizes against the
+    true range.  Any other f is evaluated twice: a range scan, then the
+    quantize pass.  When the rows rise, each pass takes the ends route
+    while it pays, which evaluates f at the ends of the rows' 16-value
+    chunks and in full only on the chunks that cross a cell (the module
+    docstring has each route's measured share).  Either way lo, hi,
+    delta_min and every value are the same floats, so the occupancy map,
+    one 0/1 byte per cell that the QuantizedSet keeps as it is, is
+    identical for any thread count, block size and route."""
     if len(sets) != f.arity or len(sets) not in (2, 3):
         raise ValueError("need one point set per variable (2 or 3)")
     if threads < 1:
@@ -345,19 +447,30 @@ def image_quantize(
         raise ValueError(f"a declared value range needs lo < hi, got {list(value_range)}")
     fn = compile_batch(f.expr, f.vars)
     shards = _shards(sets[0].values, threads)
+    rows_rise = rising(f.expr, f.vars, [(s.values[0], s.values[-1]) for s in sets], len(sets) - 1)
+
+    def route(shard: np.ndarray, grid: _Grid | None):
+        """The blocks of shard left to the plain route, and the extremes of
+        the values the ends route marked in grid before it."""
+        if rows_rise and grid is not None:
+            return _ends_route(fn, grid, sets, shard, block)
+        return _tuple_blocks(sets, shard, block), (math.inf, -math.inf)
 
     def sweep(shard: np.ndarray, grid: _Grid | None):
         """The shard's extremes and its count of values outside the declared
         range; every block is scattered into grid while all lie in its range."""
-        vmin, vmax = math.inf, -math.inf
+        blocks, (vmin, vmax) = route(shard, grid)
         outside = 0
-        for arrays in _tuple_blocks(sets, shard, block):
+        for arrays in blocks:
             vals = fn(*arrays)
-            # NaN propagates through min and max, so finite extremes mean
-            # every value is finite
-            bmin, bmax = float(vals.min()), float(vals.max())
-            if not (math.isfinite(bmin) and math.isfinite(bmax)):
-                raise ValueError("image values are not finite on the product set")
+            if rows_rise:  # proven finite, and each row's extremes are its ends
+                bmin, bmax = float(vals[..., 0].min()), float(vals[..., -1].max())
+            else:
+                # NaN propagates through min and max, so finite extremes
+                # mean every value is finite
+                bmin, bmax = float(vals.min()), float(vals.max())
+                if not (math.isfinite(bmin) and math.isfinite(bmax)):
+                    raise ValueError("image values are not finite on the product set")
             vmin, vmax = min(vmin, bmin), max(vmax, bmax)
             if value_range is not None and (bmin < value_range[0] or bmax > value_range[1]):
                 outside += int(
@@ -365,13 +478,13 @@ def image_quantize(
                 )
             if grid is not None and grid.held:
                 if grid.lo <= bmin and bmax <= grid.hi:
-                    grid.scatter(vals, arrays)
+                    grid.scatter(vals, arrays, rows_rise)
                 else:
                     grid.held = False
         return vmin, vmax, outside
 
     grid = None
-    known = _known_range(f, sets, fn, shards, block, value_range)
+    known = _known_range(f, sets, fn, shards, block, value_range, rows_rise)
     if known is not None:
         try:
             grid = _Grid(*known, delta_min)
@@ -396,13 +509,13 @@ def image_quantize(
         grid = _Grid(lo, hi, delta_min)
 
         def quantize(shard: np.ndarray):
-            for arrays in _tuple_blocks(sets, shard, block):
+            for arrays in route(shard, grid)[0]:
                 # vals stays alive while the next block is evaluated: freed
                 # first, it leaves enough free memory at the top of the heap
                 # for malloc to return it to the system, and every block
                 # faults the pages in again (32 times the minor faults)
                 vals = fn(*arrays)
-                grid.scatter(vals, arrays)
+                grid.scatter(vals, arrays, rows_rise)
 
         _run_sharded(quantize, shards, threads)
     return QuantizedSet(
@@ -416,26 +529,30 @@ def image_quantize(
     )
 
 
-def _known_range(f, sets, fn, shards, block, value_range) -> tuple[float, float] | None:
-    """The value range known before the pass, if any: the declared one, or,
+def _known_range(f, sets, fn, shards, block, value_range, rows_rise) -> tuple[float, float] | None:
+    """The value range known before the pass, if any: the declared one; when
+    every row rises, the extremes of f over the first and last columns; or,
     when an enclosure of df/dx over the hull of the inputs has one sign, the
     extremes of f over every block that holds the first or last row of A,
     evaluated with the same partition and program as the pass."""
     if value_range is not None:
         return float(value_range[0]), float(value_range[1])
-    hull = [(s.values[0], s.values[-1]) for s in sets]
-    try:
-        lo, hi = enclosure(f.partial(0), f.vars, hull)
-    except ExprError:
-        return None
-    if not (lo >= 0 or hi <= 0):
-        return None
-    rows = _block_rows(sets, block)
-    first, last = shards[0], shards[-1]
-    ends = itertools.chain(
-        _tuple_blocks(sets, first[:rows], block),
-        _tuple_blocks(sets, last[(len(last) - 1) // rows * rows :], block),
-    )
+    if rows_rise:
+        ends = _blocks([sets[0].values, *(s.values for s in sets[1:-1]), sets[-1].values[[0, -1]]], block)
+    else:
+        hull = [(s.values[0], s.values[-1]) for s in sets]
+        try:
+            lo, hi = enclosure(f.partial(0), f.vars, hull)
+        except ExprError:
+            return None
+        if not (lo >= 0 or hi <= 0):
+            return None
+        rows = _block_rows(sets, block)
+        first, last = shards[0], shards[-1]
+        ends = itertools.chain(
+            _tuple_blocks(sets, first[:rows], block),
+            _tuple_blocks(sets, last[(len(last) - 1) // rows * rows :], block),
+        )
     vmin, vmax = math.inf, -math.inf
     for arrays in ends:
         vals = fn(*arrays)

@@ -12,12 +12,13 @@ a straight-line program over its DAG, run with a scalar op table (`evaluate`,
 `compile_scalar`: DomainError off the domain), a numpy one (`compile_batch`),
 one over the integers mod a prime, where each function application is an
 opaque pseudo-random atom, the numpy one paired with an absolute-value
-scale, or one over intervals (`enclosure`: bounds on e over a box, rounded
-outward).  The modular and paired tables make the zero test (see
-`is_identically_zero`): all zero at random points mod p proves e zero; a
-nonzero value proves e nonzero only in the rational fragment (`+ - * /`,
-negation, integer powers), and float samples, judged against the paired
-scale, decide the rest.
+scale, one over intervals (`enclosure`: bounds on e over a box, rounded
+outward), or one over enclosures with a trend along one variable (`rising`:
+a proof that the numpy values never fall along it on a box).  The modular
+and paired tables make the zero test (see `is_identically_zero`): all zero
+at random points mod p proves e zero; a nonzero value proves e nonzero only
+in the rational fragment (`+ - * /`, negation, integer powers), and float
+samples, judged against the paired scale, decide the rest.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "compile_scalar",
     "compile_batch",
     "enclosure",
+    "rising",
     "is_identically_zero",
 ]
 
@@ -908,6 +910,101 @@ def enclosure(e: Expr, var_order: tuple[str, ...], box) -> tuple[float, float]:
     prog = _program(e, tuple(var_order))
     consts = [_outward(float(c), c) if isinstance(c, Fraction) else c for c in prog.exact]
     return _execute(prog, _INTERVAL, [(float(lo), float(hi)) for lo, hi in box], consts=consts)
+
+
+# Over trends along one axis variable: a register holds (lo, hi, t), floats
+# that enclose the float value _BATCH computes for its node at every point of
+# the box, and its trend t along the axis: 0 constant (the node does not
+# depend on the axis variable), 1 non-decreasing, -1 non-increasing.
+# Rounding of + - * / is monotone, so each keeps the order of its exact
+# results (Moore, Interval Analysis, 1966; Rump, Acta Numerica 19, 2010): its
+# float enclosure is the same op on the operands' bounds (at the corners for
+# * and /), and its trend follows from its operands' trends and float signs.
+# numpy's powers and libm loops carry no such guarantee, so they count only
+# on operands constant along the axis, with _INTERVAL's enclosure of the real
+# value widened by _LIBM_SLACK relative plus the least normal float.  A step
+# that cannot be proven raises _Unproven.
+# numpy's libm loops are within a few ulp (about 2^-50 relative), and an
+# integer power by repeated products within |k| <= 1024 ulp (2^-43; larger
+# powers get no _INTERVAL bound), so 2^-40 leaves a margin of 8 and more
+_LIBM_SLACK = 2.0**-40
+
+
+class _Unproven(ArithmeticError):
+    """The trend table cannot prove a step (see rising)."""
+
+
+def _sign(r) -> int:
+    """1 (-1) when every float value of register r is >= 0 (<= 0), else 0."""
+    return 1 if r[0] >= 0 else -1 if r[1] <= 0 else 0
+
+
+def _along(t: int, sign: int) -> int:
+    """The trend an operand of trend t gives a product or quotient whose
+    other operand has the given sign."""
+    if t and not sign:
+        raise _Unproven
+    return t * sign
+
+
+def _trended(lo: float, hi: float, *trends: int):
+    """The register (lo, hi, t) of an op whose operands move it by trends;
+    its bounds must be finite and its trends must agree."""
+    moving = set(trends) - {0}
+    if len(moving) > 1 or not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _Unproven
+    return lo, hi, moving.pop() if moving else 0
+
+
+def _trend_mul(a, b):
+    ends = [x * y for x in a[:2] for y in b[:2]]
+    return _trended(min(ends), max(ends), _along(a[2], _sign(b)), _along(b[2], _sign(a)))
+
+
+def _trend_div(a, b):
+    if not (b[0] > 0 or b[1] < 0):
+        raise _Unproven
+    ends = [x / y for x in a[:2] for y in b[:2]]
+    return _trended(min(ends), max(ends), _along(a[2], _sign(b)), _along(b[2], -_sign(a)))
+
+
+def _steady(interval_op):
+    """An _INTERVAL op on operands constant along the axis, widened."""
+
+    def op(*operands):
+        if any(isinstance(r, tuple) and r[2] for r in operands):
+            raise _Unproven
+        lo, hi = interval_op(*(r[:2] if isinstance(r, tuple) else r for r in operands))
+        pad = 2.0**-1022
+        return _trended(lo - abs(lo) * _LIBM_SLACK - pad, hi + abs(hi) * _LIBM_SLACK + pad)
+
+    return op
+
+
+_TREND = (
+    lambda a, b: _trended(a[0] + b[0], a[1] + b[1], a[2], b[2]),
+    lambda a, b: _trended(a[0] - b[1], a[1] - b[0], a[2], -b[2]),
+    _trend_mul,
+    _trend_div,
+    *map(_steady, _INTERVAL[4:6]),  # pow, powi
+    lambda a: (-a[1], -a[0], -a[2]),
+    *map(_steady, _INTERVAL[7:]),  # the functions
+)
+
+
+def rising(e: Expr, var_order: tuple[str, ...], box, axis: int) -> bool:
+    """Whether the float values compile_batch(e, var_order) computes are
+    finite and non-decreasing along var_order[axis] at every point of the
+    box, one (lo, hi) per variable of var_order.  True only when the trend
+    table proves it (see _TREND); False means unproven, not falling."""
+    prog = _program(e, tuple(var_order))
+    axis %= len(prog.vars)
+    regs = [(float(lo), float(hi), int(k == axis)) for k, (lo, hi) in enumerate(box)]
+    consts = [(c, c, 0) if isinstance(c, float) else c for c in prog.consts]
+    try:
+        return _execute(prog, _TREND, regs, consts=consts)[2] >= 0
+    except _Unproven:
+        return False
 
 
 # ---------------------------------------------------------------------------

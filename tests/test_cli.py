@@ -421,6 +421,17 @@ _EXPAND_B4 = ["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--
          "--verify-n must be at least 1, got 0"),
         (["fold", "-f", "x*y", "--base", "0,0", "--box", "-1e308,1e308,-1,1"],
          "interval [-1e+308, 1e+308] is wider than the float range"),
+        # a negative tolerance would flip the answer
+        (["recover", "-f", "(x + y^2)^3", "--residual-tol=-1"], "--residual-tol must be at least 0, got -1.0"),
+        (["verify-recovery", "-f", "(x + y^2)^3", "--components", "comps", "--residual-tol=-1"],
+         "--residual-tol must be at least 0, got -1.0"),
+        (["surface-distance", "--psi", "u;u^2", "--uvars", "u", "--x", "1,0.5", "--u", "0.5", "--tol=-1"],
+         "--tol must be at least 0, got -1.0"),
+        # parameters that do not name the surface's variables
+        (["surface-distance", "--psi", "u;u^2", "--uvars", "v", "--x", "1,0.5", "--u", "0.5"],
+         "the surface uses u but its parameters are ['v']"),
+        (["surface-distance", "--psi", "u;u^2", "--uvars=", "--x", "1,0.5", "--u", "0.5"],
+         "the surface uses u but its parameters are ['']"),
     ],
     ids=[
         "classify-constant", "recover-constant", "expand-value-range",
@@ -428,7 +439,9 @@ _EXPAND_B4 = ["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--
         "ladder-rung-underflows", "param-zero-denominator", "ladder-zero-denominator",
         "ladder-base-0", "spec-zero-denominator", "seed-negative", "thresholds-seed-negative",
         "fold-seed-negative", "rel-tol-negative", "value-range-reversed", "value-range-empty", "grid-n-0",
-        "grid-n-negative", "verify-n-0", "box-wider-than-floats",
+        "grid-n-negative", "verify-n-0", "box-wider-than-floats", "recover-residual-tol-negative",
+        "verify-recovery-residual-tol-negative", "surface-distance-tol-negative", "uvars-not-the-surfaces",
+        "uvars-empty",
     ],
 )
 def test_values_past_the_float_range_exit_2(capsys, argv, message):

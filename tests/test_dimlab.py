@@ -21,7 +21,7 @@ from expandlab.dimlab import (
     naive_quantize_cells,
     power_ladder,
 )
-from expandlab.expr import FunctionSpec, parse
+from expandlab.expr import FunctionSpec, compile_batch, parse
 from expandlab.fractal import CantorSpec, PointSet1D, cantor_points, digit_points
 
 F_SUM = FunctionSpec(parse("x + y"), ("x", "y"), ((0, 1), (0, 1)))
@@ -83,14 +83,28 @@ def eight_cores(monkeypatch):
 
 @pytest.fixture
 def routes(monkeypatch):
-    """The run-route decisions of _Grid.scatter, one bool per block."""
-    taken = []
+    """The route decisions of the quantize passes, one bool per block: the
+    run route of _Grid.scatter on a plain block, and the ends route on a
+    block of chunk ends (its verdicts also in routes.ends)."""
 
-    def spy(grid, vals, pay=dimlab._Grid.runs_pay):
-        taken.append(pay(grid, vals))
+    class Taken(list):
+        ends: list
+
+    taken = Taken()
+    taken.ends = []
+
+    def runs(grid, vals, rises=False, pay=dimlab._Grid.runs_pay):
+        taken.append(pay(grid, vals, rises))
         return taken[-1]
 
-    monkeypatch.setattr(dimlab._Grid, "runs_pay", spy)
+    def ends(grid, values, mark=dimlab._Grid.mark_ends):
+        cross = mark(grid, values)
+        taken.append(cross is not None)
+        taken.ends.append(taken[-1])
+        return cross
+
+    monkeypatch.setattr(dimlab._Grid, "runs_pay", runs)
+    monkeypatch.setattr(dimlab._Grid, "mark_ends", ends)
     return taken
 
 
@@ -413,6 +427,7 @@ def test_run_route_marks_the_cells_of_the_plain_scatter():
         assert grid.hit[free] == 1
 
 
+_B3 = digit_points(4, [0, 1], 3)
 _B6 = digit_points(4, [0, 1], 6)
 
 
@@ -424,14 +439,36 @@ _B6 = digit_points(4, [0, 1], 6)
         ("(y - 1/6)^2 + x", [_B6, _B6], False),  # rows that fall, then rise
         ("x + y", [digit_points(3, (0, 1, 2), 3)] * 2, False),  # rows of 27 values
         ("y", [_B6, digit_points(4, [0, 1], 9)], True),  # f returns the input's own array
+        # the gathered crossing chunks take sin of their x coordinates
+        ("sin(x) + x*y/8", [_B6, _B6], True),
+        # trivariate: the chunks run along z, and a part may split y
+        ("x*y + z/2", [_B3, _B3, _B7], True),
+        ("x/(y + 1)", [_B6, _B6], False),  # proven to fall, not to rise
     ],
 )
+@pytest.mark.usefixtures("eight_cores")
 def test_run_route_matches_naive_enumeration(text, sets, route, routes):
-    f = FunctionSpec(parse(text), ("x", "y"), ((0, 1),) * 2)
+    names = ("x", "y", "z")[: len(sets)]
+    f = FunctionSpec(parse(text), names, ((0, 1),) * len(sets))
     q = image_quantize(f, sets, delta_min=2.0**-8)
-    assert set(routes) == {route}
+    # a proven f takes the ends route where it pays, which leaves the run
+    # route of the plain scatter only blocks whose ends cross too often
+    assert any(routes) == any(routes.ends) == route
     naive = naive_quantize_cells(f, sets, q.lo, q.delta_min, q.ncells)
     assert q.occupied_cells().tolist() == naive
+    # every thread count and block size, also against a declared range that
+    # the image leaves on both sides: widened, it is q's range again, and
+    # the out-of-range count stays exact
+    values = compile_batch(f.expr, f.vars)(*np.ix_(*(s.values for s in sets)))
+    width = q.hi - q.lo
+    declared = (q.lo + width / 4, q.lo + width / 2)
+    outside = int(np.count_nonzero((values < declared[0]) | (values > declared[1])))
+    assert outside
+    for value_range, count in ((None, 0), (declared, outside)):
+        for threads, block in itertools.product((1, 4, 8), (16, 100, 2048, dimlab._BLOCK)):
+            other = image_quantize(f, sets, delta_min=2.0**-8, value_range=value_range, threads=threads, block=block)
+            assert q.bit_identical(other), (value_range, threads, block)
+            assert (other.widened, other.out_of_declared_count) == (bool(count), count)
 
 
 def test_image_quantize_widens_declared_range():

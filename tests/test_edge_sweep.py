@@ -2,8 +2,8 @@
 gen-fractal, one over the sampling commands classify, recover and fold,
 and one over surface-distance and verify-recovery: every command ends in
 a documented exit code (0, 2, 3 or 4, never 1 with a traceback), a
-command that writes a document writes strict JSON, and a command of the
-last two sweeps run again writes the same bytes.
+command that writes a document writes strict JSON, and a command run
+again writes the same bytes.
 
 Each option is drawn from a fixed pool that mixes valid values with edge
 values: 0, negative numbers, a zero denominator (1/0), 2^-1075 (a positive
@@ -19,7 +19,9 @@ from expandlab.cli import main
 COMMANDS = 200
 EDGE = ["0", "-1", "1/0", "2^-1075", "1e-300"]
 
-FUNCTIONS = ["x+y", "x*y", "x^2 + x*y", "x - y", "0*x + y", "y"]
+# expand's commands land on both sides of its proof that rows rise:
+# x/(y+1) falls along y, sin(x) + x*y and x*y + 3*y rise on inputs >= 0
+FUNCTIONS = ["x+y", "x*y", "x^2 + x*y", "x - y", "0*x + y", "y", "x/(y+1)", "sin(x) + x*y", "x*y + 3*y"]
 EDGE_FUNCTIONS = ["x/y", "1e308*x", "1e-300*x + 1e-300*y"]
 INPUTS = ["b4d01:5", "m2r1/3:4", "b4d01:0", "b4d01:-1", "b4d01:40", "m2r1/0:3", "m2r0:3",
           "m0r1/3:3", "m2r1e-300:3", "m2r-1/3:3", "b1d0:3", "m2r1/3:4,b4d01:5"]
@@ -147,13 +149,15 @@ def test_edge_values_end_in_a_documented_exit_code(capsys, tmp_path):
             argv = _thresholds(rng)
         else:
             argv = _gen_fractal(rng, out)
-        code = _exit_code(argv + ["--no-timestamp"])
+        argv.append("--no-timestamp")
+        code = _exit_code(argv)
         captured = capsys.readouterr()
         assert code in (0, 2, 3, 4), (argv, captured.err)
         if code == 0:
             assert captured.out.strip(), argv
         if captured.out.strip():
             json.loads(captured.out, parse_constant=_reject_constant)
+        assert (_exit_code(argv), capsys.readouterr().out) == (code, captured.out), argv
         codes.append(code)
     # the pools reach both the usage errors and the answers
     assert codes.count(0) >= COMMANDS // 5 and codes.count(2) >= COMMANDS // 5

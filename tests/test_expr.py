@@ -32,6 +32,7 @@ from expandlab.expr import (
     is_identically_zero,
     median,
     parse,
+    rising,
     simplify,
     substitute,
     to_string,
@@ -796,6 +797,51 @@ def test_enclosure_rounds_outward_only_when_inexact():
     # the float sqrt 2 lies above the root, so only its lower bound moves
     root = math.sqrt(2.0)
     assert enclosure(parse("sqrt(x)"), ("x",), [(2.0, 2.0)]) == (math.nextafter(root, 0.0), root)
+
+
+
+@pytest.mark.parametrize(
+    "text, proven",
+    [
+        ("x^2 + x*y", True),
+        ("x*y + z", True),
+        ("x + y", True),
+        ("x^3 + x*y", True),
+        ("x - y", False),  # falls
+        ("y^2", False),  # a power of the axis variable: numpy's pow is not monotone
+        ("x/y", False),  # the divisor holds 0
+        ("x/(y + 1)", False),  # falls
+        ("sin(y) + x", False),  # libm on the axis variable
+        ("1e308*x + 1e308*y", False),  # overflows
+    ],
+)
+def test_rising_along_the_last_axis_of_the_unit_box(text, proven):
+    names = ("x", "y", "z") if "z" in text else ("x", "y")
+    assert rising(parse(text), names, [(0.0, 1.0)] * len(names), len(names) - 1) == proven
+
+
+def test_rising_rows_are_finite_and_non_decreasing_on_random_dags():
+    # wherever the trend table proves a random DAG of + - * /, negation and
+    # integer powers rising along an axis, its batch values on sorted rows
+    # of seeded points, the box's ends among them, are finite and never fall
+    rng = np.random.default_rng(25)
+    ops = ("add", "sub", "mul", "div", "neg", "powi")
+    names = ("x", "y")
+    proven = 0
+    for _ in range(400):
+        e = _random_dag(rng, ops, size=int(rng.integers(2, 10)))
+        box = [tuple(sorted(rng.uniform(-1.0, 3.0, size=2))) for _ in names]
+        for axis in (0, 1):
+            if not rising(e, names, box, axis):
+                continue
+            proven += 1
+            ends = [np.array([lo, *rng.uniform(lo, hi, size=62), hi]) for lo, hi in box]
+            ends[axis].sort()
+            other = ends[1 - axis][:, None]
+            rows = compile_batch(e, names)(*((other, ends[axis][None, :]) if axis else (ends[axis][None, :], other)))
+            assert np.all(np.isfinite(rows)), (to_string(e), box, axis)
+            assert np.all(rows[:, 1:] >= rows[:, :-1]), (to_string(e), box, axis)
+    assert proven >= 100
 
 
 def test_compile_batch_takes_integer_inputs_as_float64():
