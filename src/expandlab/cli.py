@@ -18,7 +18,6 @@ import csv
 import datetime
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -51,13 +50,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_NUMERICAL = 4
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("EXPANDLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +288,7 @@ def cmd_recover(args) -> tuple[dict, int]:
 def cmd_fold(args) -> tuple[dict, int]:
     f = _function_from_args(args)
     base = _parse_point(args.base, 2)
-    report = fold_verify(f, base, theta=args.theta, policy=_policy(args), seed=args.seed)
+    report = fold_verify(f, base, theta=args.theta, policy=_policy(args))
     verdict = report.verdict if report.reason is None else f"{report.verdict} ({report.reason})"
     print(f"fold check at {base}: {verdict}", file=sys.stderr)
     return {"report": report.to_json_dict()}, EXIT_OK if report.verified else EXIT_INCONCLUSIVE
@@ -497,7 +489,7 @@ _COMMANDS = {
             (("--slack",), dict(type=_finite_float, default=0.05)),
             (("--delta-min",), dict(type=_finite_float, default=None)),
             (("--value-range",), dict(help="declared image range lo,hi")),
-            (("--threads",), dict(type=int, default=_default_threads())),
+            (("--threads",), dict(type=int, default=1)),
             _BUDGET,
             (("--ladder-csv",), dict(help="write the (delta, N) ladder as CSV")),
             (

@@ -56,6 +56,10 @@ from .expr import (
     simplify,
     substitute,
     var,
+    _add,
+    _div,
+    _mul,
+    _sub,
 )
 from .jsonutil import jsonable, rational
 from .sampling import Stream
@@ -121,9 +125,10 @@ def rho(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy()) -> Expr:
     return simplify(fx * fy / fxy)
 
 
-def kappa(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy(), wedge_sign: int = 1) -> Expr:
-    """Gradient wedge of f against rho: f_x*rho_y - f_y*rho_x, as built, not
-    folded (is_identically_zero decides whether it vanishes).
+def kappa(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy()) -> Expr:
+    """Gradient wedge of f against rho: f_x*rho_y - f_y*rho_x, built with
+    the folding constructors of differentiate (0, 1 and constant-by-constant
+    operations fold; is_identically_zero decides whether it vanishes).
 
     Built from the expanded quotient rule (all derivatives taken of f
     itself), which keeps the tree compact:
@@ -131,8 +136,7 @@ def kappa(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy(), wedge_sign: int = 
         rho_y = ((f_xy f_y + f_x f_yy) f_xy - f_x f_y f_xyy) / f_xy^2
         rho_x = ((f_xx f_y + f_x f_xy) f_xy - f_x f_y f_xxy) / f_xy^2
 
-    Only the zero set matters for classification; wedge_sign flips the
-    orientation and must not change any decision."""
+    Only its zero set matters for classification."""
     _require_arity(f, 2)
     fx, fy = f.partial(0), f.partial(1)
     fxy = differentiate(fx, f.vars[1])
@@ -140,10 +144,10 @@ def kappa(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy(), wedge_sign: int = 
         raise AdditiveDegeneracyError(
             "mixed partial f_xy vanishes identically on the box (additively separable)"
         )
-    return _kappa(f, fx, fy, fxy, wedge_sign)
+    return _kappa(f, fx, fy, fxy)
 
 
-def _kappa(f: FunctionSpec, fx: Expr, fy: Expr, fxy: Expr, wedge_sign: int) -> Expr:
+def _kappa(f: FunctionSpec, fx: Expr, fy: Expr, fxy: Expr) -> Expr:
     """kappa from f's partials f_x, f_y and f_xy, with no zero test of f_xy
     (the caller has decided it)."""
     x, y = f.vars
@@ -151,21 +155,22 @@ def _kappa(f: FunctionSpec, fx: Expr, fy: Expr, fxy: Expr, wedge_sign: int) -> E
     fyy = differentiate(fy, y)
     fxxy = differentiate(fxy, x)
     fxyy = differentiate(fxy, y)
-    num_ry = (fxy * fy + fx * fyy) * fxy - fx * fy * fxyy
-    num_rx = (fxx * fy + fx * fxy) * fxy - fx * fy * fxxy
-    k = (fx * num_ry - fy * num_rx) / (fxy * fxy)
-    return Expr("neg", (k,)) if wedge_sign < 0 else k
+    fxfy = _mul(fx, fy)
+    num_ry = _sub(_mul(_add(_mul(fxy, fy), _mul(fx, fyy)), fxy), _mul(fxfy, fxyy))
+    num_rx = _sub(_mul(_add(_mul(fxx, fy), _mul(fx, fxy)), fxy), _mul(fxfy, fxxy))
+    return _div(_sub(_mul(fx, num_ry), _mul(fy, num_rx)), _mul(fxy, fxy))
 
 
 def aux_trivariate(f: FunctionSpec) -> tuple[Expr, Expr, Expr]:
-    """The three trivariate certificates (G1, G2, G3), as built, not
-    simplified."""
+    """The three trivariate certificates (G1, G2, G3), built with the
+    folding constructors, not simplified."""
     _require_arity(f, 3)
     f1, f2, f3 = (f.partial(i) for i in range(3))
     f12 = f.partial2(0, 1)
     f13 = f.partial2(0, 2)
     f23 = f.partial2(1, 2)
-    return (f3 * f12 - f13 * f2, f3 * f12 - f23 * f1, f1 * f23 - f13 * f2)
+    f3f12, f13f2 = _mul(f3, f12), _mul(f13, f2)
+    return (_sub(f3f12, f13f2), _sub(f3f12, _mul(f23, f1)), _sub(_mul(f1, f23), f13f2))
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +486,11 @@ def _sign_stable_box(
     certs: Sequence[tuple[Expr, float]],
     center: Sequence[float],
     seed: int,
-    margin: float = 0.1,
-    grid: int = 64,
 ) -> tuple[tuple[float, float], ...]:
     """Grow the largest axis-aligned box around `center` on which every
-    certificate keeps the sign it has at the center with relative margin.
-    `certs` pairs each certificate with its value at the center.
+    certificate keeps the sign it has at the center and at least 1/10 of its
+    magnitude, on 64 random points per trial box.  `certs` pairs each
+    certificate with its value at the center.
 
     Doubles one axis half-width at a time (round-robin); an axis freezes on
     the first failed expansion or when it reaches the enclosing box."""
@@ -503,14 +507,14 @@ def _sign_stable_box(
         )
 
     def stable(candidate) -> bool:
-        pts = [rng.uniform(lo, hi, size=grid) for lo, hi in candidate]
+        pts = [rng.uniform(lo, hi, size=64) for lo, hi in candidate]
         for program, v0 in programs:
             vals = np.atleast_1d(program(*pts))
             if not np.all(np.isfinite(vals)):
                 return False
             if not np.all(np.sign(vals) == np.sign(v0)):
                 return False
-            if not np.all(np.abs(vals) >= margin * abs(v0)):
+            if not np.all(np.abs(vals) >= 0.1 * abs(v0)):
                 return False
         return True
 
@@ -535,9 +539,7 @@ def _sign_stable_box(
     return box_of(half)
 
 
-def classify(
-    f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy(), wedge_sign: int = 1
-) -> DegeneracyReport:
+def classify(f: FunctionSpec, policy: ZeroPolicy = ZeroPolicy()) -> DegeneracyReport:
     """Classify a function of 2 or 3 variables as special-form / expanding.
 
     Arity 2: special form iff any of f_x, f_y, f_xy, kappa vanishes
@@ -548,7 +550,7 @@ def classify(
     certificate.  Conclusions are box-local.
     """
     if f.arity == 2:
-        return _classify_bivariate(f, policy, wedge_sign)
+        return _classify_bivariate(f, policy)
     if f.arity == 3:
         return _classify_trivariate(f, policy)
     raise ValueError("classification requires 2 or 3 variables")
@@ -563,7 +565,7 @@ def _inconclusive(certs: dict, arity: int, notes: tuple[str, ...]) -> Degeneracy
     )
 
 
-def _classify_bivariate(f: FunctionSpec, policy: ZeroPolicy, wedge_sign: int) -> DegeneracyReport:
+def _classify_bivariate(f: FunctionSpec, policy: ZeroPolicy) -> DegeneracyReport:
     x, y = f.vars
     fx, fy = f.partial(0), f.partial(1)
     fxy = differentiate(fx, y)
@@ -586,7 +588,7 @@ def _classify_bivariate(f: FunctionSpec, policy: ZeroPolicy, wedge_sign: int) ->
                 witness_certificate=name,
                 notes=notes + (f"{name} vanishes identically on the box",),
             )
-    k = _kappa(f, fx, fy, fxy, wedge_sign)  # f_xy is decided nonzero above
+    k = _kappa(f, fx, fy, fxy)  # f_xy is decided nonzero above
     certs["kappa"] = _certificate("kappa", k, f, policy)
     kc = certs["kappa"]
     if kc.status == UNDEFINED or kc.valid_fraction < 0.5:
@@ -873,14 +875,12 @@ class GammaCheck:
         )
 
 
-def _newton_on_coordinate(
-    f: FunctionSpec, y: np.ndarray, j: int, target: float, max_iter: int = 50
-) -> np.ndarray | None:
+def _newton_on_coordinate(f: FunctionSpec, y: np.ndarray, j: int, target: float) -> np.ndarray | None:
     fn = compile_scalar(f.expr, f.vars)
     dfn = compile_scalar(f.partial(j), f.vars)
     scale = max(1.0, abs(target))
     y = y.copy()
-    for _ in range(max_iter):
+    for _ in range(50):
         try:
             r = fn(*y) - target
         except DomainError:
@@ -908,7 +908,6 @@ def gamma_nondegenerate(
     m: int = 0,
     z_samples: int = 200,
     seed: int = 0,
-    corank_tol: float = _RANK_TOL,
 ) -> GammaCheck:
     """Sample the incidence relation {phi(x) = phi(y)} and check that the
     gradient condition holds and corank(J) <= m at every sampled point.
@@ -974,7 +973,7 @@ def gamma_nondegenerate(
                 failures=failures,
                 off_diagonal_fraction=off_diag / max(successes, 1),
             )
-        corank = numeric_corank(J, point, corank_tol)
+        corank = numeric_corank(J, point, _RANK_TOL)
         max_corank = max(max_corank, corank)
         if corank > m:
             return GammaCheck(

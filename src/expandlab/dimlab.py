@@ -196,20 +196,6 @@ def _ladder_counts(hit: np.ndarray, ks: Sequence[int]) -> dict[int, int]:
     return counts
 
 
-def _block_rows(sets: Sequence[PointSet1D], block: int) -> int:
-    """Rows of A per block: as many whole rows (B [x C]) as fit, at least one."""
-    return max(1, block // math.prod(len(s) for s in sets[1:]))
-
-
-def _tuple_blocks(sets: Sequence[PointSet1D], shard: np.ndarray, block: int):
-    """Yield coordinate arrays covering shard x B [x C] as broadcast views,
-    one axis per set, so the product is formed by the evaluator, not copied.
-    A block is _block_rows whole rows of shard when a row fits in `block`
-    tuples, else one row of shard by as many elements of B as fit (at least
-    one), so no block holds more than max(block, len(C)) tuples."""
-    return _blocks([shard, *(s.values for s in sets[1:])], block)
-
-
 def _parts(lens: Sequence[int], block: int):
     """(rows, cols) slices of the first two axes of a product of axes of
     lengths lens, each part at most max(block, prod(lens[2:])) elements: as
@@ -425,18 +411,18 @@ def image_quantize(
     evaluated at most once when the range is known before the pass: a
     declared range; when the rows rise, the extremes of the first and last
     columns; or, when an interval enclosure of df/dx over the hull has one
-    sign, the extremes of the blocks that hold the first and last rows of A
-    (f is monotone in x, so its extremes lie there).  The pass quantizes
-    against that range and checks it, block by block; when a value falls
-    outside, the map is dropped and a second pass quantizes against the
-    true range.  Any other f is evaluated twice: a range scan, then the
-    quantize pass.  When the rows rise, each pass takes the ends route
-    while it pays, which evaluates f at the ends of the rows' 16-value
-    chunks and in full only on the chunks that cross a cell (the module
-    docstring has each route's measured share).  Either way lo, hi,
-    delta_min and every value are the same floats, so the occupancy map,
-    one 0/1 byte per cell that the QuantizedSet keeps as it is, is
-    identical for any thread count, block size and route."""
+    sign, the extremes of the first and last rows of A (f is monotone in
+    x, so its extremes lie there).  The pass quantizes against that range
+    and checks it, block by block; when a value falls outside, the map is
+    dropped and a second pass quantizes against the true range.  Any other
+    f is evaluated twice: a range scan, then the quantize pass.  When the
+    rows rise, each pass takes the ends route while it pays, which
+    evaluates f at the ends of the rows' 16-value chunks and in full only
+    on the chunks that cross a cell (the module docstring has each route's
+    measured share).  Either way lo, hi, delta_min and every value are the
+    same floats, so the occupancy map, one 0/1 byte per cell that the
+    QuantizedSet keeps as it is, is identical for any thread count, block
+    size and route."""
     if len(sets) != f.arity or len(sets) not in (2, 3):
         raise ValueError("need one point set per variable (2 or 3)")
     if threads < 1:
@@ -454,7 +440,7 @@ def image_quantize(
         the values the ends route marked in grid before it."""
         if rows_rise and grid is not None:
             return _ends_route(fn, grid, sets, shard, block)
-        return _tuple_blocks(sets, shard, block), (math.inf, -math.inf)
+        return _blocks([shard, *(s.values for s in sets[1:])], block), (math.inf, -math.inf)
 
     def sweep(shard: np.ndarray, grid: _Grid | None):
         """The shard's extremes and its count of values outside the declared
@@ -484,7 +470,7 @@ def image_quantize(
         return vmin, vmax, outside
 
     grid = None
-    known = _known_range(f, sets, fn, shards, block, value_range, rows_rise)
+    known = _known_range(f, sets, fn, block, value_range, rows_rise)
     if known is not None:
         try:
             grid = _Grid(*known, delta_min)
@@ -529,32 +515,25 @@ def image_quantize(
     )
 
 
-def _known_range(f, sets, fn, shards, block, value_range, rows_rise) -> tuple[float, float] | None:
-    """The value range known before the pass, if any: the declared one; when
-    every row rises, the extremes of f over the first and last columns; or,
-    when an enclosure of df/dx over the hull of the inputs has one sign, the
-    extremes of f over every block that holds the first or last row of A,
-    evaluated with the same partition and program as the pass."""
+def _known_range(f, sets, fn, block, value_range, rows_rise) -> tuple[float, float] | None:
+    """The value range known before the pass, if any: the declared one, or,
+    when f is monotone along one axis, the extremes of f over the product
+    with that axis cut to its first and last values.  That axis is the last
+    one when every row rises, and the first when an enclosure of df/dx over
+    the hull of the inputs has one sign."""
     if value_range is not None:
         return float(value_range[0]), float(value_range[1])
-    if rows_rise:
-        ends = _blocks([sets[0].values, *(s.values for s in sets[1:-1]), sets[-1].values[[0, -1]]], block)
-    else:
-        hull = [(s.values[0], s.values[-1]) for s in sets]
+    axis = len(sets) - 1
+    if not rows_rise:
         try:
-            lo, hi = enclosure(f.partial(0), f.vars, hull)
+            lo, hi = enclosure(f.partial(0), f.vars, [(s.values[0], s.values[-1]) for s in sets])
         except ExprError:
             return None
         if not (lo >= 0 or hi <= 0):
             return None
-        rows = _block_rows(sets, block)
-        first, last = shards[0], shards[-1]
-        ends = itertools.chain(
-            _tuple_blocks(sets, first[:rows], block),
-            _tuple_blocks(sets, last[(len(last) - 1) // rows * rows :], block),
-        )
+        axis = 0
     vmin, vmax = math.inf, -math.inf
-    for arrays in ends:
+    for arrays in _blocks([s.values[[0, -1]] if k == axis else s.values for k, s in enumerate(sets)], block):
         vals = fn(*arrays)
         vmin, vmax = min(vmin, float(vals.min())), max(vmax, float(vals.max()))
     return vmin, vmax
@@ -580,15 +559,14 @@ def naive_quantize_cells(
     lo: float,
     delta_min: float,
     ncells: int,
-    limit: int = 1 << 16,
 ) -> list[int]:
     """Independent oracle: evaluate the whole product with one batch call
     (the values image_quantize evaluates, bit for bit, however it splits the
     product), then floor, clip, sort and dedupe every tuple's cell in
-    Python.  Only for products of at most `limit` tuples."""
+    Python.  Only for products of at most 2^16 tuples."""
     total = math.prod(len(s) for s in sets)
-    if total > limit:
-        raise BudgetError(f"naive enumeration limited to {limit} tuples, got {total}")
+    if total > 1 << 16:
+        raise BudgetError(f"naive enumeration limited to {1 << 16} tuples, got {total}")
     values = compile_batch(f.expr, f.vars)(*np.ix_(*(s.values for s in sets)))
     cells = set()
     for v in values.ravel().tolist():
@@ -692,11 +670,10 @@ class DimEstimate:
 def dim_estimate(
     counts: Sequence[tuple[float, int]],
     fit_window: tuple[float, float] | None = None,
-    drop_edges: int = 2,
 ) -> DimEstimate:
     """Fit the box-counting dimension over a fit window.
 
-    The window defaults to the ladder minus `drop_edges` coarsest and finest
+    The window defaults to the ladder minus its 2 coarsest and 2 finest
     rungs (boundary/saturation effects); passing fit_window=(d_fine, d_coarse)
     selects rungs with d_fine <= delta <= d_coarse instead."""
     ladder = sorted(((float(d), int(n)) for d, n in counts), key=lambda dn: -dn[0])
@@ -711,7 +688,7 @@ def dim_estimate(
             raise ValueError("fit window selects no rungs")
         start, end = sel[0], sel[-1] + 1
     else:
-        start, end = drop_edges, len(ladder) - drop_edges
+        start, end = 2, len(ladder) - 2
     if end - start < 4:
         raise ValueError(f"fit window has {max(end - start, 0)} rungs; need >= 4")
     window = ladder[start:end]
@@ -797,7 +774,6 @@ def expansion_experiment(
     delta_min: float | None = None,
     value_range: tuple[float, float] | None = None,
     threads: int = 1,
-    fit_window: tuple[float, float] | None = None,
     degeneracy_report: DegeneracyReport | None = None,
 ) -> ExperimentReport:
     """Measure the image dimension of f over the input sets and compare it
@@ -831,10 +807,8 @@ def expansion_experiment(
     # restrict to ladder rungs representable on the quantized grid
     image_ladder = [d for d in ladder if float(d) >= q.delta_min * (1 - 1e-12)]
     image_counts = box_counts(q, image_ladder)
-    image_est = dim_estimate(image_counts, fit_window=fit_window)
-    input_ests = tuple(
-        dim_estimate(box_counts(ps, ladder), fit_window=fit_window) for ps in inputs
-    )
+    image_est = dim_estimate(image_counts)
+    input_ests = tuple(dim_estimate(box_counts(ps, ladder)) for ps in inputs)
     dims = [ps.dimension for ps in inputs]
     bound = report.dim_lower_bound(dims)
     total = sum(Fraction(d).limit_denominator(10**9) for d in dims)

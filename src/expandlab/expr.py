@@ -806,11 +806,11 @@ def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
             reg[n] = free.pop()
         b = reg[operands[1]] if len(operands) > 1 else -1
         code.append((_OPCODES.index(kind), reg[n], reg[operands[0]], b, node))
-    try:
-        consts = tuple(float(c) if isinstance(c, Fraction) else c for c in exact)
-    except OverflowError:  # the largest constant is past the float range
-        big = max((c for c in exact if isinstance(c, Fraction)), key=abs)
-        raise ExprError(f"constant {big} has no float value") from None
+    try:  # numpy's power takes a powi exponent as a float, so it needs one too
+        floats = [float(c) for c in exact]
+    except OverflowError:  # the largest constant or exponent is past the float range
+        raise ExprError(f"constant {max(exact, key=abs)} has no float value") from None
+    consts = tuple(v if isinstance(c, Fraction) else c for c, v in zip(exact, floats))
     e._memo[var_order] = _Program(
         var_order, consts, tuple(exact), ntemps, tuple(code), tuple(into), reg[seen[e]]
     )
@@ -1282,9 +1282,9 @@ class FunctionSpec:
             return evaluate(self.expr, point)
         return compile_scalar(self.expr, self.vars)(*point)
 
-    def evaluate_batch(self, arrays: Sequence[np.ndarray], check: bool = True) -> np.ndarray:
+    def evaluate_batch(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
         out = compile_batch(self.expr, self.vars)(*arrays)
-        if check and not np.all(np.isfinite(out)):
+        if not np.all(np.isfinite(out)):
             bad = np.unravel_index(np.argmax(~np.isfinite(out)), np.shape(out))
             pt = {v: float(np.broadcast_to(a, np.shape(out))[bad]) for v, a in zip(self.vars, arrays)}
             raise DomainError("non-finite value in batch evaluation", to_string(self.expr), pt)

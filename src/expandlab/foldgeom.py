@@ -51,7 +51,15 @@ FOLD_VERIFIED = "fold_verified"
 DEGENERATE = "degenerate"
 
 _PHI_TOL = 1e-12
+_PHI_MAX_ITER = 50
 _DERIV_FLOOR = 1e-10
+# fold_verify's thresholds: |det| at the critical slice, the relative error of
+# its x-derivative against the closed form, and the floor on f_xy, f_y and
+# the transversality scalar; then the agreement check's sample count
+_RESID_TOL = 1e-10
+_DERIV_REL_TOL = 1e-4
+_TRANS_TOL = 1e-8
+_AGREEMENT_SAMPLES = 20
 
 
 def _partials(f: FunctionSpec):
@@ -68,8 +76,6 @@ def implicit_phi(
     y_prime: float,
     x_prime: float,
     y_guess: float,
-    tol: float = _PHI_TOL,
-    max_iter: int = 50,
 ) -> float:
     """Solve f(x, y) = f(x', y') for y by Newton iteration from y_guess.
 
@@ -81,9 +87,9 @@ def implicit_phi(
     target = fn(x_prime, y_prime)
     scale = max(1.0, abs(target))
     y = float(y_guess)
-    for _ in range(max_iter):
+    for _ in range(_PHI_MAX_ITER):
         r = fn(x, y) - target
-        if abs(r) < tol * scale:
+        if abs(r) < _PHI_TOL * scale:
             return y
         d = fy(x, y)
         if abs(d) < _DERIV_FLOOR:
@@ -92,7 +98,7 @@ def implicit_phi(
             )
         y -= r / d
     raise NewtonDivergenceError(
-        f"no convergence after {max_iter} steps at (x={x}, y'={y_prime}, x'={x_prime})"
+        f"no convergence after {_PHI_MAX_ITER} steps at (x={x}, y'={y_prime}, x'={x_prime})"
     )
 
 
@@ -245,11 +251,6 @@ def fold_verify(
     base: tuple[float, float],
     theta: float = 1.0,
     policy: ZeroPolicy = ZeroPolicy(),
-    resid_tol: float = 1e-10,
-    deriv_rel_tol: float = 1e-4,
-    trans_tol: float = 1e-8,
-    agreement_samples: int = 20,
-    seed: int = 0,
 ) -> FoldReport:
     """Verify the fold certificate at a base point:
 
@@ -259,7 +260,8 @@ def fold_verify(
       (c) f_y/f_xy is bounded away from zero (kernel transversality).
 
     Also cross-checks the closed-form determinant against the assembled 4x4
-    finite-difference Jacobian at random off-critical configurations."""
+    finite-difference Jacobian at 20 random off-critical configurations,
+    drawn from the stream of policy.seed."""
     _require_bivariate(f)
     x0, y0 = float(base[0]), float(base[1])
     if not f.contains((x0, y0)):
@@ -268,9 +270,9 @@ def fold_verify(
     point = dict(zip(f.vars, (x0, y0)))
     fy0 = evaluate(fy_e, point)
     fxy0 = evaluate(fxy_e, point)
-    if abs(fxy0) < trans_tol:
+    if abs(fxy0) < _TRANS_TOL:
         return FoldReport(base=(x0, y0), theta=theta, verdict=DEGENERATE, reason="f_xy=0")
-    if abs(fy0) < trans_tol:
+    if abs(fy0) < _TRANS_TOL:
         return FoldReport(base=(x0, y0), theta=theta, verdict=DEGENERATE, reason="f_y=0")
 
     k = kappa(f, policy)
@@ -296,13 +298,13 @@ def fold_verify(
     # (c) kernel transversality scalar
     trans = fy0 / fxy0
 
-    agreement, used = _agreement_check(f, (x0, y0), theta, agreement_samples, seed)
+    agreement, used = _agreement_check(f, (x0, y0), theta, policy.seed)
 
     ok = (
-        abs(resid) < resid_tol
-        and dx_rel < deriv_rel_tol
-        and abs(dx_fd) > trans_tol
-        and abs(trans) > trans_tol
+        abs(resid) < _RESID_TOL
+        and dx_rel < _DERIV_REL_TOL
+        and abs(dx_fd) > _TRANS_TOL
+        and abs(trans) > _TRANS_TOL
     )
     return FoldReport(
         base=(x0, y0),
@@ -320,7 +322,7 @@ def fold_verify(
 
 
 def _agreement_check(
-    f: FunctionSpec, base: tuple[float, float], theta: float, samples: int, seed: int
+    f: FunctionSpec, base: tuple[float, float], theta: float, seed: int
 ) -> tuple[float | None, int]:
     """Max relative error between closed-form and finite-difference det(Dg)
     over random off-critical configurations near the base point."""
@@ -331,7 +333,7 @@ def _agreement_check(
     worst = 0.0
     used = 0
     attempts = 0
-    while used < samples and attempts < 20 * samples:
+    while used < _AGREEMENT_SAMPLES and attempts < 20 * _AGREEMENT_SAMPLES:
         attempts += 1
         x = float(np.clip(x0 + rng.uniform(-0.15, 0.15) * wx, xlo, xhi))
         yp = float(np.clip(y0 + rng.uniform(-0.15, 0.15) * wy, ylo, yhi))

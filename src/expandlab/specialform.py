@@ -130,15 +130,15 @@ def _gauss_legendre(fn, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarra
     raise QuadratureError(f"adaptive refinement exhausted on [{lo.min():.6g}, {hi.max():.6g}]")
 
 
-def _cumulative_from_base(fn, grid: np.ndarray, base: float, seg_tol: float = 1e-12) -> np.ndarray:
+def _cumulative_from_base(fn, grid: np.ndarray, base: float) -> np.ndarray:
     """Antiderivative values of the vectorized fn on the grid, normalized to
     vanish at base.  The grid cells and the piece from the grid node at or
-    below base up to base are integrated together."""
+    below base up to base are integrated together, to tolerance 1e-12."""
     n = len(grid)
     idx = min(max(int(np.searchsorted(grid, base)), 1), n - 1)
     lo = np.append(grid[:-1], grid[idx - 1])
     hi = np.append(grid[1:], base)
-    pieces = _gauss_legendre(fn, lo, hi, seg_tol)
+    pieces = _gauss_legendre(fn, lo, hi, 1e-12)
     cum = np.concatenate(([0.0], np.cumsum(pieces[:-1])))
     return cum - (cum[idx - 1] + pieces[-1])
 
@@ -256,6 +256,10 @@ class RecoveryResult:
 
 _INNER_KEYS = {"bivariate": ("h", "k"), "trivariate": ("H1", "H2", "H3")}
 _OUTER_KEY = {"bivariate": "g", "trivariate": "G0"}
+# the side of the grid on which recovery judges the reconstruction
+_VERIFY_N = {"bivariate": 50, "trivariate": 20}
+# the largest separability error, relative to the ratio's scale
+_SEP_TOL = 1e-6
 
 
 def reconstruction_residual(
@@ -310,15 +314,11 @@ def _sign_stable(fn, grid: np.ndarray, what: str) -> np.ndarray:
     return vals
 
 
-def _monotone_path_outer(
-    f: FunctionSpec,
-    inner: Sequence[SampledFunction1D],
-    n_path: int = 2049,
-) -> SampledFunction1D:
-    """Sample the outer component along the box diagonal from the corner
-    minimizing the inner sum to the corner maximizing it.  Each inner
-    component is monotone, so the sum is strictly monotone along the path
-    and covers exactly the range the sum attains on the box."""
+def _monotone_path_outer(f: FunctionSpec, inner: Sequence[SampledFunction1D]) -> SampledFunction1D:
+    """Sample the outer component at 2049 points of the box diagonal from
+    the corner minimizing the inner sum to the corner maximizing it.  Each
+    inner component is monotone, so the sum is strictly monotone along the
+    path and covers exactly the range the sum attains on the box."""
     starts, ends = [], []
     for s, (lo, hi) in zip(inner, f.box):
         if s.values[-1] >= s.values[0]:
@@ -327,7 +327,7 @@ def _monotone_path_outer(
         else:
             starts.append(hi)
             ends.append(lo)
-    t = np.linspace(0.0, 1.0, n_path)
+    t = np.linspace(0.0, 1.0, 2049)
     coords = [s0 + t * (e0 - s0) for s0, e0 in zip(starts, ends)]
     sigma = sum(s(c) for s, c in zip(inner, coords))
     if not np.all(np.diff(sigma) > 0):
@@ -340,7 +340,7 @@ def _grids(f: FunctionSpec, n: int) -> list[np.ndarray]:
     return [np.linspace(lo, hi, n) for lo, hi in f.box]
 
 
-def _recovered(kind, f, derivs, grids, base, sep_err, verify_n, residual_tol) -> RecoveryResult:
+def _recovered(kind, f, derivs, grids, base, sep_err, residual_tol) -> RecoveryResult:
     """Check the inner derivatives on the grids, integrate them from the base
     point, sample the outer component and judge the reconstruction."""
     names = _INNER_KEYS[kind]
@@ -351,7 +351,7 @@ def _recovered(kind, f, derivs, grids, base, sep_err, verify_n, residual_tol) ->
         for fn, grid, b, name in zip(derivs, grids, base, names)
     ]
     components = {_OUTER_KEY[kind]: _monotone_path_outer(f, inner), **dict(zip(names, inner))}
-    residual = reconstruction_residual(f, components, verify_n)
+    residual = reconstruction_residual(f, components, _VERIFY_N[kind])
     return RecoveryResult(
         kind=kind,
         components=components,
@@ -409,11 +409,8 @@ def recover_bivariate(
     f: FunctionSpec,
     base: Sequence[float] | None = None,
     grid_n: int = 257,
-    verify_n: int = 50,
     residual_tol: float = 1e-6,
-    sep_tol: float = 1e-6,
     policy: ZeroPolicy = ZeroPolicy(),
-    skip_classify: bool = False,
 ) -> RecoveryResult:
     """Recover g, h, k with f = g(h(x) + k(y)) on the box.
 
@@ -423,8 +420,7 @@ def recover_bivariate(
     if f.arity != 2:
         raise ValueError("recover_bivariate requires 2 variables")
     base = _verify_base(f, base)
-    if not skip_classify:
-        _require_special_bivariate(f, policy)
+    _require_special_bivariate(f, policy)
     x, y = f.vars
     fx, fy = f.partial(0), f.partial(1)
 
@@ -442,7 +438,7 @@ def recover_bivariate(
     logq = np.log(np.abs(q_vals))
     scale = max(1.0, median(np.abs(logq)))
     sep_err = float(np.max(np.abs(sep_vals)))
-    if sep_err > sep_tol * scale:
+    if sep_err > _SEP_TOL * scale:
         i = int(np.argmax(np.abs(sep_vals)))
         raise PreconditionError(
             f"ratio f_x/f_y does not separate: mixed log-derivative {sep_vals[i]:.3e} "
@@ -454,7 +450,7 @@ def recover_bivariate(
     q_base = _sign_stable(hp, np.array([base[0]]), "h'")[0]
     q_col_inv = _line_ratio(fy, fx, f, 1, base)
     kp = lambda t: q_base * q_col_inv(t)
-    return _recovered("bivariate", f, (hp, kp), _grids(f, grid_n), base, sep_err, verify_n, residual_tol)
+    return _recovered("bivariate", f, (hp, kp), _grids(f, grid_n), base, sep_err, residual_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +462,8 @@ def recover_trivariate(
     f: FunctionSpec,
     base: Sequence[float] | None = None,
     grid_n: int = 257,
-    verify_n: int = 20,
     residual_tol: float = 1e-6,
-    sep_tol: float = 1e-6,
     policy: ZeroPolicy = ZeroPolicy(),
-    skip_classify: bool = False,
 ) -> RecoveryResult:
     """Recover G0, H1, H2, H3 with f = G0(H1(x1) + H2(x2) + H3(x3)).
 
@@ -481,8 +474,7 @@ def recover_trivariate(
     if f.arity != 3:
         raise ValueError("recover_trivariate requires 3 variables")
     base = _verify_base(f, base)
-    if not skip_classify:
-        _require_special_trivariate(f, policy)
+    _require_special_trivariate(f, policy)
     f1, f2, f3 = (f.partial(i) for i in range(3))
 
     # inner derivatives along the lines through the base point x^0:
@@ -494,11 +486,11 @@ def recover_trivariate(
     h2p = lambda t: a_base * a_col_inv(t)
     h3p = _line_ratio(f3, f2, f, 2, base)
     derivs = (h1p, h2p, h3p)
-    sep_err = _trivariate_separability(f, derivs, base, sep_tol)
-    return _recovered("trivariate", f, derivs, _grids(f, grid_n), base, sep_err, verify_n, residual_tol)
+    sep_err = _trivariate_separability(f, derivs, base)
+    return _recovered("trivariate", f, derivs, _grids(f, grid_n), base, sep_err, residual_tol)
 
 
-def _trivariate_separability(f: FunctionSpec, derivs, base: Sequence[float], sep_tol: float) -> float:
+def _trivariate_separability(f: FunctionSpec, derivs, base: Sequence[float]) -> float:
     """Check f_1/f_2 = H1'(x1)/H2'(x2) and f_2/f_3 = H2'(x2)/H3'(x3) on
     33x33 grids through the base point; raises with the worst point."""
     grids = _grids(f, 33)
@@ -515,7 +507,7 @@ def _trivariate_separability(f: FunctionSpec, derivs, base: Sequence[float], sep
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = np.abs(ratio - np.outer(d[i], 1.0 / d[j]).ravel())
         k = int(np.argmax(dev))  # the first NaN, if any
-        if not dev[k] <= sep_tol * scale:
+        if not dev[k] <= _SEP_TOL * scale:
             at = ", ".join(f"{c if np.isscalar(c) else c[k]:.6g}" for c in coords)
             raise PreconditionError(f"{what} does not separate (deviation {dev[k]:.3e} at ({at}))")
         worst = max(worst, float(dev[k]) / scale)

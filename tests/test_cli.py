@@ -432,6 +432,9 @@ _EXPAND_B4 = ["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--
          "the surface uses u but its parameters are ['v']"),
         (["surface-distance", "--psi", "u;u^2", "--uvars=", "--x", "1,0.5", "--u", "0.5"],
          "the surface uses u but its parameters are ['']"),
+        # an integer exponent past the float range, refused as a constant is
+        (["expand", "-f", f"x^{10**309} + y", "--vars", "x,y", "--inputs", "b4d01:5", "--ladder", "2^-2..2^-10",
+          "--theorem", "bivariate-analytic"], "has no float value"),
     ],
     ids=[
         "classify-constant", "recover-constant", "expand-value-range",
@@ -441,7 +444,7 @@ _EXPAND_B4 = ["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--
         "fold-seed-negative", "rel-tol-negative", "value-range-reversed", "value-range-empty", "grid-n-0",
         "grid-n-negative", "verify-n-0", "box-wider-than-floats", "recover-residual-tol-negative",
         "verify-recovery-residual-tol-negative", "surface-distance-tol-negative", "uvars-not-the-surfaces",
-        "uvars-empty",
+        "uvars-empty", "exponent-past-the-float-range",
     ],
 )
 def test_values_past_the_float_range_exit_2(capsys, argv, message):

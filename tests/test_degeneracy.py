@@ -81,14 +81,6 @@ def test_kappa_examples():
     assert sympy_identity(kappa(fs2("x + y + x*y")))
 
 
-def test_kappa_wedge_sign_does_not_change_zero_set():
-    for text in ("x*y", "x^2 + x*y", "x + y + x*y", "x*y + y^2"):
-        f = fs2(text)
-        plus = is_identically_zero(kappa(f, wedge_sign=1), f.box, f.vars)
-        minus = is_identically_zero(kappa(f, wedge_sign=-1), f.box, f.vars)
-        assert plus.is_zero == minus.is_zero, text
-
-
 # ---------------------------------------------------------------------------
 # trivariate certificates
 # ---------------------------------------------------------------------------

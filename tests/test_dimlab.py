@@ -303,7 +303,7 @@ def test_worker_pools_count_the_passes(serial_pool):
         f = FunctionSpec(parse(text), tuple(names), ((0, 1),) * len(names))
         serial_pool.clear()
         # 16-tuple blocks split each row of the trivariate product, so its
-        # known range takes every block of the first and last rows
+        # known range takes several blocks
         for block in (16, dimlab._BLOCK):
             image_quantize(f, sets, delta_min=2.0**-20, threads=100_000, block=block)
         assert serial_pool == [2] * 2 * passes, text
@@ -343,6 +343,9 @@ def test_one_pass_matches_the_two_pass_route(monkeypatch):
             holds = declared == (-3.0, 3.0) or declared is None and monotone
             assert len(passes) == (1 if holds else 2), (text, declared)
             with monkeypatch.context() as m:
+                # with no proof that the rows rise, every function's range
+                # comes from the enclosure of df/dx
+                m.setattr(dimlab, "rising", lambda *a: False)
                 m.setattr(dimlab, "enclosure", lambda *a: (0.0, 0.0))
                 lied = image_quantize(f, sets, **args)
                 m.setattr(dimlab, "_known_range", lambda *a: None)
@@ -361,14 +364,14 @@ def test_tuple_blocks_split_rows_that_exceed_the_block():
         product = sorted(itertools.product(*(s.values.tolist() for s in sets)))
         for block in (1, 5, 9, 16, 63, 64, 1000):
             tuples = []
-            for arrays in dimlab._tuple_blocks(sets, a.values, block):
+            for arrays in dimlab._blocks([a.values, *(s.values for s in sets[1:])], block):
                 grids = np.broadcast_arrays(*arrays)
                 assert grids[0].size <= max(block, len(sets[-1]) if len(sets) == 3 else 1)
                 tuples += zip(*(g.ravel().tolist() for g in grids))
             assert sorted(tuples) == product, (len(sets), block)
     # the benchmark's b4d01:8 triples stay one row of 2^16 tuples a block
     b8 = digit_points(4, [0, 1], 8)
-    shapes = {np.broadcast(*arrays).shape for arrays in dimlab._tuple_blocks([b8] * 3, b8.values, dimlab._BLOCK)}
+    shapes = {np.broadcast(*arrays).shape for arrays in dimlab._blocks([b8.values] * 3, dimlab._BLOCK)}
     assert shapes == {(1, 256, 256)}
 
 
@@ -725,8 +728,10 @@ def test_dim_estimate_degenerate_window():
 
 
 def test_dim_estimate_requires_four_rungs():
-    with pytest.raises(ValueError):
-        dim_estimate([(0.5, 2), (0.25, 4), (0.125, 8)], drop_edges=0)
+    # the default window drops 2 rungs at each end: 7 rungs leave 3
+    with pytest.raises(ValueError, match="fit window has 3 rungs"):
+        dim_estimate([(2.0**-k, 2**k) for k in range(1, 8)])
+    assert dim_estimate([(2.0**-k, 2**k) for k in range(1, 9)]).window == (2, 6)
 
 
 def test_middle_thirds_level_14_estimate():

@@ -34,7 +34,7 @@ def _expressions(text: str, names: str, box) -> dict:
     out.update((f"f_{v}", f.partial(v)) for v in names)
     out.update((f"f_{u}{v}", f.partial2(u, v)) for u, v in combinations_with_replacement(names, 2))
     if f.arity == 2:
-        out["kappa"] = _kappa(f, out["f_x"], out["f_y"], out["f_xy"], 1)
+        out["kappa"] = _kappa(f, out["f_x"], out["f_y"], out["f_xy"])
     else:
         out.update(zip(("G1", "G2", "G3"), aux_trivariate(f)))
     return out

@@ -248,10 +248,10 @@ def test_recover_trivariate_separability_leaves_zeros_to_the_grid_check():
     # H1' = 6 (2x - 1)^2 vanishes at x = 1/2, a node of the 33-point
     # separability grids but not of the 32-point recovery grid
     f = FunctionSpec(parse("(2*x - 1)^3 + y + z"), ("x", "y", "z"), ((0, 1),) * 3)
-    r = recover_trivariate(f, base=(0.3, 0.5, 0.5), grid_n=32, skip_classify=True)
+    r = recover_trivariate(f, base=(0.3, 0.5, 0.5), grid_n=32)
     assert r.success
     with pytest.raises(PreconditionError, match="H1' vanishes on the grid"):
-        recover_trivariate(f, base=(0.3, 0.5, 0.5), grid_n=33, skip_classify=True)
+        recover_trivariate(f, base=(0.3, 0.5, 0.5), grid_n=33)
 
 
 def test_recover_trivariate_rejects_expanding():
