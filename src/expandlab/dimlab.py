@@ -20,38 +20,40 @@ over the cell map in all, however many rungs it has (Liebovitch & Toth,
 Phys. Lett. A 141, 1989).  The box-counting dimension is the least-squares
 slope of log N against log(1/delta) over a fit window.
 
-The tuples stream through in blocks of 2^16 (a row of A that holds more is
-split along B), so a float64 (or intp) array over a block is 512 KiB.  A
-block keeps the value block and its intp cell index live, with whatever
-temporaries the evaluator still holds: for the benchmark's functions at most
-three such arrays, 1.5 MiB, inside the 2 MiB L2 cache of one core of the
-2-core machine measured (`lscpu`: L2 4 MiB, 2 instances), so the passes over
-a block run from L2 (cache blocking: Lam, Rothberg & Wolf, ASPLOS 1991).  The
-cell index (v - lo) / delta_min is computed as (v - lo) * 2^k when delta_min
-is 2^-k and 2^k is finite: both are the same exact scaling, so the bits
-agree.  Any other delta_min divides.
+Every pass walks the tuples in the same blocks of 2^17 (a row of A that
+holds more is split along B), so a float64 (or intp) array over a block is
+1 MiB.  Against blocks of 2^16, the benchmark's peak RSS (the maximum over
+its commands, median of 6 runs on a 2-core VM) stayed at 32.8 MB on
+expand-dense, with one thread, and rose from 37.3 to 40.9 MB on
+expand-fine, whose two threads each hold a block's arrays.  The cell
+index (v - lo) / delta_min is computed as (v - lo) * 2^k when delta_min is
+2^-k and 2^k is finite: both are the same exact scaling, so the bits agree.
+Any other delta_min divides.
 
 Where many tuples share a cell, two routes evaluate or scatter fewer of
 them.  Both split the rows (the last axis) into chunks of _RUN = 16 values.
 When expr.rising proves, once per call, that f's float values rise along
 every row over the hull of the inputs, a block's extremes are the min of its
-first column and the max of its last, and each shard starts on the ends
-route (see _ends_route): f is evaluated only at the two ends of each chunk, a
-chunk whose ends share a cell marks it once, and only the chunks that cross
-a cell are gathered and evaluated in full.  A block of chunk ends where more
-than 1/8 of them cross marks nothing and leaves the rest of its shard to the
-plain blocks.  A plain block takes the run route of _Grid.scatter when at
-least 7/8 of the chunks of its first row have ends in one cell and every row
-is non-decreasing (proven, or checked exactly on the values); falling and
+first column and the max of its last, and each block of a shard first tries
+its chunk ends (see _ends): f is evaluated only at the two ends of each
+chunk, a chunk whose ends share a cell marks it once, and only the chunks
+that cross a cell are gathered and evaluated in full.  A block that splits
+its rows, leaves the grid's range or has more than 1/8 of its chunks
+crossing a cell marks nothing and is evaluated in full where it stands, and
+so is every later block of its shard (one line of the loop sets that
+policy).  A block evaluated in full takes the run route of _Grid.scatter
+when at least 7/8 of the chunks of its first row have ends in one cell and
+every row is non-decreasing by an exact check of the values; falling and
 non-monotone rows keep the plain scatter.  Measured on the benchmark
 (percent of a command's tuples covered by each route, and evaluated):
-  expand-dense 0, x^2 + xy on b4d01:13 at 2^-16: ends route 100%, 13.8%
+  expand-dense 0, x^2 + xy on b4d01:13 at 2^-16: chunk ends 100%, 13.8%
     evaluated (1.2% of its chunks cross a cell);
-  expand-dense 1, xy + z on b4d01:8, and 2, x + y on m2r1/3:11: the ends
-    route refuses each shard's first block, plain scatter 100%, 101.2% and
-    101.7% evaluated (the refused blocks' ends, and the known range);
-  expand-fine, x^2 + xy on b4d01:12 at 2^-24 (2 threads): ends route 6.2%,
-    run route 2.7%, plain scatter 91.0%, 95.7% evaluated;
+  expand-dense 1, xy + z on b4d01:8, and 2, x + y on m2r1/3:11: each
+    shard's first block refuses its chunk ends (3.1% and 12.5% of the
+    tuples), plain scatter 100%, 101.2% and 101.7% evaluated;
+  expand-fine, x^2 + xy on b4d01:12 at 2^-24 (2 threads): chunk ends 6.2%,
+    run route 4.7%, plain scatter 89.1% (refused chunk ends 6.2%), 95.7%
+    evaluated;
   certify: no quantize.
 Rounding of + - * / is monotone, so a chunk of a rising row whose ends share
 a cell lies in it, and numpy computes each tuple's float the same in any
@@ -64,7 +66,6 @@ noise); reports carry the exact bound next to the measured slope.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -96,11 +97,12 @@ __all__ = [
 # bounds the byte map image_quantize scatters into and its QuantizedSet
 # keeps: 1 byte per cell, 256 MiB
 _MAX_CELLS = 1 << 28
-# tuples evaluated per vectorized block: 512 KiB per float64 array, so a
-# block's few live arrays fit a core's 2 MiB L2 (see the module docstring)
-_BLOCK = 1 << 16
-# values per chunk of a row on the run route of _Grid.scatter and on the
-# ends route: a sweep of 8/16/32 against probe thresholds 1/2, 3/4 and 7/8
+# tuples per block of every pass: 1 MiB per float64 array, and 2^13 chunks
+# of _RUN values when f is proven to rise along the rows (see the module
+# docstring)
+_BLOCK = 1 << 17
+# values per chunk of a row on the run route of _Grid.scatter and in _ends:
+# a sweep of 8/16/32 against probe thresholds 1/2, 3/4 and 7/8
 # chose 16 and 7/8 for the run route (CHANGES.md has the sweep)
 _RUN = 16
 
@@ -196,85 +198,54 @@ def _ladder_counts(hit: np.ndarray, ks: Sequence[int]) -> dict[int, int]:
     return counts
 
 
-def _parts(lens: Sequence[int], block: int):
-    """(rows, cols) slices of the first two axes of a product of axes of
-    lengths lens, each part at most max(block, prod(lens[2:])) elements: as
-    many whole rows as fit, or one row by as many columns as fit."""
+def _blocks(axes: Sequence[np.ndarray], block: int):
+    """The blocks of the product of axes, each at most
+    max(block, prod(lens[2:])) tuples: as many whole rows of the first axis
+    as fit, or one row by as many columns of the second as fit.  Each block
+    is one broadcast view per axis."""
+    lens = [len(v) for v in axes]
     per_col = math.prod(lens[2:])
     if lens[1] * per_col <= block:
         rows = max(1, block // (lens[1] * per_col))
-        return ((slice(i, i + rows), slice(0, lens[1])) for i in range(0, lens[0], rows))
-    cols = max(1, block // per_col)
-    return ((slice(i, i + 1), slice(j, j + cols)) for i in range(lens[0]) for j in range(0, lens[1], cols))
-
-
-def _views(axes: Sequence[np.ndarray], rows: slice, cols: slice) -> tuple:
-    """The part (rows, cols) of the product of axes, as one broadcast view
-    per axis."""
-    n = len(axes)
-    # new views for every block: one view of B passed to every block left
-    # 0.8 MB more resident after a 2-thread pass
-    parts = (axes[0][rows], axes[1][cols], *axes[2:])
-    return tuple(v[(*(None,) * k, slice(None), *(None,) * (n - 1 - k))] for k, v in enumerate(parts))
-
-
-def _blocks(axes: Sequence[np.ndarray], block: int):
-    """The blocks of the product of axes (see _parts), as views."""
-    for rows, cols in _parts([len(v) for v in axes], block):
-        yield _views(axes, rows, cols)
-
-
-def _ends_route(fn, grid: _Grid, sets: Sequence[PointSet1D], shard: np.ndarray, block: int):
-    """Mark the cells of f over shard x B [x C] from the ends of the rows'
-    _RUN-value chunks, while that pays; f must rise along every row.
-
-    The chunks stream through in blocks of block/8 chunk pairs (2^13 by
-    default, 128 KiB of float64 ends).  f is evaluated at each chunk's first
-    and last value only, in one call over a trailing axis of the two;
-    _Grid.mark_ends marks the cells of the first ones, and the chunks whose
-    ends lie in two cells are gathered and evaluated in full.  A block that
-    leaves the grid's range, or where mark_ends refuses, marks nothing, and
-    the shard from its first tuple on is left to the plain route.
-
-    Returns the blocks of that rest (none when the route covered the shard)
-    and the extremes of the values the route covered."""
-    vmin, vmax = math.inf, -math.inf
-    values = [s.values for s in sets[1:]]
-    if len(values[-1]) % _RUN:
-        return _blocks([shard, *values], block), (vmin, vmax)
-    chunks = values[-1].reshape(-1, _RUN)
-    lead = [shard, *values[:-1]]  # the axes before the last
-    axes = [*lead, chunks[:, [0, -1]]]  # the last: one (first, last) pair per chunk
-    for rows, cols in _parts([len(v) for v in axes], max(1, block // 8)):
-        if not grid.held:
-            break
-        *coords, pairs = _views(axes, rows, cols)
-        ends = fn(*(v[..., None] for v in coords), pairs)
-        bmin, bmax = float(ends[..., 0].min()), float(ends[..., 1].max())
-        if not (grid.lo <= bmin and bmax <= grid.hi):
-            break
-        cross = grid.mark_ends(ends)
-        if cross is None:
-            break
-        vmin, vmax = min(vmin, bmin), max(vmax, bmax)
-        flat = np.flatnonzero(cross)  # a quarter of np.nonzero's time
-        if flat.size:
-            at = np.unravel_index(flat, cross.shape)
-            # the chunks axis is the second one of a bivariate product, and
-            # the part starts cols.start chunks into it
-            k = at[-1] + (cols.start if len(sets) == 2 else 0)
-            coords = (v[part][i][:, None] for v, part, i in zip(lead, (rows, cols), at))
-            grid.hit[grid.cells(fn(*coords, chunks[k]))] = 1
+        parts = ((slice(i, i + rows), slice(None)) for i in range(0, lens[0], rows))
     else:
-        return (), (vmin, vmax)
-    # the rest: the part's row from its first column on, then the next rows
-    i, j = rows.start, cols.start * (_RUN if len(sets) == 2 else 1)
-    if j == 0:
-        return _blocks([shard[i:], *values], block), (vmin, vmax)
-    rest = itertools.chain(
-        _blocks([shard[i : i + 1], values[0][j:], *values[1:]], block), _blocks([shard[i + 1 :], *values], block)
-    )
-    return rest, (vmin, vmax)
+        cols = max(1, block // per_col)
+        parts = ((slice(i, i + 1), slice(j, j + cols)) for i in range(lens[0]) for j in range(0, lens[1], cols))
+    n = len(axes)
+    for i, j in parts:
+        # new views for every block: one view of B passed to every block left
+        # 0.8 MB more resident after a 2-thread pass
+        views = (axes[0][i], axes[1][j], *axes[2:])
+        yield tuple(v[(*(None,) * k, slice(None), *(None,) * (n - 1 - k))] for k, v in enumerate(views))
+
+
+def _ends(fn, grid: _Grid, arrays: tuple, pairs: np.ndarray) -> tuple[float, float] | None:
+    """Mark the cells of a block of rising rows, the product of arrays, from
+    the ends of its _RUN-value chunks; pairs holds the (first, last) values
+    of each chunk of a whole row.  f is evaluated at the chunk ends only, in
+    one call over a trailing axis of the two; _Grid.mark_ends marks the cell
+    of each chunk's first value, and the chunks whose ends lie in two cells
+    are gathered and evaluated in full.
+
+    Returns the extremes of the block's values, or None, marking nothing,
+    when the block splits its rows, its values leave [grid.lo, grid.hi] or
+    mark_ends refuses."""
+    *lead, row = arrays
+    if row.size != len(pairs) * _RUN:
+        return None
+    ends = fn(*(v[..., None] for v in lead), pairs)
+    bmin, bmax = float(ends[..., 0].min()), float(ends[..., 1].max())
+    if not (grid.lo <= bmin and bmax <= grid.hi):
+        return None
+    cross = grid.mark_ends(ends)
+    if cross is None:
+        return None
+    flat = np.flatnonzero(cross)  # a quarter of np.nonzero's time
+    if flat.size:
+        at = np.unravel_index(flat, cross.shape)
+        coords = (v.reshape(-1)[i][:, None] for v, i in zip(lead, at))
+        grid.hit[grid.cells(fn(*coords, row.reshape(-1, _RUN)[at[-1]]))] = 1
+    return bmin, bmax
 
 
 class _Grid:
@@ -311,10 +282,9 @@ class _Grid:
         # ever clear it, so they need no lock
         self.held = True
 
-    def scatter(self, vals: np.ndarray, arrays, rises: bool = False) -> None:
+    def scatter(self, vals: np.ndarray, arrays) -> None:
         """Mark the cells of the values of a block evaluated over arrays,
-        every one in [lo, hi]; rises: every row is known to be
-        non-decreasing.
+        every one in [lo, hi].
 
         Run route (see runs_pay): each _RUN-value chunk of a row marks the
         cell of its first element, and only the chunks whose ends lie in
@@ -327,7 +297,7 @@ class _Grid:
         that is not a multiple of _RUN) scatters every element, its cell
         coordinates computed in place, in vals; when f returns an input's
         own array (f = x), the subtraction writes to a new array instead."""
-        if self.runs_pay(vals, rises):
+        if self.runs_pay(vals):
             chunks = vals.reshape(-1, _RUN)
             first = self.cells(chunks[:, 0])
             self.hit[first] = 1
@@ -348,27 +318,26 @@ class _Grid:
             np.divide(c, self.delta_min, out=c)
         return c.astype(np.intp)
 
-    def runs_pay(self, vals: np.ndarray, rises: bool = False) -> bool:
+    def runs_pay(self, vals: np.ndarray) -> bool:
         """Whether scatter takes its run route for a block: its last axis
         splits into _RUN-value chunks, at least 7/8 of the chunks of its
-        first row have ends in one cell, and every row is non-decreasing:
-        known (rises) or found by an exact comparison of the values (which
-        a NaN fails).  Rounding keeps their order, so their cell coordinates
-        do not decrease."""
+        first row have ends in one cell, and every row is non-decreasing by
+        an exact comparison of the values (which a NaN fails).  Rounding
+        keeps their order, so their cell coordinates do not decrease."""
         n = vals.shape[-1]
         if n % _RUN:
             return False
         probe = vals.reshape(-1, n)[0].reshape(-1, _RUN)
         single = np.count_nonzero(self.cells(probe[:, 0]) == self.cells(probe[:, -1]))
-        return bool(8 * single >= 7 * len(probe)) and (rises or bool(np.all(vals[..., 1:] >= vals[..., :-1])))
+        return bool(8 * single >= 7 * len(probe)) and bool(np.all(vals[..., 1:] >= vals[..., :-1]))
 
     def mark_ends(self, ends: np.ndarray) -> np.ndarray | None:
-        """The ends route's verdict on a block of chunks of rising rows, given
-        by the values at their ends, first and last along a trailing axis
-        (see _ends_route): the mask of the chunks whose ends lie in two
-        cells, after marking the cell of every chunk's first value (the cell
-        of all its values when its ends share one); None, marking nothing,
-        when more than 1/8 of them cross."""
+        """The verdict on a block of chunks of rising rows, given by the
+        values at their ends, first and last along a trailing axis (see
+        _ends): the mask of the chunks whose ends lie in two cells, after
+        marking the cell of every chunk's first value (the cell of all its
+        values when its ends share one); None, marking nothing, when more
+        than 1/8 of them cross."""
         c = self.cells(ends)
         cross = c[..., 0] != c[..., 1]
         if 8 * np.count_nonzero(cross) > cross.size:
@@ -398,7 +367,7 @@ def image_quantize(
     positive (by default 2^-26 of the value range).
 
     The product tuples stream through in blocks of `block` tuples (by
-    default 2^16).  The grid runs over the value range [lo, hi]: the image's
+    default 2^17).  The grid runs over the value range [lo, hi]: the image's
     own extremes, or a declared range (lo < hi), widened when values fall
     outside it (with the overflow count reported), never clamped.  The cell index of a
     value v is (v - lo) / delta_min truncated, its floor since v lies in
@@ -415,14 +384,15 @@ def image_quantize(
     x, so its extremes lie there).  The pass quantizes against that range
     and checks it, block by block; when a value falls outside, the map is
     dropped and a second pass quantizes against the true range.  Any other
-    f is evaluated twice: a range scan, then the quantize pass.  When the
-    rows rise, each pass takes the ends route while it pays, which
-    evaluates f at the ends of the rows' 16-value chunks and in full only
-    on the chunks that cross a cell (the module docstring has each route's
-    measured share).  Either way lo, hi, delta_min and every value are the
-    same floats, so the occupancy map, one 0/1 byte per cell that the
-    QuantizedSet keeps as it is, is identical for any thread count, block
-    size and route."""
+    f is evaluated twice: a range scan, then the quantize pass.  Both
+    passes walk the same blocks.  When the rows rise, each block of a shard
+    first tries its chunk ends, which evaluates f at the ends of the rows'
+    16-value chunks and in full only on the chunks that cross a cell; once
+    a block refuses, it and the rest of its shard are evaluated in full (the
+    module docstring has each route's measured share).  Either way lo, hi,
+    delta_min and every value are the same floats, so the occupancy map,
+    one 0/1 byte per cell that the QuantizedSet keeps as it is, is
+    identical for any thread count, block size and route."""
     if len(sets) != f.arity or len(sets) not in (2, 3):
         raise ValueError("need one point set per variable (2 or 3)")
     if threads < 1:
@@ -434,20 +404,29 @@ def image_quantize(
     fn = compile_batch(f.expr, f.vars)
     shards = _shards(sets[0].values, threads)
     rows_rise = rising(f.expr, f.vars, [(s.values[0], s.values[-1]) for s in sets], len(sets) - 1)
+    row = sets[-1].values
+    # the (first, last) values of each chunk of a whole row, gathered once
+    # per call rather than once per block
+    pairs = row.reshape(-1, _RUN)[:, [0, -1]] if rows_rise and len(row) % _RUN == 0 else None
 
-    def route(shard: np.ndarray, grid: _Grid | None):
-        """The blocks of shard left to the plain route, and the extremes of
-        the values the ends route marked in grid before it."""
-        if rows_rise and grid is not None:
-            return _ends_route(fn, grid, sets, shard, block)
-        return _blocks([shard, *(s.values for s in sets[1:])], block), (math.inf, -math.inf)
+    def blocks(shard: np.ndarray, grid: _Grid | None):
+        """Each block of shard, with the extremes of its values when _ends
+        marked it in grid, else None: it is to be evaluated in full."""
+        tries = pairs is not None and grid is not None
+        for arrays in _blocks([shard, *(s.values for s in sets[1:])], block):
+            span = _ends(fn, grid, arrays, pairs) if tries and grid.held else None
+            # after a refusal, the rest of the shard is evaluated in full
+            tries = span is not None
+            yield arrays, span
 
     def sweep(shard: np.ndarray, grid: _Grid | None):
         """The shard's extremes and its count of values outside the declared
         range; every block is scattered into grid while all lie in its range."""
-        blocks, (vmin, vmax) = route(shard, grid)
-        outside = 0
-        for arrays in blocks:
+        vmin, vmax, outside = math.inf, -math.inf, 0
+        for arrays, span in blocks(shard, grid):
+            if span is not None:
+                vmin, vmax = min(vmin, span[0]), max(vmax, span[1])
+                continue
             vals = fn(*arrays)
             if rows_rise:  # proven finite, and each row's extremes are its ends
                 bmin, bmax = float(vals[..., 0].min()), float(vals[..., -1].max())
@@ -464,7 +443,7 @@ def image_quantize(
                 )
             if grid is not None and grid.held:
                 if grid.lo <= bmin and bmax <= grid.hi:
-                    grid.scatter(vals, arrays, rows_rise)
+                    grid.scatter(vals, arrays)
                 else:
                     grid.held = False
         return vmin, vmax, outside
@@ -495,13 +474,15 @@ def image_quantize(
         grid = _Grid(lo, hi, delta_min)
 
         def quantize(shard: np.ndarray):
-            for arrays in route(shard, grid)[0]:
+            for arrays, span in blocks(shard, grid):
+                if span is not None:
+                    continue
                 # vals stays alive while the next block is evaluated: freed
                 # first, it leaves enough free memory at the top of the heap
                 # for malloc to return it to the system, and every block
                 # faults the pages in again (32 times the minor faults)
                 vals = fn(*arrays)
-                grid.scatter(vals, arrays, rows_rise)
+                grid.scatter(vals, arrays)
 
         _run_sharded(quantize, shards, threads)
     return QuantizedSet(
@@ -519,8 +500,8 @@ def _known_range(f, sets, fn, block, value_range, rows_rise) -> tuple[float, flo
     """The value range known before the pass, if any: the declared one, or,
     when f is monotone along one axis, the extremes of f over the product
     with that axis cut to its first and last values.  That axis is the last
-    one when every row rises, and the first when an enclosure of df/dx over
-    the hull of the inputs has one sign."""
+    one when f is proven to rise along every row, and the first when an
+    enclosure of df/dx over the hull of the inputs has one sign."""
     if value_range is not None:
         return float(value_range[0]), float(value_range[1])
     axis = len(sets) - 1

@@ -809,7 +809,13 @@ def _program(e: Expr, var_order: tuple[str, ...]) -> _Program:
     try:  # numpy's power takes a powi exponent as a float, so it needs one too
         floats = [float(c) for c in exact]
     except OverflowError:  # the largest constant or exponent is past the float range
-        raise ExprError(f"constant {max(exact, key=abs)} has no float value") from None
+        from decimal import Context
+
+        kind, big = max(((k, c) for k, c, *_ in number if k in ("const", "int")), key=lambda kc: abs(kc[1]))
+        # its magnitude: the exact value can run to thousands of digits
+        ctx = Context(prec=3)
+        magnitude = ctx.divide(big.numerator, big.denominator).normalize(ctx)
+        raise ExprError(f"{'exponent' if kind == 'int' else 'constant'} {magnitude:e} has no float value") from None
     consts = tuple(v if isinstance(c, Fraction) else c for c, v in zip(exact, floats))
     e._memo[var_order] = _Program(
         var_order, consts, tuple(exact), ntemps, tuple(code), tuple(into), reg[seen[e]]

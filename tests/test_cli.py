@@ -388,9 +388,9 @@ _EXPAND_B4 = ["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--
     "argv, message",
     [
         (["classify", "-f", "x*y*1e200*1e200", "--vars", "x,y", "--box", "0.5,1.5,0.5,1.5"],
-         "has no float value"),
+         "error: constant 1e+400 has no float value"),
         (["recover", "-f", "x + 1/(1e308*y)^2", "--vars", "x,y", "--box", "0.5,1.5,0.5,1.5"],
-         "has no float value"),
+         "error: constant -2e+616 has no float value"),
         (["expand", "-f", "1e308*x", "--vars", "x,y", "--inputs", "m2r1/3:4", "--ladder", "2^-2..2^-6",
           "--theorem", "bivariate-analytic"], "exceeds the cell budget"),
         ([*_EXPAND_B4, "2^-2..2^-5", "--delta-min", "0"], "delta_min must be positive, got 0.0"),
@@ -432,9 +432,11 @@ _EXPAND_B4 = ["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--
          "the surface uses u but its parameters are ['v']"),
         (["surface-distance", "--psi", "u;u^2", "--uvars=", "--x", "1,0.5", "--u", "0.5"],
          "the surface uses u but its parameters are ['']"),
-        # an integer exponent past the float range, refused as a constant is
+        # an integer exponent past the float range, refused as a constant is;
+        # either is named by its magnitude, not its 310 digits
         (["expand", "-f", f"x^{10**309} + y", "--vars", "x,y", "--inputs", "b4d01:5", "--ladder", "2^-2..2^-10",
-          "--theorem", "bivariate-analytic"], "has no float value"),
+          "--theorem", "bivariate-analytic"], "error: exponent 1e+309 has no float value"),
+        (["classify", "-f", f"{10**309}*x*y"], "error: constant 1e+309 has no float value"),
     ],
     ids=[
         "classify-constant", "recover-constant", "expand-value-range",
@@ -444,7 +446,7 @@ _EXPAND_B4 = ["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--
         "fold-seed-negative", "rel-tol-negative", "value-range-reversed", "value-range-empty", "grid-n-0",
         "grid-n-negative", "verify-n-0", "box-wider-than-floats", "recover-residual-tol-negative",
         "verify-recovery-residual-tol-negative", "surface-distance-tol-negative", "uvars-not-the-surfaces",
-        "uvars-empty", "exponent-past-the-float-range",
+        "uvars-empty", "exponent-past-the-float-range", "integer-constant-past-the-float-range",
     ],
 )
 def test_values_past_the_float_range_exit_2(capsys, argv, message):
@@ -456,6 +458,8 @@ def test_values_past_the_float_range_exit_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+    if "has no float value" in message:
+        assert err == message + "\n" and len(err) < 80
 
 
 def test_non_finite_config_value_exits_2(capsys, tmp_path):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -93,8 +94,8 @@ def routes(monkeypatch):
     taken = Taken()
     taken.ends = []
 
-    def runs(grid, vals, rises=False, pay=dimlab._Grid.runs_pay):
-        taken.append(pay(grid, vals, rises))
+    def runs(grid, vals, pay=dimlab._Grid.runs_pay):
+        taken.append(pay(grid, vals))
         return taken[-1]
 
     def ends(grid, values, mark=dimlab._Grid.mark_ends):
@@ -369,10 +370,10 @@ def test_tuple_blocks_split_rows_that_exceed_the_block():
                 assert grids[0].size <= max(block, len(sets[-1]) if len(sets) == 3 else 1)
                 tuples += zip(*(g.ravel().tolist() for g in grids))
             assert sorted(tuples) == product, (len(sets), block)
-    # the benchmark's b4d01:8 triples stay one row of 2^16 tuples a block
+    # the benchmark's b4d01:8 triples take two rows of 2^16 tuples a block
     b8 = digit_points(4, [0, 1], 8)
     shapes = {np.broadcast(*arrays).shape for arrays in dimlab._blocks([b8.values] * 3, dimlab._BLOCK)}
-    assert shapes == {(1, 256, 256)}
+    assert shapes == {(2, 256, 256)}
 
 
 @pytest.mark.usefixtures("eight_cores")
@@ -472,6 +473,53 @@ def test_run_route_matches_naive_enumeration(text, sets, route, routes):
             other = image_quantize(f, sets, delta_min=2.0**-8, value_range=value_range, threads=threads, block=block)
             assert q.bit_identical(other), (value_range, threads, block)
             assert (other.widened, other.out_of_declared_count) == (bool(count), count)
+
+
+_RISING = FunctionSpec(parse("x^2 + x*y"), ("x", "y"), ((0, 1),) * 2)
+_B8 = digit_points(4, [0, 1], 8)
+
+
+def test_a_shard_tries_no_chunk_ends_after_a_refusal(monkeypatch):
+    # f rises along every row, and a row at x spans about x/3: the first
+    # rows of the first shard cross few cells of 2^-12, later rows too many
+    events = []
+    blocks, mark = dimlab._blocks, dimlab._Grid.mark_ends
+
+    def spied_blocks(axes, block):
+        events.append("|")
+        for arrays in blocks(axes, block):
+            events.append(".")
+            yield arrays
+
+    def spied_mark(grid, ends):
+        cross = mark(grid, ends)
+        events.append("T" if cross is not None else "F")
+        return cross
+
+    monkeypatch.setattr(dimlab, "_blocks", spied_blocks)
+    monkeypatch.setattr(dimlab._Grid, "mark_ends", spied_mark)
+    q = image_quantize(_RISING, [_B8, _B8], delta_min=2.0**-12, block=1024)
+    shards = "".join(events).split("|")[1:]
+    # the known range's blocks, then the four shards of the one pass
+    assert len(shards) == 5 and "T" not in shards[0] and "F" not in shards[0]
+    for shard in shards[1:]:
+        assert re.fullmatch(r"(\.T)*(\.F)?\.*", shard), shard
+    assert re.fullmatch(r"(\.T)+\.F\.+", shards[1])  # a refusal with blocks after it
+    naive = naive_quantize_cells(_RISING, [_B8, _B8], q.lo, q.delta_min, q.ncells)
+    assert q.occupied_cells().tolist() == naive
+
+
+def test_blocks_that_split_rows_never_reach_mark_ends(routes):
+    sets = [_B8, _B8]
+    whole = image_quantize(_RISING, sets, delta_min=2.0**-8)
+    assert any(routes.ends)
+    routes.ends.clear()
+    # 100 of a row's 256 values a block: no block holds the whole row
+    split = image_quantize(_RISING, sets, delta_min=2.0**-8, block=100)
+    assert not routes.ends
+    assert split.bit_identical(whole)
+    naive = naive_quantize_cells(_RISING, sets, split.lo, split.delta_min, split.ncells)
+    assert split.occupied_cells().tolist() == naive
 
 
 def test_image_quantize_widens_declared_range():

@@ -550,7 +550,7 @@ def _random_dag(rng, ops, size=14):
             node = a ** int(rng.choice([-2, -1, 2, 3]))
         elif op == "pow":
             node = a ** (b if rng.random() < 0.5 else Fraction(1, 2))
-        elif op in ("neg", "sqrt", "log"):
+        elif op in ("neg", "sqrt", "log", "sin", "cos", "exp"):
             node = Expr(op, (a,))
         else:
             node = Expr(op, (a, b))
@@ -619,6 +619,33 @@ def test_evaluators_agree_on_random_dags(ops):
             assert got == expected, (to_string(e), x, y)
             if ops is _EXACT_OPS and math.isfinite(float(got)):
                 assert got == repr(float(batch[i])), (to_string(e), x, y)
+
+
+def test_differentiate_matches_sympy_on_random_dags():
+    # a differential oracle (McKeeman 1998): each DAG and its derivative are
+    # printed and read by sympy, and sympy's own derivative of the first
+    # must equal the second at seeded points, at 50 digits, with no float
+    # arithmetic on either side; evaluate picks the points inside the domain
+    import sympy
+
+    rng = np.random.default_rng(1998)
+    x, y = sympy.symbols("x y")
+    compared = 0
+    for _ in range(40):
+        e = _random_dag(rng, _ALL_OPS + ("sin", "cos", "exp"))
+        expected = {v: sympy.diff(sympy.sympify(to_string(e).replace("^", "**")), v) for v in ("x", "y")}
+        got = {v: sympy.sympify(to_string(differentiate(e, v)).replace("^", "**")) for v in ("x", "y")}
+        for _ in range(2):
+            px, py = (sympy.Rational(int(i), 64) for i in rng.integers(-192, 193, size=2))
+            try:
+                evaluate(e, {"x": float(px), "y": float(py)})
+            except (DomainError, OverflowError):
+                continue
+            for v in ("x", "y"):
+                a, b = (d.evalf(50, subs={x: px, y: py}) for d in (expected[v], got[v]))
+                assert abs(a - b) <= 1e-40 * max(1, abs(a), abs(b)), (to_string(e), v, px, py)
+                compared += 1
+    assert compared >= 60
 
 
 @pytest.mark.parametrize(
