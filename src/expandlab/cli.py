@@ -299,7 +299,9 @@ def cmd_expand(args) -> tuple[dict, int]:
     specs = [s for s in args.inputs.split(",") if s.strip()]
     if len(specs) == 1:
         specs = specs * f.arity
-    inputs = [_parse_set_spec(s, args.budget) for s in specs]
+    # a spec named for several variables is built once
+    built = {s: _parse_set_spec(s, args.budget) for s in dict.fromkeys(specs)}
+    inputs = [built[s] for s in specs]
     ladder = _parse_ladder(args.ladder)
     value_range = _parse_point(args.value_range, 2) if args.value_range else None
     deg = classify(f, _policy(args)) if args.classify_first else None

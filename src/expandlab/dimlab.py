@@ -20,9 +20,32 @@ over the cell map in all, however many rungs it has (Liebovitch & Toth,
 Phys. Lett. A 141, 1989).  The box-counting dimension is the least-squares
 slope of log N against log(1/delta) over a fit window.
 
-Every pass walks the tuples in the same blocks of 2^17 (a row of A that
-holds more is split along B), so a float64 (or intp) array over a block is
-1 MiB.  Against blocks of 2^16, the benchmark's peak RSS (the maximum over
+A row is f along the last axis, at one lead tuple: (x) of A, or (x, y) of
+A x B.  The passes walk a lead list, one lead tuple per distinct row, not
+the product of the lead axes.  f's frontier is the set of its maximal
+subexpressions that do not involve the last variable but feed a node that
+does ({x*y} for x*y + z, {h(x) + k(y)} for g(h(x) + k(y) + l(z))).  Every
+node that involves the last variable is computed from frontier values,
+constants and that variable by elementwise numpy ops, so two lead tuples
+whose frontier values agree bit for bit have bit-identical rows, and the
+lead list keeps the first tuple of each set of such tuples (compared as
+uint64 keys, so -0.0 and 0.0 stay apart), with its multiplicity for the
+out-of-range count.  The cells hit, and so the map, are those of the whole
+product.  When every lead variable is bare in the frontier, no two tuples
+agree (the point sets are strictly increasing), and no key is sorted; a
+frontier of more than _MAX_KEYS = 4 nodes is not sorted either, since its
+keys would hold more memory than the pass.  On the benchmark:
+  expand-dense 0 and expand-fine, x^2 + xy (frontier {x^2, x}), and
+    expand-dense 2, x + y ({x}): every x kept, no sort;
+  expand-dense 1, xy + z on b4d01:8 ({x*y}): 23,620 of 65,536 (x, y) pairs
+    kept, so 37.1% of the product's tuples are evaluated, against 101.2%
+    over the whole product.
+For 3-D the lead list holds two floats per kept pair, 1/|C| of the tuples.
+
+Every pass walks the lead list times the row in blocks of 2^17 tuples
+(contiguous slices of the lead list by whole rows, or one lead tuple by a
+slice of a row that holds more), so a float64 (or intp) array over a block
+is 1 MiB.  Against blocks of 2^16, the benchmark's peak RSS (the maximum over
 its commands, median of 6 runs on a 2-core VM) stayed at 32.8 MB on
 expand-dense, with one thread, and rose from 37.3 to 40.9 MB on
 expand-fine, whose two threads each hold a block's arrays.  The cell
@@ -49,8 +72,9 @@ non-monotone rows keep the plain scatter.  Measured on the benchmark
   expand-dense 0, x^2 + xy on b4d01:13 at 2^-16: chunk ends 100%, 13.8%
     evaluated (1.2% of its chunks cross a cell);
   expand-dense 1, xy + z on b4d01:8, and 2, x + y on m2r1/3:11: each
-    shard's first block refuses its chunk ends (3.1% and 12.5% of the
-    tuples), plain scatter 100%, 101.2% and 101.7% evaluated;
+    shard's first block refuses its chunk ends (8.7% of the kept rows and
+    12.5% of the tuples), plain scatter 100%; 37.1% and 101.7% of the
+    product's tuples evaluated;
   expand-fine, x^2 + xy on b4d01:12 at 2^-24 (2 threads): chunk ends 6.2%,
     run route 4.7%, plain scatter 89.1% (refused chunk ends 6.2%), 95.7%
     evaluated;
@@ -77,7 +101,7 @@ import numpy as np
 
 from .degeneracy import DegeneracyReport, ThresholdReport, thresholds
 from .errors import BudgetError
-from .expr import ExprError, FunctionSpec, compile_batch, enclosure, rising
+from .expr import Expr, ExprError, FunctionSpec, compile_batch, enclosure, free_vars, rising, var
 from .fractal import PointSet1D
 from .jsonutil import jsonable, rational
 
@@ -105,6 +129,11 @@ _BLOCK = 1 << 17
 # a sweep of 8/16/32 against probe thresholds 1/2, 3/4 and 7/8
 # chose 16 and 7/8 for the run route (CHANGES.md has the sweep)
 _RUN = 16
+# the most frontier nodes whose keys image_quantize sorts to find distinct
+# rows: each key holds a float per lead tuple, and a 200-term f's 200 keys
+# over b4d01:13 peaked at 16.8 MB where the product's pass held 4.6 MB; a
+# larger frontier keeps every lead tuple
+_MAX_KEYS = 4
 
 
 def _run_starts(c: np.ndarray) -> np.ndarray:
@@ -198,25 +227,99 @@ def _ladder_counts(hit: np.ndarray, ks: Sequence[int]) -> dict[int, int]:
     return counts
 
 
-def _blocks(axes: Sequence[np.ndarray], block: int):
-    """The blocks of the product of axes, each at most
-    max(block, prod(lens[2:])) tuples: as many whole rows of the first axis
-    as fit, or one row by as many columns of the second as fit.  Each block
-    is one broadcast view per axis."""
-    lens = [len(v) for v in axes]
-    per_col = math.prod(lens[2:])
-    if lens[1] * per_col <= block:
-        rows = max(1, block // (lens[1] * per_col))
-        parts = ((slice(i, i + rows), slice(None)) for i in range(0, lens[0], rows))
+def _frontier(e: Expr, last: str) -> list[Expr]:
+    """e's frontier along its last variable: the maximal subexpressions
+    that involve a lead variable but not `last`, in the order a walk from the
+    root meets them.  Every node that involves `last` is computed from them,
+    constants and `last`.  [e] when e does not involve `last` (its rows are
+    constant), and [] when it involves no variable."""
+    names = free_vars(e)
+    if last not in names:
+        return [e] if names else []
+    found, seen, stack = {}, {e}, [e]
+    while stack:
+        for a in stack.pop().args:
+            if a not in seen:
+                seen.add(a)
+                names = free_vars(a)
+                if last in names:
+                    stack.append(a)
+                elif names:
+                    found[a] = None
+    return list(found)
+
+
+def _product(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The tuples of the product of one or two axes in lexicographic order,
+    one flat array per axis."""
+    if len(axes) == 1:
+        return [axes[0]]
+    a, b = axes
+    return [np.repeat(a, len(b)), np.tile(b, len(a))]
+
+
+def _lead(f: FunctionSpec, sets: Sequence[PointSet1D]) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The lead list of f over the sets: one lead tuple, (x) or (x, y), per
+    distinct row (f along the last axis), in lead order, as one array per
+    lead variable, and how many tuples of the product of the lead axes each
+    stands for (None when every tuple is kept).
+
+    Two tuples whose frontier values (see _frontier) agree bit for bit have
+    bit-identical rows, so a tuple is kept unless an earlier one has its
+    frontier bits.  The bits are compared as uint64 keys, so -0.0 and 0.0,
+    and NaN payloads, stay apart.  When every lead variable is bare in the
+    frontier, no two tuples agree (the point sets are strictly increasing),
+    and nothing is sorted; nor when the frontier has more than _MAX_KEYS
+    nodes, and then every tuple is kept."""
+    axes = [s.values for s in sets[:-1]]
+    *names, last = f.vars
+    frontier = _frontier(f.expr, last)
+    if len(frontier) > _MAX_KEYS or all(var(v) in frontier for v in names):
+        return _product(axes), None
+    grid = np.ix_(*axes)
+    n = math.prod(map(len, axes))
+    keys = [compile_batch(node, tuple(names))(*grid).ravel().view(np.uint64) for node in frontier]
+    # no frontier: every row is the same, and one zero key keeps one tuple
+    keys = keys or [np.zeros(n, dtype=np.uint64)]
+    # a 1-D sort: np.unique(axis=0) over the columns took 10 times as long
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+    runs = np.flatnonzero(np.logical_or.reduce([_run_starts(k[order]) for k in keys]))
+    # the outputs are allocated before the sort's arrays are freed, so that
+    # they leave those whole for the pass to reuse: allocated after, they
+    # split them, and expand-dense's peak RSS rose about 1 MB more
+    lead, counts = [np.empty(runs.size) for _ in axes], np.empty(runs.size, dtype=np.intp)
+    # each run's least index, whatever order the sort left its ties in
+    least = np.minimum.reduceat(order, runs)
+    del keys, order  # free for the temporaries below
+    at = np.argsort(least)
+    np.take(np.diff(runs, append=n), at, out=counts)
+    kept = least[at]
+    if len(axes) == 2:
+        i = kept // len(axes[1])
+        np.take(axes[0], i, out=lead[0])
+        kept -= i * len(axes[1])
+    np.take(axes[-1], kept, out=lead[-1])
+    return lead, counts
+
+
+def _blocks(lead: Sequence[np.ndarray], row: np.ndarray, block: int):
+    """The blocks of the lead list times the row, each at most
+    max(block, 1) tuples: as many lead tuples' whole rows as fit, or one
+    lead tuple by as many values of the row as fit.  Each block is
+    (rows, arrays): the slice of the lead list it covers, and one view per
+    variable, (k, 1) for each lead array and (1, m) for the row, which
+    broadcast to the block's (k, m) values."""
+    n, m = len(lead[0]), len(row)
+    if m <= block:
+        step = block // m
+        parts = ((slice(i, i + step), slice(None)) for i in range(0, n, step))
     else:
-        cols = max(1, block // per_col)
-        parts = ((slice(i, i + 1), slice(j, j + cols)) for i in range(lens[0]) for j in range(0, lens[1], cols))
-    n = len(axes)
+        step = max(1, block)
+        parts = ((slice(i, i + 1), slice(j, j + step)) for i in range(n) for j in range(0, m, step))
     for i, j in parts:
-        # new views for every block: one view of B passed to every block left
-        # 0.8 MB more resident after a 2-thread pass
-        views = (axes[0][i], axes[1][j], *axes[2:])
-        yield tuple(v[(*(None,) * k, slice(None), *(None,) * (n - 1 - k))] for k, v in enumerate(views))
+        # new views for every block: one view of the row passed to every
+        # block left 0.8 MB more resident after a 2-thread pass
+        yield i, (*(v[i, None] for v in lead), row[None, j])
 
 
 def _ends(fn, grid: _Grid, arrays: tuple, pairs: np.ndarray) -> tuple[float, float] | None:
@@ -242,9 +345,8 @@ def _ends(fn, grid: _Grid, arrays: tuple, pairs: np.ndarray) -> tuple[float, flo
         return None
     flat = np.flatnonzero(cross)  # a quarter of np.nonzero's time
     if flat.size:
-        at = np.unravel_index(flat, cross.shape)
-        coords = (v.reshape(-1)[i][:, None] for v, i in zip(lead, at))
-        grid.hit[grid.cells(fn(*coords, row.reshape(-1, _RUN)[at[-1]]))] = 1
+        t, c = np.unravel_index(flat, cross.shape)
+        grid.hit[grid.cells(fn(*(v[t] for v in lead), row.reshape(-1, _RUN)[c]))] = 1
     return bmin, bmax
 
 
@@ -366,8 +468,17 @@ def image_quantize(
     """Quantize f(A x B [x C]) at resolution delta_min, which must be
     positive (by default 2^-26 of the value range).
 
-    The product tuples stream through in blocks of `block` tuples (by
-    default 2^17).  The grid runs over the value range [lo, hi]: the image's
+    A row is f along the last axis at one lead tuple, (x) or (x, y).  The
+    passes walk a lead list that keeps one lead tuple per distinct row: two
+    tuples whose values of f's frontier (the maximal subexpressions that do
+    not involve the last variable but feed a node that does) agree bit for
+    bit have bit-identical rows, so the cells they hit, and the map, are
+    those of the whole product.  Each kept row counts once per tuple it
+    stands for in the out-of-range count.  When every lead variable is
+    bare in the frontier, every tuple is kept with no sort (the module
+    docstring has the rows each benchmark command keeps).  The lead list
+    times the row streams through in blocks of `block` tuples (by default
+    2^17).  The grid runs over the value range [lo, hi]: the image's
     own extremes, or a declared range (lo < hi), widened when values fall
     outside it (with the overflow count reported), never clamped.  The cell index of a
     value v is (v - lo) / delta_min truncated, its floor since v lies in
@@ -379,9 +490,9 @@ def image_quantize(
     hull of the inputs is proven once per call (expr.rising).  Each tuple is
     evaluated at most once when the range is known before the pass: a
     declared range; when the rows rise, the extremes of the first and last
-    columns; or, when an interval enclosure of df/dx over the hull has one
-    sign, the extremes of the first and last rows of A (f is monotone in
-    x, so its extremes lie there).  The pass quantizes against that range
+    columns over the lead list; or, when an interval enclosure of df/dx
+    over the hull has one sign, the extremes of the first and last rows of
+    A (f is monotone in x, so its extremes lie there).  The pass quantizes against that range
     and checks it, block by block; when a value falls outside, the map is
     dropped and a second pass quantizes against the true range.  Any other
     f is evaluated twice: a range scan, then the quantize pass.  Both
@@ -402,28 +513,31 @@ def image_quantize(
     if value_range is not None and not value_range[0] < value_range[1]:
         raise ValueError(f"a declared value range needs lo < hi, got {list(value_range)}")
     fn = compile_batch(f.expr, f.vars)
-    shards = _shards(sets[0].values, threads)
+    lead, weights = _lead(f, sets)
+    shards = _shards(lead, weights, threads)
     rows_rise = rising(f.expr, f.vars, [(s.values[0], s.values[-1]) for s in sets], len(sets) - 1)
     row = sets[-1].values
     # the (first, last) values of each chunk of a whole row, gathered once
     # per call rather than once per block
     pairs = row.reshape(-1, _RUN)[:, [0, -1]] if rows_rise and len(row) % _RUN == 0 else None
 
-    def blocks(shard: np.ndarray, grid: _Grid | None):
+    def blocks(shard, grid: _Grid | None):
         """Each block of shard, with the extremes of its values when _ends
-        marked it in grid, else None: it is to be evaluated in full."""
+        marked it in grid, else None: it is to be evaluated in full; and the
+        weights of its lead tuples (None when each stands for itself)."""
+        shard_lead, shard_weights = shard
         tries = pairs is not None and grid is not None
-        for arrays in _blocks([shard, *(s.values for s in sets[1:])], block):
+        for rows, arrays in _blocks(shard_lead, row, block):
             span = _ends(fn, grid, arrays, pairs) if tries and grid.held else None
             # after a refusal, the rest of the shard is evaluated in full
             tries = span is not None
-            yield arrays, span
+            yield arrays, span, None if shard_weights is None else shard_weights[rows]
 
-    def sweep(shard: np.ndarray, grid: _Grid | None):
-        """The shard's extremes and its count of values outside the declared
+    def sweep(shard, grid: _Grid | None):
+        """The shard's extremes and its count of tuples outside the declared
         range; every block is scattered into grid while all lie in its range."""
         vmin, vmax, outside = math.inf, -math.inf, 0
-        for arrays, span in blocks(shard, grid):
+        for arrays, span, w in blocks(shard, grid):
             if span is not None:
                 vmin, vmax = min(vmin, span[0]), max(vmax, span[1])
                 continue
@@ -438,9 +552,9 @@ def image_quantize(
                     raise ValueError("image values are not finite on the product set")
             vmin, vmax = min(vmin, bmin), max(vmax, bmax)
             if value_range is not None and (bmin < value_range[0] or bmax > value_range[1]):
-                outside += int(
-                    np.count_nonzero((vals < value_range[0]) | (vals > value_range[1]))
-                )
+                out = (vals < value_range[0]) | (vals > value_range[1])
+                # a kept row counts once for every tuple whose row it is
+                outside += int(np.count_nonzero(out) if w is None else np.count_nonzero(out, axis=-1) @ w)
             if grid is not None and grid.held:
                 if grid.lo <= bmin and bmax <= grid.hi:
                     grid.scatter(vals, arrays)
@@ -449,7 +563,7 @@ def image_quantize(
         return vmin, vmax, outside
 
     grid = None
-    known = _known_range(f, sets, fn, block, value_range, rows_rise)
+    known = _known_range(f, sets, fn, lead, block, value_range, rows_rise)
     if known is not None:
         try:
             grid = _Grid(*known, delta_min)
@@ -473,8 +587,8 @@ def image_quantize(
                 lo, hi = min(lo, vmin), max(hi, vmax)
         grid = _Grid(lo, hi, delta_min)
 
-        def quantize(shard: np.ndarray):
-            for arrays, span in blocks(shard, grid):
+        def quantize(shard):
+            for arrays, span, _ in blocks(shard, grid):
                 if span is not None:
                     continue
                 # vals stays alive while the next block is evaluated: freed
@@ -496,33 +610,42 @@ def image_quantize(
     )
 
 
-def _known_range(f, sets, fn, block, value_range, rows_rise) -> tuple[float, float] | None:
+def _known_range(f, sets, fn, lead, block, value_range, rows_rise) -> tuple[float, float] | None:
     """The value range known before the pass, if any: the declared one, or,
     when f is monotone along one axis, the extremes of f over the product
     with that axis cut to its first and last values.  That axis is the last
-    one when f is proven to rise along every row, and the first when an
-    enclosure of df/dx over the hull of the inputs has one sign."""
+    one when f is proven to rise along every row, and then the lead list
+    stands for the other axes (a tuple it leaves out has the row of one it
+    keeps); it is the first when an enclosure of df/dx over the hull of the
+    inputs has one sign, and then the sets are read in full."""
     if value_range is not None:
         return float(value_range[0]), float(value_range[1])
-    axis = len(sets) - 1
-    if not rows_rise:
+    row = sets[-1].values
+    if rows_rise:
+        parts = _blocks(lead, row[[0, -1]], block)
+    else:
         try:
             lo, hi = enclosure(f.partial(0), f.vars, [(s.values[0], s.values[-1]) for s in sets])
         except ExprError:
             return None
         if not (lo >= 0 or hi <= 0):
             return None
-        axis = 0
+        parts = _blocks(_product([sets[0].values[[0, -1]], *(s.values for s in sets[1:-1])]), row, block)
     vmin, vmax = math.inf, -math.inf
-    for arrays in _blocks([s.values[[0, -1]] if k == axis else s.values for k, s in enumerate(sets)], block):
+    for _, arrays in parts:
         vals = fn(*arrays)
         vmin, vmax = min(vmin, float(vals.min())), max(vmax, float(vals.max()))
     return vmin, vmax
 
 
-def _shards(a: np.ndarray, threads: int) -> list[np.ndarray]:
-    n_shards = max(1, min(len(a), threads * 4))
-    return [s for s in np.array_split(a, n_shards) if len(s)]
+def _shards(lead: list[np.ndarray], weights: np.ndarray | None, threads: int) -> list[tuple]:
+    """The lead list cut into at most 4 * threads contiguous shards of
+    sizes that differ by at most one, each (its lead arrays, its weights)."""
+    n = len(lead[0])
+    k = max(1, min(n, threads * 4))
+    q, r = divmod(n, k)
+    cuts = [i * q + min(i, r) for i in range(k + 1)]
+    return [([v[a:b] for v in lead], None if weights is None else weights[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _run_sharded(fn, shards, threads: int) -> list:
@@ -789,7 +912,11 @@ def expansion_experiment(
     image_ladder = [d for d in ladder if float(d) >= q.delta_min * (1 - 1e-12)]
     image_counts = box_counts(q, image_ladder)
     image_est = dim_estimate(image_counts)
-    input_ests = tuple(dim_estimate(box_counts(ps, ladder)) for ps in inputs)
+    # one estimate per distinct set: a set given for several variables is
+    # one object
+    distinct = {id(ps): ps for ps in inputs}
+    estimates = {key: dim_estimate(box_counts(ps, ladder)) for key, ps in distinct.items()}
+    input_ests = tuple(estimates[id(ps)] for ps in inputs)
     dims = [ps.dimension for ps in inputs]
     bound = report.dim_lower_bound(dims)
     total = sum(Fraction(d).limit_denominator(10**9) for d in dims)

@@ -113,8 +113,9 @@ class Expr:
     carry an exact Fraction payload; variables carry a name.  Building a node
     equal to a live one returns the live one, so an expression is a DAG in
     which structurally equal subexpressions are one object, and equality and
-    hashing are by identity.  _memo holds the node's derivatives by variable
-    and its programs by variable order: they live as long as the node.
+    hashing are by identity.  _memo holds the node's derivatives by variable,
+    its programs by variable order and its free variables (under None): they
+    live as long as the node.
     """
 
     __slots__ = ("op", "args", "value", "name", "_memo", "__weakref__")
@@ -198,10 +199,16 @@ def _is_const(e: Expr, c) -> bool:
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    def step(node: Expr, r: Callable[[Expr], frozenset[str]]) -> frozenset[str]:
-        return frozenset((node.name,)) if node.op == "var" else frozenset().union(*map(r, node.args))
+    """The names of e's variables.  Each node of e's DAG keeps its own set
+    (under the memo key None, which no variable name or order is), so asking
+    again for e or any subexpression of it costs no walk."""
 
-    return _walk_dag(e, step)
+    def step(node: Expr, r: Callable[[Expr], frozenset[str]]) -> frozenset[str]:
+        if None not in node._memo:
+            node._memo[None] = frozenset((node.name,)) if node.op == "var" else frozenset().union(*map(r, node.args))
+        return node._memo[None]
+
+    return e._memo[None] if None in e._memo else _walk_dag(e, step)
 
 
 def substitute(e: Expr, name: str, replacement: Expr) -> Expr:

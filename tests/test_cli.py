@@ -218,6 +218,25 @@ def test_expand_starts_at_most_one_thread_per_core(capsys, serial_pool):
     assert doc["report"] == one["report"]
 
 
+def test_expand_builds_and_estimates_each_distinct_input_once(capsys, monkeypatch):
+    from expandlab import dimlab
+
+    built, counted = [], []
+    monkeypatch.setattr(cli, "_parse_set_spec", lambda spec, budget, parse=cli._parse_set_spec: (
+        built.append(spec) or parse(spec, budget)))
+    monkeypatch.setattr(dimlab, "box_counts", lambda data, deltas, count=dimlab.box_counts: (
+        counted.append(type(data).__name__) or count(data, deltas)))
+    argv = ["expand", "-f", "x*y + z", "--vars", "x,y,z", "--ladder", "2^-2..2^-10",
+            "--theorem", "trivariate-analytic", "--no-timestamp"]
+    code, one, _ = run_json(capsys, *argv, "--inputs", "b4d01:4")
+    assert code == 0 and built == ["b4d01:4"] and counted == ["QuantizedSet", "PointSet1D"]
+    # one estimate per variable in the report, as when each spec is named
+    assert len(one["report"]["input_estimates"]) == 3
+    built.clear()
+    code, named, _ = run_json(capsys, *argv, "--inputs", "b4d01:4,b4d01:4,b4d01:4")
+    assert code == 0 and built == ["b4d01:4"] and named["report"] == one["report"]
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_expand_rejects_a_thread_count_below_1(capsys, threads):
     code, doc, err = run_json(

@@ -22,7 +22,7 @@ from expandlab.dimlab import (
     naive_quantize_cells,
     power_ladder,
 )
-from expandlab.expr import FunctionSpec, compile_batch, parse
+from expandlab.expr import Expr, FunctionSpec, compile_batch, const, parse, var
 from expandlab.fractal import CantorSpec, PointSet1D, cantor_points, digit_points
 
 F_SUM = FunctionSpec(parse("x + y"), ("x", "y"), ((0, 1), (0, 1)))
@@ -363,17 +363,22 @@ def test_tuple_blocks_split_rows_that_exceed_the_block():
     a, b, c = (PointSet1D.from_values(np.arange(n) / n) for n in (5, 7, 9))
     for sets in ([a, b, c], [a, b]):
         product = sorted(itertools.product(*(s.values.tolist() for s in sets)))
+        lead = dimlab._product([s.values for s in sets[:-1]])
         for block in (1, 5, 9, 16, 63, 64, 1000):
             tuples = []
-            for arrays in dimlab._blocks([a.values, *(s.values for s in sets[1:])], block):
+            for rows, arrays in dimlab._blocks(lead, sets[-1].values, block):
                 grids = np.broadcast_arrays(*arrays)
-                assert grids[0].size <= max(block, len(sets[-1]) if len(sets) == 3 else 1)
+                assert grids[0].size <= block
+                assert grids[0].shape[0] == len(range(len(lead[0]))[rows])
                 tuples += zip(*(g.ravel().tolist() for g in grids))
             assert sorted(tuples) == product, (len(sets), block)
-    # the benchmark's b4d01:8 triples take two rows of 2^16 tuples a block
+    # the benchmark's x*y + z on b4d01:8 keeps 23,620 of its 65,536 (x, y)
+    # pairs, 512 rows of 256 values a block
     b8 = digit_points(4, [0, 1], 8)
-    shapes = {np.broadcast(*arrays).shape for arrays in dimlab._blocks([b8.values] * 3, dimlab._BLOCK)}
-    assert shapes == {(2, 256, 256)}
+    f = FunctionSpec(parse("x*y + z"), ("x", "y", "z"), ((0, 1),) * 3)
+    lead, weights = dimlab._lead(f, [b8] * 3)
+    shapes = [np.broadcast(*arrays).shape for _, arrays in dimlab._blocks(lead, b8.values, dimlab._BLOCK)]
+    assert len(lead[0]) == 23_620 and shapes == [(512, 256)] * 46 + [(68, 256)]
 
 
 @pytest.mark.usefixtures("eight_cores")
@@ -485,11 +490,11 @@ def test_a_shard_tries_no_chunk_ends_after_a_refusal(monkeypatch):
     events = []
     blocks, mark = dimlab._blocks, dimlab._Grid.mark_ends
 
-    def spied_blocks(axes, block):
+    def spied_blocks(lead, row, block):
         events.append("|")
-        for arrays in blocks(axes, block):
+        for part in blocks(lead, row, block):
             events.append(".")
-            yield arrays
+            yield part
 
     def spied_mark(grid, ends):
         cross = mark(grid, ends)
@@ -520,6 +525,184 @@ def test_blocks_that_split_rows_never_reach_mark_ends(routes):
     assert split.bit_identical(whole)
     naive = naive_quantize_cells(_RISING, sets, split.lo, split.delta_min, split.ncells)
     assert split.occupied_cells().tolist() == naive
+
+
+# ---------------------------------------------------------------------------
+# the lead list: one lead tuple per distinct row
+# ---------------------------------------------------------------------------
+
+
+_UNARY = ("neg", "sin", "exp", "log", "sqrt")
+
+
+def _grown(rng, node: Expr, others: list, steps: int) -> Expr:
+    """node grown by `steps` random ops, each on the node grown so far and,
+    for + - * /, one of others on a random side: negation, integer powers,
+    sin, exp, log and sqrt."""
+    for _ in range(steps):
+        op = str(rng.choice(["add", "sub", "mul", "div", "powi", *_UNARY]))
+        if op == "powi":
+            node = node ** int(rng.choice([-1, 2, 3]))
+        elif op in _UNARY:
+            node = Expr(op, (node,))
+        else:
+            other = others[int(rng.integers(len(others)))]
+            node = Expr(op, (node, other) if rng.random() < 0.5 else (other, node))
+    return node
+
+
+def _random_rows(rng, names) -> Expr:
+    """A random f whose rows (along the last variable) are built from one or
+    two random parts of the lead variables, each x + y, x - y or x*y grown
+    further (x*x or x + x when x is the only one), and now and then from a
+    bare x: its frontier is those parts."""
+    *lead, last = names
+    parts = [
+        _grown(rng, Expr(str(rng.choice(["add", "mul"] if len(lead) == 1 else ["add", "sub", "mul"])),
+                         (var(lead[0]), var(lead[-1]))), [const(2)], int(rng.integers(0, 3)))
+        for _ in range(int(rng.integers(1, 3)))
+    ]
+    others = parts + [const(Fraction(1, 3))] + ([var(lead[0])] if rng.random() < 0.25 else [])
+    ends = (parts[0], var(last))
+    row = Expr(str(rng.choice(["add", "sub", "mul", "div"])), ends if rng.random() < 0.5 else ends[::-1])
+    return _grown(rng, row, others, int(rng.integers(0, 4)))
+
+
+def _full_product(f, sets, delta, value_range):
+    """lo, hi, the occupancy map and the out-of-range count that one batch
+    evaluation of the whole product gives: None when a value is not finite."""
+    vals = compile_batch(f.expr, f.vars)(*np.ix_(*(s.values for s in sets)))
+    if not np.isfinite(vals).all():
+        return None
+    lo, hi, outside = float(vals.min()), float(vals.max()), 0
+    if value_range is not None:
+        outside = int(np.count_nonzero((vals < value_range[0]) | (vals > value_range[1])))
+        lo, hi = value_range if not outside else (min(value_range[0], lo), max(value_range[1], hi))
+    ncells = math.ceil((hi - lo) / delta)
+    hit = np.zeros(ncells + 1, dtype=np.uint8)
+    hit[((vals - lo) * (1 / delta)).astype(np.intp).ravel()] = 1  # delta is a power of two
+    hit[ncells - 1] |= hit[ncells]
+    return lo, hi, hit[:ncells], outside
+
+
+# sums and products of the eighths collide (1/8 + 3/8 = 2/8 + 2/8, 2*6 =
+# 3*4), and squares of a set symmetric about 0 collide in pairs
+_EIGHTHS = PointSet1D.from_values([i / 8 for i in range(1, 10)])
+_SYMMETRIC = PointSet1D.from_values([i / 8 for i in range(-8, 9) if i])
+_ROW32 = digit_points(2, [0, 1], 5, interval=(0.5, 1.5))
+
+
+@pytest.mark.usefixtures("eight_cores")
+def test_lead_list_matches_the_full_product_on_random_functions():
+    # the lead list must give the range, the map and the out-of-range count
+    # of the whole product, on every route, thread count and block size
+    rng = np.random.default_rng(29)
+    checked, sorted_leads, failed = 0, 0, 0
+    while checked < 24:
+        names = ("x", "y", "z") if checked % 2 else ("x", "y")
+        lead_set = (_EIGHTHS, _SYMMETRIC)[int(rng.integers(2))]
+        sets = [lead_set] * (len(names) - 1) + [_ROW32]
+        f = FunctionSpec(_random_rows(rng, names), names, ((0, 1),) * len(names))
+        image = _full_product(f, sets, 1.0, None)
+        if image is None:
+            failed += 1
+            with pytest.raises(ValueError, match="not finite"):
+                image_quantize(f, sets, delta_min=1.0)
+            continue
+        vmin, vmax = image[:2]
+        if not vmax - vmin > 1e-6 * max(1.0, abs(vmin)):
+            continue
+        checked += 1
+        sorted_leads += dimlab._lead(f, sets)[1] is not None
+        w = vmax - vmin
+        delta = 2.0 ** (math.floor(math.log2(w)) - 9)
+        for value_range in (None, (vmin - w / 8, vmax + w / 8), (vmin + w / 4, vmin + w / 2)):
+            lo, hi, hit, outside = _full_product(f, sets, delta, value_range)
+            for threads, block in itertools.product((1, 4, 8), (16, 100, 1 << 17)):
+                q = image_quantize(f, sets, delta_min=delta, value_range=value_range, threads=threads, block=block)
+                where = (str(f.expr), value_range, threads, block)
+                assert (q.lo, q.hi) == (lo, hi), where
+                assert np.array_equal(q.hit, hit), where
+                assert (q.widened, q.out_of_declared_count) == (bool(outside), outside), where
+    # the draws cover lead lists that sort, and functions that leave their domain
+    assert sorted_leads >= 8 and failed >= 1
+
+
+def test_a_frontier_of_minus_zero_and_zero_keeps_both_keys():
+    # x*y at (-1, 0) is -0.0 and at (1, 0) is 0.0: equal as floats, but rows
+    # built on them may differ (1/-0.0 is -inf), so both tuples stay
+    f = FunctionSpec(parse("x*y + z"), ("x", "y", "z"), ((-1, 1),) * 3)
+    a, b = PointSet1D.from_values([-1.0, 1.0]), PointSet1D.from_values([0.0])
+    lead, weights = dimlab._lead(f, [a, b, _B4])
+    assert lead[0].tolist() == [-1.0, 1.0] and weights.tolist() == [1, 1]
+    # with y = 2 as well, (-1, 0) and (1, 0) stay apart, and no other pair meets
+    lead, weights = dimlab._lead(f, [a, PointSet1D.from_values([0.0, 2.0]), _B4])
+    assert list(zip(*(v.tolist() for v in lead))) == [(-1.0, 0.0), (-1.0, 2.0), (1.0, 0.0), (1.0, 2.0)]
+
+
+def test_two_frontier_keys_keep_the_pairs_where_either_differs():
+    # x*y and x + y fix the pair {x, y}: of the 81 pairs of eighths, (x, y)
+    # and (y, x) share a row, so 45 are kept, though x*y alone takes fewer
+    # values (2*6 = 3*4) and x + y only 17
+    f = FunctionSpec(parse("x*y + (x + y)*z"), ("x", "y", "z"), ((0, 2),) * 3)
+    sets = [_EIGHTHS, _EIGHTHS, _B4]
+    lead, weights = dimlab._lead(f, sets)
+    assert len(lead[0]) == 45 and np.all(lead[0] <= lead[1]) and int(weights.sum()) == 81
+    q = image_quantize(f, sets, delta_min=2.0**-14)
+    assert q.occupied_cells().tolist() == naive_quantize_cells(f, sets, q.lo, q.delta_min, q.ncells)
+
+
+@pytest.mark.parametrize(
+    "text, names, sorts",
+    [
+        ("x^2 + x*y", "xy", False),  # frontier {x^2, x}
+        ("x + y", "xy", False),  # {x}
+        ("x", "xy", False),  # constant rows: the frontier is f itself
+        ("x*(y + z)", "xyz", False),  # {x, y}
+        ("x + sin(y)*z", "xyz", True),  # {x, sin(y)}: y is not bare
+        ("x*y + z", "xyz", True),  # {x*y}
+        ("x^2 + y", "xy", True),  # {x^2}
+        ("y", "xy", True),  # no frontier: every row is the same
+        # five frontier nodes, more keys than are sorted: every pair is kept
+        ("x*y*z + (x + y)*z^2 + (x - y)*z^3 + x^2*y*z^4 + x*y^2*z^5", "xyz", False),
+    ],
+)
+def test_a_frontier_with_every_lead_variable_bare_never_sorts(monkeypatch, text, names, sorts):
+    sorted_by = []
+    for name in ("argsort", "lexsort"):
+        monkeypatch.setattr(dimlab.np, name, lambda *a, name=name, run=getattr(np, name), **k: (
+            sorted_by.append(name) or run(*a, **k)))
+    f = FunctionSpec(parse(text), tuple(names), ((0, 1),) * len(names))
+    sets = [_B4] * len(names)
+    q = image_quantize(f, sets, delta_min=2.0**-12)
+    assert bool(sorted_by) == sorts, sorted_by
+    monkeypatch.undo()
+    lead, weights = dimlab._lead(f, sets)
+    assert (weights is None) == (not sorts)
+    assert int(len(lead[0]) if weights is None else weights.sum()) == len(_B4) ** (len(names) - 1)
+    naive = naive_quantize_cells(f, sets, q.lo, q.delta_min, q.ncells)
+    assert q.occupied_cells().tolist() == naive
+
+
+def test_lead_lists_of_the_benchmark_commands():
+    # expand-dense 0 and expand-fine (x^2 + x*y) and expand-dense 2 (x + y)
+    # keep every x unsorted; expand-dense 1 (x*y + z on b4d01:8) keeps
+    # 23,620 of its 65,536 (x, y) pairs
+    for text, names, spec in (("x^2 + x*y", "xy", digit_points(4, [0, 1], 13)),
+                              ("x + y", "xy", cantor_points(CantorSpec(2, Fraction(1, 3), 11))),
+                              ("x*y + z", "xyz", _B8)):
+        f = FunctionSpec(parse(text), tuple(names), ((0, 1),) * len(names))
+        lead, weights = dimlab._lead(f, [spec] * len(names))
+        if names == "xy":
+            assert weights is None and lead[0] is spec.values
+        else:
+            assert len(lead[0]) == 23_620 and int(weights.sum()) == 65_536
+            # in lead order, each pair the first of its x*y
+            flat = np.searchsorted(spec.values, lead[0]) * len(spec) + np.searchsorted(spec.values, lead[1])
+            assert np.all(np.diff(flat) > 0)
+            products = (spec.values[:, None] * spec.values[None, :]).ravel()
+            _, first = np.unique(products.view(np.uint64), return_index=True)
+            assert np.array_equal(np.sort(first), flat)
 
 
 def test_image_quantize_widens_declared_range():

@@ -5,14 +5,21 @@ For each case it prints one line: the case name, the minimum CPU time
 (``time.process_time``) of N calls in ms, the sha256 of the occupancy map,
 and the grid's lo and hi.  The cases are the four expand commands of
 ``perfbench/corpus.py`` (read as ``tools/answers_digest.py`` reads them,
-at each command's finest rung and thread count), and five that the
+at each command's finest rung and thread count), and ten that the
 benchmark leaves out:
 
 - ``(x+y)^3``, ``x*exp(y)`` and ``exp(x+y)`` on b4d01:13 at 2^-16, which
   ``rising`` cannot prove, so their blocks take the run route of the scatter;
 - ``sin(7*(x+y))`` on b4d01:12 at 2^-20, which takes two passes;
 - ``x^2 + x*y`` on b4d01:12 at 2^-20 against a declared range of [0, 0.1],
-  which the image leaves, so the range is widened.
+  which the image leaves, so the range is widened;
+- ``x+y+z``, ``x*y*z`` and ``sin(x+y)+z`` on b4d01:8 at 2^-16, whose (x, y)
+  pairs give few distinct rows (the lead list keeps one pair per distinct
+  row);
+- ``x*(y+z)`` on b4d01:8 at 2^-16, whose pairs all give distinct rows, so
+  the lead list is built with no sort;
+- ``x*y+z`` on b4d01:9 at 2^-18, the benchmark's trivariate command at the
+  next level.
 
 ``--src DIR`` imports ``expandlab`` from ``DIR/src`` (by default this
 checkout's).  Alternate the rounds of two checkouts, one process a round,
@@ -39,6 +46,11 @@ EXTRA_CASES = [
     ("run/exp(x+y)", "exp(x+y)", "x,y", "b4d01:13", 2.0**-16, 1, None),
     ("two-pass/sin(7*(x+y))", "sin(7*(x+y))", "x,y", "b4d01:12", 2.0**-20, 1, None),
     ("widened/x^2+x*y", "x^2 + x*y", "x,y", "b4d01:12", 2.0**-20, 1, (0.0, 0.1)),
+    ("rows/x+y+z", "x+y+z", "x,y,z", "b4d01:8", 2.0**-16, 1, None),
+    ("rows/x*y*z", "x*y*z", "x,y,z", "b4d01:8", 2.0**-16, 1, None),
+    ("rows/sin(x+y)+z", "sin(x+y)+z", "x,y,z", "b4d01:8", 2.0**-16, 1, None),
+    ("rows/x*(y+z)", "x*(y+z)", "x,y,z", "b4d01:8", 2.0**-16, 1, None),
+    ("rows/x*y+z@9", "x*y+z", "x,y,z", "b4d01:9", 2.0**-18, 1, None),
 ]
 
 
