@@ -591,7 +591,9 @@ def main(argv: list[str] | None = None) -> int:
         if config:
             _apply_config(options[args.command], config)
             args = parser.parse_args(argv)  # explicit flags win over config values
-        doc, code = _COMMANDS[args.command][1](args)
+        # one floating-point policy per command: numpy warns once per process
+        with np.errstate(all="ignore"):
+            doc, code = _COMMANDS[args.command][1](args)
         doc["config"] = _echo_config(args)
         _emit(doc, args)
         return code

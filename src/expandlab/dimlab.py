@@ -27,14 +27,15 @@ subexpressions that do not involve the last variable but feed a node that
 does ({x*y} for x*y + z, {h(x) + k(y)} for g(h(x) + k(y) + l(z))).  Every
 node that involves the last variable is computed from frontier values,
 constants and that variable by elementwise numpy ops, so two lead tuples
-whose frontier values agree bit for bit have bit-identical rows, and the
-lead list keeps the first tuple of each set of such tuples (compared as
-uint64 keys, so -0.0 and 0.0 stay apart), with its multiplicity for the
-out-of-range count.  The cells hit, and so the map, are those of the whole
-product.  When every lead variable is bare in the frontier, no two tuples
-agree (the point sets are strictly increasing), and no key is sorted; a
-frontier of more than _MAX_KEYS = 4 nodes is not sorted either, since its
-keys would hold more memory than the pass.  On the benchmark:
+whose frontier values agree bit for bit have bit-identical rows.  When the
+frontier is one node, the lead list keeps the first tuple of each set of
+such tuples (one sort of its values as uint64 keys, so -0.0 and 0.0 stay
+apart), with its multiplicity for the out-of-range count; the cells hit,
+and so the map, are those of the whole product.  A frontier of two or more
+nodes keeps every tuple with no sort (when a bare lead variable is among
+them, as in x + sin(y)*z, no two tuples agree anyway: the point sets are
+strictly increasing), and so does the frontier {x} of a bivariate f.  On
+the benchmark:
   expand-dense 0 and expand-fine, x^2 + xy (frontier {x^2, x}), and
     expand-dense 2, x + y ({x}): every x kept, no sort;
   expand-dense 1, xy + z on b4d01:8 ({x*y}): 23,620 of 65,536 (x, y) pairs
@@ -129,11 +130,6 @@ _BLOCK = 1 << 17
 # a sweep of 8/16/32 against probe thresholds 1/2, 3/4 and 7/8
 # chose 16 and 7/8 for the run route (CHANGES.md has the sweep)
 _RUN = 16
-# the most frontier nodes whose keys image_quantize sorts to find distinct
-# rows: each key holds a float per lead tuple, and a 200-term f's 200 keys
-# over b4d01:13 peaked at 16.8 MB where the product's pass held 4.6 MB; a
-# larger frontier keeps every lead tuple
-_MAX_KEYS = 4
 
 
 def _run_starts(c: np.ndarray) -> np.ndarray:
@@ -265,41 +261,34 @@ def _lead(f: FunctionSpec, sets: Sequence[PointSet1D]) -> tuple[list[np.ndarray]
     stands for (None when every tuple is kept).
 
     Two tuples whose frontier values (see _frontier) agree bit for bit have
-    bit-identical rows, so a tuple is kept unless an earlier one has its
-    frontier bits.  The bits are compared as uint64 keys, so -0.0 and 0.0,
-    and NaN payloads, stay apart.  When every lead variable is bare in the
-    frontier, no two tuples agree (the point sets are strictly increasing),
-    and nothing is sorted; nor when the frontier has more than _MAX_KEYS
-    nodes, and then every tuple is kept."""
+    bit-identical rows.  When the frontier is one node, a tuple is kept
+    unless an earlier one has its bits, compared as uint64 keys, so -0.0
+    and 0.0, and NaN payloads, stay apart; when it is empty, every row is
+    the same, and the first tuple stands for all.  A frontier of two or more
+    nodes keeps every tuple unsorted, as does one in which every lead
+    variable is bare: then no two tuples agree (the point sets are strictly
+    increasing)."""
     axes = [s.values for s in sets[:-1]]
     *names, last = f.vars
     frontier = _frontier(f.expr, last)
-    if len(frontier) > _MAX_KEYS or all(var(v) in frontier for v in names):
+    if len(frontier) > 1 or all(var(v) in frontier for v in names):
         return _product(axes), None
-    grid = np.ix_(*axes)
     n = math.prod(map(len, axes))
-    keys = [compile_batch(node, tuple(names))(*grid).ravel().view(np.uint64) for node in frontier]
-    # no frontier: every row is the same, and one zero key keeps one tuple
-    keys = keys or [np.zeros(n, dtype=np.uint64)]
-    # a 1-D sort: np.unique(axis=0) over the columns took 10 times as long
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
-    runs = np.flatnonzero(np.logical_or.reduce([_run_starts(k[order]) for k in keys]))
-    # the outputs are allocated before the sort's arrays are freed, so that
-    # they leave those whole for the pass to reuse: allocated after, they
-    # split them, and expand-dense's peak RSS rose about 1 MB more
-    lead, counts = [np.empty(runs.size) for _ in axes], np.empty(runs.size, dtype=np.intp)
-    # each run's least index, whatever order the sort left its ties in
-    least = np.minimum.reduceat(order, runs)
-    del keys, order  # free for the temporaries below
-    at = np.argsort(least)
-    np.take(np.diff(runs, append=n), at, out=counts)
-    kept = least[at]
-    if len(axes) == 2:
-        i = kept // len(axes[1])
-        np.take(axes[0], i, out=lead[0])
-        kept -= i * len(axes[1])
-    np.take(axes[-1], kept, out=lead[-1])
-    return lead, counts
+    # compile_batch returns a new array, so the key can be sorted in place;
+    # no frontier: one zero key keeps one tuple
+    key = (compile_batch(frontier[0], tuple(names))(*np.ix_(*axes)).ravel().view(np.uint64)
+           if frontier else np.zeros(n, dtype=np.uint64))
+    # key and order are not freed before the outputs are built: the outputs
+    # then split their space, and expand-dense's peak RSS rose 0.6-0.9 MB
+    order = np.argsort(key, kind="stable")
+    key.sort()
+    runs = np.flatnonzero(_run_starts(key))
+    # a stable sort puts each run's least index first: those tuples are kept
+    first = np.zeros(n, dtype=bool)
+    first[order[runs]] = True
+    kept = np.unravel_index(np.flatnonzero(first), [len(a) for a in axes])
+    counts = np.diff(runs, append=n)[np.argsort(order[runs])]
+    return [a[i] for a, i in zip(axes, kept)], counts
 
 
 def _blocks(lead: Sequence[np.ndarray], row: np.ndarray, block: int):
@@ -384,9 +373,8 @@ class _Grid:
         # ever clear it, so they need no lock
         self.held = True
 
-    def scatter(self, vals: np.ndarray, arrays) -> None:
-        """Mark the cells of the values of a block evaluated over arrays,
-        every one in [lo, hi].
+    def scatter(self, vals: np.ndarray) -> None:
+        """Mark the cells of the values of a block, every one in [lo, hi].
 
         Run route (see runs_pay): each _RUN-value chunk of a row marks the
         cell of its first element, and only the chunks whose ends lie in
@@ -397,8 +385,8 @@ class _Grid:
 
         Any other block (falling or non-monotone rows, NaN, a last axis
         that is not a multiple of _RUN) scatters every element, its cell
-        coordinates computed in place, in vals; when f returns an input's
-        own array (f = x), the subtraction writes to a new array instead."""
+        coordinates computed in place, in vals (compile_batch's results
+        share no memory with its inputs)."""
         if self.runs_pay(vals):
             chunks = vals.reshape(-1, _RUN)
             first = self.cells(chunks[:, 0])
@@ -407,8 +395,7 @@ class _Grid:
             cross = np.compress(first != self.cells(chunks[:, -1]), chunks, axis=0)
             self.hit[self.cells(cross)] = 1
         else:
-            aliased = any(np.may_share_memory(vals, a) for a in arrays)
-            self.hit[self.cells(vals, out=None if aliased else vals)] = 1
+            self.hit[self.cells(vals, out=vals)] = 1
 
     def cells(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The cell index of every value of v (in [lo, hi]), truncated from
@@ -469,13 +456,13 @@ def image_quantize(
     positive (by default 2^-26 of the value range).
 
     A row is f along the last axis at one lead tuple, (x) or (x, y).  The
-    passes walk a lead list that keeps one lead tuple per distinct row: two
-    tuples whose values of f's frontier (the maximal subexpressions that do
-    not involve the last variable but feed a node that does) agree bit for
-    bit have bit-identical rows, so the cells they hit, and the map, are
-    those of the whole product.  Each kept row counts once per tuple it
-    stands for in the out-of-range count.  When every lead variable is
-    bare in the frontier, every tuple is kept with no sort (the module
+    passes walk a lead list of lead tuples.  When f's frontier (the maximal
+    subexpressions that do not involve the last variable but feed a node
+    that does) is at most one node, it keeps one tuple per distinct row:
+    two tuples whose frontier values agree bit for bit have bit-identical
+    rows, so the cells they hit, and the map, are those of the whole
+    product, and each kept row counts once per tuple it stands for in the
+    out-of-range count.  Any other frontier keeps every tuple (the module
     docstring has the rows each benchmark command keeps).  The lead list
     times the row streams through in blocks of `block` tuples (by default
     2^17).  The grid runs over the value range [lo, hi]: the image's
@@ -557,7 +544,7 @@ def image_quantize(
                 outside += int(np.count_nonzero(out) if w is None else np.count_nonzero(out, axis=-1) @ w)
             if grid is not None and grid.held:
                 if grid.lo <= bmin and bmax <= grid.hi:
-                    grid.scatter(vals, arrays)
+                    grid.scatter(vals)
                 else:
                     grid.held = False
         return vmin, vmax, outside
@@ -596,7 +583,7 @@ def image_quantize(
                 # for malloc to return it to the system, and every block
                 # faults the pages in again (32 times the minor faults)
                 vals = fn(*arrays)
-                grid.scatter(vals, arrays)
+                grid.scatter(vals)
 
         _run_sharded(quantize, shards, threads)
     return QuantizedSet(

@@ -874,7 +874,8 @@ def compile_scalar(e: Expr, var_order: tuple[str, ...]) -> Callable[..., float]:
 def compile_batch(e: Expr, var_order: tuple[str, ...]) -> Callable[..., np.ndarray]:
     """Compile to a vectorized numpy evaluator over arrays that broadcast
     together; the result has their broadcast shape.  The inputs are taken
-    as float64 (integer arithmetic would wrap) and never written to.
+    as float64 (integer arithmetic would wrap) and never written to; the
+    result is a new array that shares no memory with them.
 
     Domain violations surface as non-finite entries; the caller decides
     whether those are errors (see FunctionSpec.evaluate_batch)."""
@@ -894,7 +895,9 @@ def compile_batch(e: Expr, var_order: tuple[str, ...]) -> Callable[..., np.ndarr
         # returns a numpy scalar, which nothing can be written over.
         program = written if min((r.size for r in regs), default=0) > 1 else prog
         with np.errstate(all="ignore"):
-            return _batch_result(_execute(program, _BATCH, regs), shape)
+            out = _batch_result(_execute(program, _BATCH, regs), shape)
+        # f = x returns an input's own register, which is copied
+        return out.copy() if prog.out < len(arrays) and out is regs[prog.out] else out
 
     return run
 
@@ -1351,14 +1354,19 @@ class ZeroCheck:
 
 
 def median(values) -> float:
-    """np.median of a 1-D array, bit for bit (NaN if any entry is NaN),
-    without np.median's lazy import of numpy.ma."""
+    """np.median of a 1-D array (NaN if any entry is NaN), bit for bit where
+    that is finite, without its lazy import of numpy.ma; finite where
+    np.median's sum of two finite middle values overflows."""
     s = np.sort(np.asarray(values, dtype=np.float64).ravel())
     n = s.size
     if n == 0 or np.isnan(s[-1]):
         return math.nan
     m = n // 2
-    return float(s[m]) if n % 2 else float((s[m - 1] + s[m]) / 2)
+    if n % 2:
+        return float(s[m])
+    a, b = float(s[m - 1]), float(s[m])
+    # where the sum of two finite values overflows, halving them is exact
+    return (a + b) / 2 if math.isfinite(a + b) else a / 2 + b / 2
 
 
 def _modular_verdict(prog: _Program, seed: int) -> bool | None:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +457,11 @@ _EXPAND_B4 = ["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--
         (["expand", "-f", f"x^{10**309} + y", "--vars", "x,y", "--inputs", "b4d01:5", "--ladder", "2^-2..2^-10",
           "--theorem", "bivariate-analytic"], "error: exponent 1e+309 has no float value"),
         (["classify", "-f", f"{10**309}*x*y"], "error: constant 1e+309 has no float value"),
+        # the zero test of f_x once called it zero (a median of inf), which
+        # made sin(x) + x*y times a constant a special form; kappa's
+        # constant has no float
+        (["classify", "-f", "6e307*(sin(x) + x*y)", "--vars", "x,y", "--box", "0.5,1.5,0.5,1.5"],
+         "error: constant 3.6e+615 has no float value"),
     ],
     ids=[
         "classify-constant", "recover-constant", "expand-value-range",
@@ -466,6 +472,7 @@ _EXPAND_B4 = ["expand", "-f", "x+y", "--vars", "x,y", "--inputs", "b4d01:6", "--
         "grid-n-negative", "verify-n-0", "box-wider-than-floats", "recover-residual-tol-negative",
         "verify-recovery-residual-tol-negative", "surface-distance-tol-negative", "uvars-not-the-surfaces",
         "uvars-empty", "exponent-past-the-float-range", "integer-constant-past-the-float-range",
+        "classify-multiple-past-half-the-float-range",
     ],
 )
 def test_values_past_the_float_range_exit_2(capsys, argv, message):
@@ -479,6 +486,18 @@ def test_values_past_the_float_range_exit_2(capsys, argv, message):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
     if "has no float value" in message:
         assert err == message + "\n" and len(err) < 80
+
+
+def test_a_command_records_no_floating_point_warning(capsys):
+    # numpy warns once per process, so a command's stderr would depend on
+    # what ran before it; each command runs under one policy that records
+    # none (pytest's own capture keeps such warnings out of capsys)
+    argv = ["recover", "-f", "exp(300*x + y)", "--vars", "x,y", "--box", "1e-300,1e-299,0,1", "--no-timestamp"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def test_non_finite_config_value_exits_2(capsys, tmp_path):

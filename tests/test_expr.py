@@ -1385,3 +1385,26 @@ def test_median_matches_numpy_bit_for_bit(n):
     assert median(np.abs(values)) == np.median(np.abs(values))
     values[n // 2] = np.nan
     assert math.isnan(median(values))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(1e308, 1e308), (-1e308, -1.5e308), (sys.float_info.max, sys.float_info.max), (2.0**1023, 1.5 * 2.0**1023),
+     (sys.float_info.max, 2.0**970), (-sys.float_info.max, -2.0**1023)],
+)
+def test_median_of_middle_values_whose_sum_overflows_is_their_midpoint(a, b):
+    # np.median sums the two middle values, which overflows to inf here; the
+    # midpoint itself is a float, rounded once from the exact one
+    for values in ([a, b], [-math.inf, a, b, math.inf], [b, 0.0, a, a + b]):
+        assert median(values) == float((Fraction(a) + Fraction(b)) / 2), values
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.median([a, b]))
+
+
+def test_zero_test_of_a_multiple_past_half_the_float_range():
+    # the median of the auxiliary scales overflowed to inf, every threshold
+    # with it, and the sampled route called any expression zero
+    box = ((0.5, 1.5), (0.5, 1.5))
+    assert not is_identically_zero(parse("6e307*(cos(x) + y)"), box, ("x", "y")).is_zero
+    for text in ("cos(x) + y", "2^1023 * (cos(x) + y)"):
+        assert not is_identically_zero(parse(text), ((0.5, 1.0), (0.5, 1.0)), ("x", "y")).is_zero, text
