@@ -550,11 +550,8 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _build_parsers(
-    only: str | None = None,
-) -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
-    """The top-level parser and each subcommand's options by destination;
-    with only, the top level carries that one subcommand."""
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The top-level parser and each subcommand's options by destination."""
     parser = _Parser(
         prog="expandlab",
         description="Degeneracy certificates, thresholds, fold verification, "
@@ -564,33 +561,103 @@ def _build_parsers(
     sub = parser.add_subparsers(dest="command", required=True)
     options = {}
     for name, (summary, _, table) in _COMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=summary)
-            actions = (p.add_argument(*flags, **kwargs) for flags, kwargs in table)
-            options[name] = {action.dest: action for action in actions}
+        p = sub.add_parser(name, help=summary)
+        actions = (p.add_argument(*flags, **kwargs) for flags, kwargs in table)
+        options[name] = {action.dest: action for action in actions}
     return parser, options
 
 
-def _parse(argv: list[str]):
-    """Parse argv with a parser that builds only the invoked command's
-    options, named by the first argument.  Top-level help, --version, a
-    missing or unknown command and any unrecognized argument go to the full
-    parser, so help, usage and error text are the same as with it."""
-    parser, options = _build_parsers(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args, extra = parser.parse_known_args(argv)
-    if extra:
-        _build_parsers()[0].parse_args(argv)  # exits with the full parser's usage error
-    return parser, options, args
+def _flag_table(table):
+    """A command's options as _table_parse reads them: each flag's
+    (destination, argparse keywords), every destination's default and the
+    required destinations; None for a command with a positional argument.
+    --config has a default but no flag, so argparse reads a config file."""
+    flags, defaults, required = {}, {}, set()
+    for names, kwargs in table:
+        if not names[0].startswith("-"):
+            return None
+        # argparse's destination: the first long flag, dashes made underscores
+        dest = kwargs.get("dest") or next(n for n in names if n[:2] == "--")[2:].replace("-", "_")
+        defaults[dest] = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        if kwargs.get("required"):
+            required.add(dest)
+        if names != ("--config",):
+            flags.update(dict.fromkeys(names, (dest, kwargs)))
+    return flags, defaults, required
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        parser, options, args = _parse(argv)
+_FLAG_TABLES = {name: _flag_table(table) for name, (_, _, table) in _COMMANDS.items()}
+
+
+def _table_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would return for a well-formed command line,
+    read from the option table: a command, then exact flags, each value in
+    the token after its flag.  None for anything else: help, --version,
+    --config, an unknown, abbreviated or attached flag, a positional, a
+    missing value or one argparse would read as a flag, a value the
+    option's type or choices refuse, or a missing required option.  The
+    values are converted left to right once every token is read, so an
+    _OutOfRange is raised where argparse raises it."""
+    table = _FLAG_TABLES.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    flags, defaults, required = table
+    given = []
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in flags:
+            return None
+        dest, kwargs = flags[flag]
+        text = None
+        if kwargs.get("action") != "store_true":
+            text = next(tokens, None)
+            # _Parser reads a token as a flag if it starts with "--" or a short flag
+            if text is None or text[:2] in ("--", "-h") or text[:2] in flags:
+                return None
+        given.append((dest, kwargs, text))
+    if not required <= {dest for dest, _, _ in given}:
+        return None
+    values = dict(defaults)
+    for dest, kwargs, text in given:
+        value = True
+        if text is not None:
+            try:
+                value = kwargs.get("type", str)(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        if kwargs.get("action") == "append":
+            value = [*(values[dest] or ()), value]
+        values[dest] = value
+    return argparse.Namespace(command=argv[0], **values)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv.  A well-formed command line is read from the option table
+    (_table_parse) and builds no argparse parser.  Anything else goes to the
+    parser with every command, so help, --version, usage errors and unusual
+    spellings print argparse's own text.  With --config, the file's values
+    become the options' defaults and argv is parsed again, so explicit flags
+    win over the file."""
+    args = _table_parse(argv)
+    if args is None:
+        parser, options = _build_parsers()
+        args = parser.parse_args(argv)
         config = _load_config(args.config)
         if config:
             _apply_config(options[args.command], config)
-            args = parser.parse_args(argv)  # explicit flags win over config values
+            args = parser.parse_args(argv)
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line (sys.argv[1:] when argv is None) and return its
+    exit code.  A well-formed command line is parsed from the option table;
+    help, --version and usage errors exit through argparse (SystemExit)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _parse(argv)
         # one floating-point policy per command: numpy warns once per process
         with np.errstate(all="ignore"):
             doc, code = _COMMANDS[args.command][1](args)
